@@ -41,7 +41,7 @@ from .experiment import (
     run_experiment,
 )
 from .fingerprint import BinGrid, build_database, evaluate_baseline, save_database
-from .ingest import Dataset, SplitSpec, parse_dataset, split, write_dataset
+from .ingest import SplitSpec, concat, parse_dataset, split, write_dataset
 from .neuralbeam import (
     dataset_features,
     load_checkpoint,
@@ -147,13 +147,9 @@ def cmd_train(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    dataset, _, (train_ds, val_ds, _) = _prepare(config)
+    _, _, (train_ds, val_ds, _) = _prepare(config)
     norm = fit_split_normalization(train_ds, config.model.input_mode)
-    combined = Dataset(
-        samples=train_ds.samples + val_ds.samples,
-        codebook_size=dataset.codebook_size,
-        sampling_period=dataset.sampling_period,
-    )
+    combined = concat([train_ds, val_ds])
     db = build_database(combined, BinGrid.unit_square(config.bins_per_axis), norm)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = save_database(db, config.out_dir / "fingerprint_db.json")
@@ -179,25 +175,19 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else meta["seed"]
     split_spec = SplitSpec(0.6, 0.2, 0.2, seed=seed)
     train_ds, val_ds, test_ds = split(dataset, split_spec, mode=args.split_mode)
-    combined = Dataset(
-        samples=train_ds.samples + val_ds.samples,
-        codebook_size=dataset.codebook_size,
-        sampling_period=dataset.sampling_period,
-    )
-    db = build_database(combined, BinGrid.unit_square(args.bins_per_axis), norm)
 
     m_max = max(m_values)
     input_mode = meta.get("input_mode", "tx")
     x_test = dataset_features(test_ds, norm, input_mode)
-    # evaluation is deterministic, so repeats reproduce the same pass; the
+    model_preds = predict_top_m_batch(params, spec, x_test, m_max)
+    db = build_database(
+        concat([train_ds, val_ds]), BinGrid.unit_square(args.bins_per_axis), norm
+    )
+    baseline_preds = evaluate_baseline(db, test_ds, norm, m_max)
+    # evaluation is deterministic, so repeats reproduce the same report; the
     # stddev column is populated (zeros) for schema consistency
     reports = [
-        build_report(
-            predict_top_m_batch(params, spec, x_test, m_max),
-            evaluate_baseline(db, test_ds, norm, m_max),
-            test_ds,
-            m_values,
-        )
+        build_report(model_preds, baseline_preds, test_ds, m_values)
         for _ in range(args.repeats)
     ]
     rows = aggregate_reports([model for model, _ in reports])

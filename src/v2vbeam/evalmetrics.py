@@ -102,8 +102,8 @@ def evaluate_predictions(
         raise ValueError("m_values must be non-empty")
     if any(not 1 <= m <= test.codebook_size for m in m_values):
         raise ValueError(f"every M must lie in [1, {test.codebook_size}]")
-    truths = list(test.optimal_indices())
-    powers = [s.powers for s in test.samples]
+    truths = test.best.tolist()
+    powers = test.powers
     acc_inc, acc_lit, ratio = [], [], []
     for m in m_values:
         prefix = [list(c[:m]) for c in preds]

@@ -15,6 +15,8 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CodebookMismatchError, ConfigError
 from .evalmetrics import (
     EvaluationReport,
@@ -29,7 +31,7 @@ from .fingerprint import (
     evaluate_baseline,
 )
 from .geodata import NormalizationParams, fit_normalization
-from .ingest import Dataset, SplitSpec, parse_dataset, split
+from .ingest import Dataset, SplitSpec, concat, parse_dataset, split
 from .neuralbeam import (
     ConvBlockSpec,
     EpochRecord,
@@ -208,12 +210,11 @@ def build_layer_spec(options: ModelOptions, classes: int) -> LayerSpec:
 
 def fit_split_normalization(train_ds: Dataset, input_mode: str) -> NormalizationParams:
     """Fit scaling on the training split; 'both' mode pools tx and rx fixes."""
-    positions = train_ds.tx_positions()
+    points = train_ds.tx
     if input_mode == "both":
-        positions = positions + [
-            s.rx_pos for s in train_ds.samples if s.rx_pos is not None
-        ]
-    return fit_normalization(positions)
+        rx = train_ds.rx
+        points = np.concatenate([points, rx[~np.isnan(rx[:, 0])]])
+    return fit_normalization(points)
 
 
 @dataclass(frozen=True)
@@ -247,13 +248,8 @@ def single_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Run
 
     # the baseline trains on train+val so both predictors see 80% of the data
     # and share the identical held-out test part
-    baseline_train = Dataset(
-        samples=train_ds.samples + val_ds.samples,
-        codebook_size=dataset.codebook_size,
-        sampling_period=dataset.sampling_period,
-    )
     database = build_database(
-        baseline_train, BinGrid.unit_square(config.bins_per_axis), norm
+        concat([train_ds, val_ds]), BinGrid.unit_square(config.bins_per_axis), norm
     )
 
     m_max = max(config.m_values)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyDatasetError
-from .geodata import NormalizationParams, NormalizedPosition, normalize
+from .geodata import NormalizationParams, NormalizedPosition, normalize_points
 from .ingest import Dataset
 
 
@@ -41,9 +41,14 @@ class BinGrid:
         return cls(NormalizedPosition(0.0, 0.0), width, width)
 
     def bin_of(self, pos: NormalizedPosition) -> tuple[int, int]:
-        row = int(np.floor((pos.u - self.origin.u) / self.bin_width_u))
-        col = int(np.floor((pos.v - self.origin.v) / self.bin_width_v))
-        return row, col
+        (key,) = self.bins_of(np.array([[pos.u, pos.v]])).tolist()
+        return tuple(key)
+
+    def bins_of(self, uv: np.ndarray) -> np.ndarray:
+        """(row, col) keys of an (n, 2) array of normalized [u, v] positions."""
+        origin = np.array([self.origin.u, self.origin.v])
+        width = np.array([self.bin_width_u, self.bin_width_v])
+        return np.floor((uv - origin) / width).astype(np.int64)
 
     def center_of(self, key: tuple[int, int]) -> tuple[float, float]:
         row, col = key
@@ -84,27 +89,31 @@ def build_database(
     """Accumulate per-bin mean power vectors over the training set.
 
     Sums are Kahan-compensated so the result is permutation-invariant to well
-    below 1e-12 relative error.
+    below 1e-12 relative error. Each bin adds its rows in dataset order; the
+    bins advance together, one vectorised Kahan step per within-bin rank.
     """
-    if not train.samples:
+    if len(train) == 0:
         raise EmptyDatasetError("cannot build a fingerprint database from no samples")
-    sums: dict[tuple[int, int], np.ndarray] = {}
-    comps: dict[tuple[int, int], np.ndarray] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for s in train.samples:
-        key = grid.bin_of(normalize(s.tx_pos, norm))
-        if key not in sums:
-            sums[key] = np.zeros(train.codebook_size)
-            comps[key] = np.zeros(train.codebook_size)
-            counts[key] = 0
-        y = s.powers - comps[key]
-        t = sums[key] + y
-        comps[key] = (t - sums[key]) - y
-        sums[key] = t
-        counts[key] += 1
+    keys = grid.bins_of(normalize_points(train.tx, norm))
+    bin_keys, bin_of_row, counts = np.unique(
+        keys, axis=0, return_inverse=True, return_counts=True
+    )
+    # rows grouped by bin, in dataset order within each bin
+    rows = np.argsort(bin_of_row.ravel(), kind="stable")
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros((len(counts), train.codebook_size))
+    comps = np.zeros_like(sums)
+    for k in range(int(counts.max())):
+        b = np.flatnonzero(counts > k)  # the bins that have a k-th row
+        s, c = sums[b], comps[b]
+        y = train.powers[rows[starts[b] + k]] - c
+        t = s + y
+        comps[b] = (t - s) - y
+        sums[b] = t
+    means = sums / counts[:, None]
     bins = {
-        key: BinStats(count=counts[key], mean_power=sums[key] / counts[key])
-        for key in sums
+        tuple(key): BinStats(count=count, mean_power=mean)
+        for key, count, mean in zip(bin_keys.tolist(), counts.tolist(), means)
     }
     return FingerprintDatabase(grid=grid, codebook_size=train.codebook_size, bins=bins)
 
@@ -113,6 +122,29 @@ def _top_m_indices(mean_power: np.ndarray, m: int) -> list[int]:
     # stable sort on the negated powers keeps the lowest index first among ties
     order = np.argsort(-mean_power, kind="stable")
     return [int(i) for i in order[: min(m, mean_power.size)]]
+
+
+def _answering_bin(db: FingerprintDatabase, key: tuple[int, int]) -> tuple[int, int]:
+    """``key`` itself if occupied, else the nearest occupied bin by distance
+    between bin centers, ties toward the lowest (row, col)."""
+    if key in db.bins:
+        return key
+    center = db.grid.center_of(key)
+    return min(
+        db.bins,
+        key=lambda k: (
+            (db.grid.center_of(k)[0] - center[0]) ** 2
+            + (db.grid.center_of(k)[1] - center[1]) ** 2,
+            k,
+        ),
+    )
+
+
+def _check_query(db: FingerprintDatabase, m: int) -> None:
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not db.bins:
+        raise EmptyDatasetError("fingerprint database has no bins")
 
 
 def query_candidates(
@@ -124,31 +156,29 @@ def query_candidates(
     bin centers (ties toward the lowest (row, col)), so a non-empty database
     always answers.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not db.bins:
-        raise EmptyDatasetError("fingerprint database has no bins")
-    key = db.grid.bin_of(pos)
-    if key not in db.bins:
-        center = db.grid.center_of(key)
-        key = min(
-            db.bins,
-            key=lambda k: (
-                (db.grid.center_of(k)[0] - center[0]) ** 2
-                + (db.grid.center_of(k)[1] - center[1]) ** 2,
-                k,
-            ),
-        )
+    _check_query(db, m)
+    key = _answering_bin(db, db.grid.bin_of(pos))
     return _top_m_indices(db.bins[key].mean_power, m)
 
 
 def evaluate_baseline(
     db: FingerprintDatabase, test: Dataset, norm: NormalizationParams, m: int
 ) -> list[list[int]]:
-    """Candidate lists for every test sample, in order."""
-    return [
-        query_candidates(db, normalize(s.tx_pos, norm), m) for s in test.samples
-    ]
+    """Candidate lists for every test sample, in order; equal to
+    :func:`query_candidates` per sample.
+
+    Each distinct queried bin is resolved once, and each answering bin ranked
+    once.
+    """
+    if len(test) == 0:
+        return []
+    _check_query(db, m)
+    keys, key_of_row = np.unique(
+        db.grid.bins_of(normalize_points(test.tx, norm)), axis=0, return_inverse=True
+    )
+    answers = [_answering_bin(db, tuple(key)) for key in keys.tolist()]
+    ranked = {a: _top_m_indices(db.bins[a].mean_power, m) for a in set(answers)}
+    return [list(ranked[answers[i]]) for i in key_of_row.ravel().tolist()]
 
 
 def save_database(db: FingerprintDatabase, path: str | Path) -> Path:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import DegenerateRangeError, OutOfRangeError
 
 
@@ -60,19 +62,27 @@ def validate_position(p: GeoPosition) -> GeoPosition:
     return p
 
 
-def fit_normalization(samples: Iterable[GeoPosition]) -> NormalizationParams:
+def fit_normalization(
+    positions: Iterable[GeoPosition] | np.ndarray,
+) -> NormalizationParams:
     """Compute exact per-axis min/max over a fitting set.
 
+    ``positions`` are GeoPositions or an (n, 2) array of [lat, lon] degrees.
     Needs at least two distinct latitudes and two distinct longitudes;
     a degenerate axis would make the scale factor undefined.
     """
-    lats = [p.lat_deg for p in samples]
-    lons = [p.lon_deg for p in samples]
-    if len(lats) < 2 or min(lats) == max(lats):
+    if not isinstance(positions, np.ndarray):
+        positions = np.array(
+            [(p.lat_deg, p.lon_deg) for p in positions], dtype=np.float64
+        ).reshape(-1, 2)
+    lats, lons = positions[:, 0], positions[:, 1]
+    if len(lats) < 2 or lats.min() == lats.max():
         raise DegenerateRangeError("lat")
-    if min(lons) == max(lons):
+    if lons.min() == lons.max():
         raise DegenerateRangeError("lon")
-    return NormalizationParams(min(lats), max(lats), min(lons), max(lons))
+    return NormalizationParams(
+        float(lats.min()), float(lats.max()), float(lons.min()), float(lons.max())
+    )
 
 
 def normalize(p: GeoPosition, params: NormalizationParams) -> NormalizedPosition:
@@ -80,6 +90,19 @@ def normalize(p: GeoPosition, params: NormalizationParams) -> NormalizedPosition
     u = (p.lat_deg - params.lat_min) / (params.lat_max - params.lat_min)
     v = (p.lon_deg - params.lon_min) / (params.lon_max - params.lon_min)
     return NormalizedPosition(u, v)
+
+
+def normalize_points(points: np.ndarray, params: NormalizationParams) -> np.ndarray:
+    """:func:`normalize` for an (n, 2) array of [lat, lon]; returns (n, 2) [u, v].
+
+    Each element takes the same two float operations, so the values are
+    bit-identical to the scalar form.
+    """
+    lo = np.array([params.lat_min, params.lon_min])
+    span = np.array(
+        [params.lat_max - params.lat_min, params.lon_max - params.lon_min]
+    )
+    return (points - lo) / span
 
 
 def denormalize(n: NormalizedPosition, params: NormalizationParams) -> GeoPosition:

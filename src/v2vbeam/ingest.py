@@ -6,8 +6,17 @@ One CSV schema serves both real exports and synthetic scenarios:
 
 rx_lat/rx_lon may be empty, best_beam may be empty or absent (it is always
 recomputed from the powers and cross-checked when present), and powers are
-non-negative decimals in linear units. Floats are written with their shortest
-round-trip representation, so write -> parse is bit-exact.
+non-negative decimals in linear units, not all zero in one row. Floats are
+written with their shortest round-trip representation, so write -> parse is
+bit-exact.
+
+A ``Dataset`` holds its rows as numpy columns (times, tx and rx fixes, the
+power matrix and the best-beam labels), so splitting is index slicing and
+callers work on whole arrays. The CSV is read and written in blocks of rows,
+never as one string: a block of plain rows is converted column by column, and
+only a block that fails a check goes through ``csv.reader`` row by row, which
+reads quoted fields and CRLF line ends or raises the offending row's error
+with its line number.
 """
 
 from __future__ import annotations
@@ -15,7 +24,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +38,12 @@ from .errors import (
 from .geodata import GeoPosition, validate_position
 
 _FIXED_COLUMNS = ("t", "tx_lat", "tx_lon", "rx_lat", "rx_lon")
+_COLUMNS = ("t", "tx", "rx", "powers", "best")
 DEFAULT_SAMPLING_PERIOD = 0.1
+# rows per block read or written at once: big enough that per-block numpy calls
+# are cheap, small enough that a block's text and strings (about 1 MB) do not
+# leave the heap larger than the columns themselves
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,38 +81,145 @@ class Sample:
         )
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An ordered, immutable collection of samples sharing one codebook."""
+    """An ordered, immutable collection of samples sharing one codebook, as columns.
 
-    samples: tuple[Sample, ...]
-    codebook_size: int
-    sampling_period: float = DEFAULT_SAMPLING_PERIOD
+    ``t`` (n,) sample times, ``tx`` and ``rx`` (n, 2) [lat, lon] fixes in
+    degrees (``rx`` is NaN where a row has no receiver fix), ``powers``
+    (n, codebook_size) and ``best`` (n,) the argmax of each power row. Every
+    column is read-only. Construct from ``Sample`` objects, or from columns
+    with :meth:`from_columns`; ``samples`` rebuilds the objects on demand.
+    """
 
-    def __post_init__(self):
-        if not self.sampling_period > 0:
-            raise ValueError("sampling_period must be > 0")
-        for s in self.samples:
-            if s.powers.size != self.codebook_size:
+    __slots__ = ("t", "tx", "rx", "powers", "best", "sampling_period", "_samples")
+
+    def __init__(
+        self,
+        samples: Sequence[Sample],
+        codebook_size: int,
+        sampling_period: float = DEFAULT_SAMPLING_PERIOD,
+    ):
+        samples = tuple(samples)
+        for s in samples:
+            if s.powers.size != codebook_size:
                 raise ValueError(
                     f"sample at t={s.t} has {s.powers.size} powers, "
-                    f"expected {self.codebook_size}"
+                    f"expected {codebook_size}"
                 )
+        n = len(samples)
+
+        def fixes(positions) -> np.ndarray:
+            rows = [(p.lat_deg, p.lon_deg) if p else (math.nan,) * 2 for p in positions]
+            return np.array(rows, dtype=np.float64).reshape(n, 2)
+
+        self._init(
+            np.array([s.t for s in samples], dtype=np.float64),
+            fixes(s.tx_pos for s in samples),
+            fixes(s.rx_pos for s in samples),
+            np.array([s.powers for s in samples]).reshape(n, codebook_size),
+            np.array([s.optimal_index for s in samples], dtype=np.int64),
+            sampling_period,
+            samples,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        t: np.ndarray,
+        tx: np.ndarray,
+        rx: np.ndarray,
+        powers: np.ndarray,
+        best: np.ndarray,
+        sampling_period: float = DEFAULT_SAMPLING_PERIOD,
+    ) -> "Dataset":
+        """Wrap columns without copying; ``best`` must be the argmax of ``powers``."""
+        d = cls.__new__(cls)
+        d._init(t, tx, rx, powers, best, sampling_period, None)
+        return d
+
+    def _init(self, t, tx, rx, powers, best, sampling_period, samples) -> None:
+        if not sampling_period > 0:
+            raise ValueError("sampling_period must be > 0")
+        for name, column in zip(_COLUMNS, (t, tx, rx, powers, best)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "sampling_period", sampling_period)
+        object.__setattr__(self, "_samples", samples)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Dataset is immutable")
+
+    @property
+    def codebook_size(self) -> int:
+        return self.powers.shape[1]
+
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        """The rows as ``Sample`` objects, built on first access."""
+        if self._samples is None:
+            rows = zip(
+                self.t.tolist(), self.tx.tolist(), self.rx.tolist(),
+                self.powers, self.best.tolist(),
+            )
+            samples = tuple(
+                Sample(
+                    t=t,
+                    tx_pos=GeoPosition(*tx),
+                    rx_pos=None if math.isnan(rx[0]) else GeoPosition(*rx),
+                    powers=powers,
+                    optimal_index=best,
+                )
+                for t, tx, rx, powers, best in rows
+            )
+            object.__setattr__(self, "_samples", samples)
+        return self._samples
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.codebook_size == other.codebook_size
+            and self.sampling_period == other.sampling_period
+            and np.array_equal(self.t, other.t)
+            and np.array_equal(self.tx, other.tx)
+            and np.array_equal(self.rx, other.rx, equal_nan=True)
+            and np.array_equal(self.powers, other.powers)
+            and np.array_equal(self.best, other.best)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Dataset(<{len(self)} samples>, codebook_size={self.codebook_size}, "
+            f"sampling_period={self.sampling_period!r})"
+        )
+
+    def rows(self, indices: np.ndarray | slice) -> "Dataset":
+        """The rows at ``indices`` (an index array, or a slice giving views)."""
+        return Dataset.from_columns(
+            *(getattr(self, name)[indices] for name in _COLUMNS),
+            sampling_period=self.sampling_period,
+        )
 
     def tx_positions(self) -> list[GeoPosition]:
-        return [s.tx_pos for s in self.samples]
+        return [GeoPosition(lat, lon) for lat, lon in self.tx.tolist()]
 
     def powers_matrix(self) -> np.ndarray:
         """All power vectors stacked, shape (n, codebook_size)."""
-        if not self.samples:
-            return np.zeros((0, self.codebook_size))
-        return np.stack([s.powers for s in self.samples])
+        return self.powers
 
     def optimal_indices(self) -> np.ndarray:
-        return np.array([s.optimal_index for s in self.samples], dtype=np.int64)
+        return self.best
+
+
+def concat(parts: Sequence[Dataset]) -> Dataset:
+    """The rows of ``parts`` one after another; the first part's sampling period."""
+    return Dataset.from_columns(
+        *(np.concatenate([getattr(d, name) for d in parts]) for name in _COLUMNS),
+        sampling_period=parts[0].sampling_period,
+    )
 
 
 @dataclass(frozen=True)
@@ -116,9 +239,9 @@ class SplitSpec:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
 
 
-def _infer_sampling_period(samples: list[Sample]) -> float:
-    if len(samples) >= 2:
-        delta = samples[1].t - samples[0].t
+def _infer_sampling_period(t: np.ndarray) -> float:
+    if len(t) >= 2:
+        delta = float(t[1]) - float(t[0])
         if delta > 0:
             return delta
     return DEFAULT_SAMPLING_PERIOD
@@ -128,29 +251,132 @@ def parse_dataset(path: str | Path) -> Dataset:
     """Load a dataset CSV, validating every row.
 
     Raises SchemaMismatchError for a bad header or a row whose field count
-    disagrees with the header, RowParseError for unparseable values, and
-    IndexMismatchError when a stored best-beam disagrees with the argmax of
-    that row's powers.
+    disagrees with the header, RowParseError for unparseable values and for
+    rows whose powers are all zero, and IndexMismatchError when a stored
+    best-beam disagrees with the argmax of that row's powers. Errors name the
+    row's line number, counting the header as line 1.
+
+    The file is read in blocks of _BLOCK_ROWS lines. A block of plain rows is
+    converted column by column; a block in which any check fails (or that
+    holds quotes or carriage returns) is parsed again row by row with
+    ``csv.reader``, which either reads it correctly or raises the row's error.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise SchemaMismatchError("empty file, expected a header row") from None
         has_best_beam, codebook_size = _check_header(header)
-        samples: list[Sample] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaMismatchError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            samples.append(_parse_row(row, line_no, has_best_beam, codebook_size))
-    return Dataset(
-        samples=tuple(samples),
-        codebook_size=codebook_size,
-        sampling_period=_infer_sampling_period(samples),
+        # blocks are copied into columns sized once, so no list of block arrays is
+        # left to concatenate (and to linger in the heap afterwards)
+        capacity = _max_rows(path)
+        columns = (
+            np.empty(capacity), np.empty((capacity, 2)), np.empty((capacity, 2)),
+            np.empty((capacity, codebook_size)), np.empty(capacity, dtype=np.int64),
+        )
+        n = 0
+        while lines := list(islice(fh, _BLOCK_ROWS)):
+            block = _parse_block(lines, len(header), has_best_beam)
+            if block is None:
+                # a quoted record may run past the block; the reader goes on into it
+                source = chain(lines, fh)
+                block = _parse_rows(source, len(lines), n + 2, header, has_best_beam)
+            for column, values in zip(columns, block):
+                column[n : n + len(values)] = values
+            n += len(block[0])
+    t, tx, rx, powers, best = (column[:n] for column in columns)
+    return Dataset.from_columns(t, tx, rx, powers, best, _infer_sampling_period(t))
+
+
+def _max_rows(path: Path) -> int:
+    """An upper bound on the data rows of a CSV file: its line breaks, plus one."""
+    with path.open("rb") as fh:
+        return 1 + sum(
+            chunk.count(b"\n") + chunk.count(b"\r")
+            for chunk in iter(lambda: fh.read(1 << 16), b"")
+        )
+
+
+def _floats(cells: list[str]) -> np.ndarray:
+    """Convert strings with ``float``; ValueError on a bad cell."""
+    return np.fromiter(map(float, cells), np.float64, count=len(cells))
+
+
+def _parse_block(
+    lines: list[str], n_fields: int, has_best_beam: bool
+) -> tuple[np.ndarray, ...] | None:
+    """Columns of a block of unquoted rows, or None if any row fails a check."""
+    if not all(map((n_fields - 1).__eq__, map(str.count, lines, repeat(",")))):
+        return None
+    text = "".join(lines)
+    if '"' in text or "\r" in text:
+        return None
+    n = len(lines)
+    cells = text.removesuffix("\n").replace("\n", ",").split(",")
+    offset = 6 if has_best_beam else 5
+    t, tx_lat, tx_lon, rx_lat, rx_lon, *stored = (
+        cells[k::n_fields] for k in range(offset)
+    )
+    for width in range(n_fields, n_fields - offset, -1):
+        del cells[::width]  # drop each row's first fixed cell; the powers remain
+    rx_given = [cell != "" for cell in rx_lat]
+    if rx_given != [cell != "" for cell in rx_lon]:
+        return None
+    has_rx = np.array(rx_given)
+    rx = np.full((n, 2), np.nan)
+    try:
+        t = _floats(t)
+        tx = np.column_stack([_floats(tx_lat), _floats(tx_lon)])
+        rx[has_rx, 0] = _floats(list(compress(rx_lat, has_rx)))
+        rx[has_rx, 1] = _floats(list(compress(rx_lon, has_rx)))
+        powers = _floats(cells).reshape(n, n_fields - offset)
+    except ValueError:
+        return None
+    fixes = np.concatenate([tx, rx[has_rx]])
+    if not (
+        np.isfinite(t).all()
+        and np.isfinite(fixes).all()
+        and np.isfinite(powers).all()
+        and (np.abs(fixes[:, 0]) <= 90.0).all()
+        and (np.abs(fixes[:, 1]) <= 180.0).all()
+        and (powers >= 0).all()
+        and (powers.max(axis=1) > 0).all()
+    ):
+        return None
+    best = powers.argmax(axis=1)
+    if stored:
+        given = np.array([cell != "" for cell in stored[0]])
+        try:
+            labels = [int(cell) for cell in compress(stored[0], given)]
+        except ValueError:
+            return None
+        if labels != best[given].tolist():
+            return None
+    return t, tx, rx, powers, best
+
+
+def _parse_rows(
+    source, n_lines: int, first_line_no: int, header: list[str], has_best_beam: bool
+) -> tuple[np.ndarray, ...]:
+    """Parse records of ``source`` with ``csv.reader`` until ``n_lines`` lines are read.
+
+    Raises the first row's error; records are numbered from ``first_line_no``.
+    """
+    reader = csv.reader(source)
+    rows = []
+    while reader.line_num < n_lines:
+        row = next(reader)
+        line_no = first_line_no + len(rows)
+        if len(row) != len(header):
+            raise SchemaMismatchError(
+                f"line {line_no}: expected {len(header)} fields, got {len(row)}"
+            )
+        rows.append(_parse_row(row, line_no, has_best_beam))
+    t, tx, rx, powers, best = zip(*rows)
+    return (
+        np.array(t), np.array(tx), np.array(rx), np.array(powers),
+        np.array(best, dtype=np.int64),
     )
 
 
@@ -172,9 +398,9 @@ def _check_header(header: list[str]) -> tuple[bool, int]:
     return has_best_beam, len(power_cols)
 
 
-def _parse_row(
-    row: list[str], line_no: int, has_best_beam: bool, codebook_size: int
-) -> Sample:
+def _parse_row(row: list[str], line_no: int, has_best_beam: bool) -> tuple:
+    """One validated row: t, tx (lat, lon), rx (lat, lon) or NaNs, powers, argmax."""
+
     def as_float(text: str, what: str) -> float:
         try:
             value = float(text)
@@ -206,6 +432,10 @@ def _parse_row(
     if np.any(powers < 0):
         raise RowParseError(line_no, "negative power value")
     computed = int(np.argmax(powers))
+    if powers[computed] == 0:
+        raise RowParseError(
+            line_no, "all powers are zero, so the row has no ground-truth beam"
+        )
     if has_best_beam and row[5]:
         try:
             stored = int(row[5])
@@ -213,28 +443,34 @@ def _parse_row(
             raise RowParseError(line_no, f"bad best_beam: {row[5]!r}") from None
         if stored != computed:
             raise IndexMismatchError(line_no, stored, computed)
-    return Sample(t=t, tx_pos=tx_pos, rx_pos=rx_pos, powers=powers, optimal_index=computed)
+    rx = (math.nan, math.nan) if rx_pos is None else (rx_pos.lat_deg, rx_pos.lon_deg)
+    return t, (tx_pos.lat_deg, tx_pos.lon_deg), rx, powers, computed
 
 
 def write_dataset(d: Dataset, path: str | Path) -> Path:
-    """Write a dataset in the CSV schema; round-trips bit-exactly through parse."""
+    """Write a dataset in the CSV schema; round-trips bit-exactly through parse.
+
+    Rows are formatted _BLOCK_ROWS at a time, each float as its shortest
+    round-trip ``repr``; the bytes are those of ``csv.writer`` with a "\\n"
+    line terminator.
+    """
     path = Path(path)
     header = list(_FIXED_COLUMNS) + ["best_beam"] + [
         f"p{i}" for i in range(d.codebook_size)
     ]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for s in d.samples:
-            row = [
-                repr(float(s.t)),
-                repr(float(s.tx_pos.lat_deg)),
-                repr(float(s.tx_pos.lon_deg)),
-                repr(float(s.rx_pos.lat_deg)) if s.rx_pos else "",
-                repr(float(s.rx_pos.lon_deg)) if s.rx_pos else "",
-                str(s.optimal_index),
-            ] + [repr(float(p)) for p in s.powers]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(d), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            fh.write("".join([
+                f"{t!r},{tx_lat!r},{tx_lon!r},"
+                + (",," if math.isnan(rx_lat) else f"{rx_lat!r},{rx_lon!r},")
+                + f"{best},{','.join(map(repr, powers))}\n"
+                for t, (tx_lat, tx_lon), (rx_lat, rx_lon), best, powers in zip(
+                    d.t[block].tolist(), d.tx[block].tolist(), d.rx[block].tolist(),
+                    d.best[block].tolist(), d.powers[block].tolist(),
+                )
+            ]))
     return path
 
 
@@ -250,26 +486,17 @@ def split(
     """
     if mode not in ("shuffle", "sequential"):
         raise ValueError(f"unknown split mode {mode!r}")
-    n = len(d.samples)
-    order = np.arange(n)
-    if mode == "shuffle":
-        order = np.random.default_rng(s.seed).permutation(n)
+    n = len(d)
+    order = np.random.default_rng(s.seed).permutation(n) if mode == "shuffle" else None
     n_train = int(n * s.train_frac)
     n_val = int(n * s.val_frac)
     n_test = int(n * s.test_frac)
     n_train += n - (n_train + n_val + n_test)
-
-    def subset(indices: np.ndarray) -> Dataset:
-        return Dataset(
-            samples=tuple(d.samples[i] for i in indices),
-            codebook_size=d.codebook_size,
-            sampling_period=d.sampling_period,
-        )
-
-    return (
-        subset(order[:n_train]),
-        subset(order[n_train : n_train + n_val]),
-        subset(order[n_train + n_val :]),
+    cuts = (0, n_train, n_train + n_val, n)
+    # sequential parts are slices, so they share the columns instead of copying them
+    return tuple(
+        d.rows(slice(lo, hi) if order is None else order[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])
     )
 
 

@@ -80,18 +80,26 @@ def maxpool1d_forward(
     """Non-overlapping max pooling with a partial final window (ceiling mode).
 
     Returns (out, absolute argmax positions); a maximum repeated inside one
-    window routes to its first occurrence.
+    window routes to its first occurrence. Inputs are post-ReLU activations
+    and so hold no NaN, which the strict comparison below would never pick.
     """
-    length = x.shape[2]
+    batch, channels, length = x.shape
+    if length == 1 or window == 1:
+        # every window holds one element
+        argmax = np.empty(x.shape, dtype=np.intp)
+        argmax[...] = np.arange(length)
+        return x.copy(), argmax
     l_out = -(-length // window)
-    out = np.empty((*x.shape[:2], l_out))
-    argmax = np.empty((*x.shape[:2], l_out), dtype=np.intp)
-    for j in range(l_out):
-        lo, hi = j * window, min((j + 1) * window, length)
-        segment = x[:, :, lo:hi]
-        out[:, :, j] = segment.max(axis=2)
-        argmax[:, :, j] = lo + segment.argmax(axis=2)
-    return out, argmax
+    padded = np.full((batch, channels, l_out * window), -np.inf)
+    padded[:, :, :length] = x
+    windows = padded.reshape(batch, channels, l_out, window)
+    out = windows[..., 0].copy()
+    offset = np.zeros(out.shape, dtype=np.intp)
+    for k in range(1, window):
+        better = windows[..., k] > out
+        np.copyto(out, windows[..., k], where=better)
+        np.copyto(offset, k, where=better)
+    return out, offset + np.arange(0, length, window)
 
 
 def maxpool1d_backward(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import EmptyDatasetError
-from ..geodata import NormalizationParams, normalize
+from ..geodata import NormalizationParams, normalize_points
 from ..ingest import Dataset
 from .model import (
     LayerSpec,
@@ -37,17 +37,12 @@ def dataset_features(
 ) -> np.ndarray:
     """Normalized position sequences, shape (n, 1, 2) or (n, 1, 4)."""
     length = input_length_for_mode(input_mode)
-    rows = np.empty((len(ds.samples), 1, length))
-    for i, s in enumerate(ds.samples):
-        tx = normalize(s.tx_pos, norm)
-        if input_mode == "tx":
-            rows[i, 0] = (tx.u, tx.v)
-        else:
-            if s.rx_pos is None:
-                raise ValueError("input_mode 'both' needs rx positions in the dataset")
-            rx = normalize(s.rx_pos, norm)
-            rows[i, 0] = (tx.u, tx.v, rx.u, rx.v)
-    return rows
+    points = ds.tx
+    if input_mode == "both":
+        if np.isnan(ds.rx).any():
+            raise ValueError("input_mode 'both' needs rx positions in the dataset")
+        points = np.concatenate([ds.tx, ds.rx], axis=1).reshape(-1, 2)
+    return normalize_points(points, norm).reshape(len(ds), 1, length)
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ def train(
     early stopping: validation accuracy is recorded but never used for
     selection.
     """
-    if not train_ds.samples:
+    if len(train_ds) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     x_train = dataset_features(train_ds, norm, input_mode)
     y_train = train_ds.optimal_indices()

@@ -29,7 +29,7 @@ from .errors import (
     InvalidGeometryError,
 )
 from .geodata import GeoPosition
-from .ingest import Dataset, Sample
+from .ingest import Dataset
 
 # Local planar frame scale: meters per degree of latitude (and of longitude
 # at the equator). Scenario geometry only needs a consistent, monotone map.
@@ -245,10 +245,13 @@ def generate_scenario(
     cb = dft_codebook(arr, codebook_size)
     n_samples = int(round(traj.duration / traj.sample_period))
     streams = np.random.SeedSequence(ch.seed).spawn(n_samples)
-    samples = []
+    t = np.empty(n_samples)
+    tx_geo = np.empty((n_samples, 2))
+    rx_geo = np.empty((n_samples, 2))
+    powers = np.empty((n_samples, codebook_size))
     for i in range(n_samples):
-        t = i * traj.sample_period
-        fraction = t / traj.duration
+        t[i] = time = i * traj.sample_period
+        fraction = time / traj.duration
         tx = _path_position(traj.tx_waypoints, fraction)
         rx = _path_position(traj.rx_waypoints, fraction)
         dx, dy = tx[0] - rx[0], tx[1] - rx[1]
@@ -258,22 +261,15 @@ def generate_scenario(
                 f"sample {i}: transmitter angle {theta:.4f} rad outside (-pi/2, pi/2)"
             )
         distance = math.hypot(dx, dy)
-        powers = beam_power_vector(
+        powers[i] = beam_power_vector(
             arr, cb, ch, theta, distance, rng=np.random.default_rng(streams[i])
         )
-        samples.append(
-            Sample(
-                t=t,
-                tx_pos=local_to_geo(traj.origin, tx[0], tx[1]),
-                rx_pos=local_to_geo(traj.origin, rx[0], rx[1]),
-                powers=powers,
-                optimal_index=optimal_beam(powers),
-            )
-        )
-    return Dataset(
-        samples=tuple(samples),
-        codebook_size=codebook_size,
-        sampling_period=traj.sample_period,
+        tx_pos = local_to_geo(traj.origin, tx[0], tx[1])
+        rx_pos = local_to_geo(traj.origin, rx[0], rx[1])
+        tx_geo[i] = tx_pos.lat_deg, tx_pos.lon_deg
+        rx_geo[i] = rx_pos.lat_deg, rx_pos.lon_deg
+    return Dataset.from_columns(
+        t, tx_geo, rx_geo, powers, powers.argmax(axis=1), traj.sample_period
     )
 
 

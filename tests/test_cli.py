@@ -102,6 +102,23 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg)]) == 3
 
+    def test_all_zero_power_row_exit_2_names_line(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(SCENARIO))
+        data = tmp_path / "data.csv"
+        main(["generate", "--config", str(scenario), "--out", str(data)])
+        lines = data.read_text().splitlines(keepends=True)
+        fields = lines[200].rstrip("\n").split(",")
+        lines[200] = ",".join(fields[:5] + ["0"] + ["0.0"] * 64) + "\n"
+        data.write_text("".join(lines))
+        doc = experiment_doc(tmp_path / "out")
+        doc["dataset"] = {"csv": str(data)}
+        cfg = tmp_path / "experiment.json"
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert "line 201" in capsys.readouterr().err
+
 
 class TestBaseline:
     def test_writes_database(self, experiment_config, tmp_path):

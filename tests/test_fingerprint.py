@@ -12,7 +12,12 @@ from v2vbeam.fingerprint import (
     query_candidates,
     save_database,
 )
-from v2vbeam.geodata import GeoPosition, NormalizationParams, NormalizedPosition
+from v2vbeam.geodata import (
+    GeoPosition,
+    NormalizationParams,
+    NormalizedPosition,
+    normalize,
+)
 from v2vbeam.ingest import Dataset, Sample
 
 NORM = NormalizationParams(0.0, 1.0, 0.0, 1.0)
@@ -173,6 +178,107 @@ class TestEvaluateBaseline:
         ds = dataset_of([sample_at(0.5, 0.5, [1.0, 2.0])], 2)
         db = build_database(ds, BinGrid.unit_square(4), NORM)
         assert evaluate_baseline(db, dataset_of([], 2), NORM, 1) == []
+
+
+def oracle_query(db, pos, m):
+    """Reference: the own bin, else a min over every occupied bin's center distance."""
+    key = db.grid.bin_of(pos)
+    if key not in db.bins:
+        center = db.grid.center_of(key)
+        key = min(
+            db.bins,
+            key=lambda k: (
+                (db.grid.center_of(k)[0] - center[0]) ** 2
+                + (db.grid.center_of(k)[1] - center[1]) ** 2,
+                k,
+            ),
+        )
+    order = np.argsort(-db.bins[key].mean_power, kind="stable")
+    return [int(i) for i in order[:m]]
+
+
+def oracle_build(train, grid, norm):
+    """Reference: one Kahan step per sample, in dataset order, into a dict of bins."""
+    sums, comps, counts = {}, {}, {}
+    for s in train.samples:
+        key = grid.bin_of(normalize(s.tx_pos, norm))
+        if key not in sums:
+            sums[key] = np.zeros(train.codebook_size)
+            comps[key] = np.zeros(train.codebook_size)
+            counts[key] = 0
+        y = s.powers - comps[key]
+        t = sums[key] + y
+        comps[key] = (t - sums[key]) - y
+        sums[key] = t
+        counts[key] += 1
+    return {key: (counts[key], sums[key] / counts[key]) for key in sums}
+
+
+class TestVectorisedAgainstReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_evaluate_baseline_matches_per_query_min(self, seed):
+        rng = np.random.default_rng(seed)
+        # non-square bins on a shifted origin; queries also land outside the grid
+        grid = BinGrid(NormalizedPosition(0.05, -0.1), 0.13, 0.07)
+        q = 6
+        occupied = {
+            (int(r), int(c)) for r, c in rng.integers(0, 8, size=(rng.integers(1, 12), 2))
+        }
+        bins = {
+            key: BinStats(int(rng.integers(1, 5)), rng.integers(0, 3, q).astype(float))
+            for key in occupied
+        }
+        db = FingerprintDatabase(grid=grid, codebook_size=q, bins=bins)
+        # bin centers plus jitter, so many queries sit equidistant from two bins
+        centers = [grid.center_of((int(r), int(c))) for r, c in rng.integers(-3, 12, (300, 2))]
+        jitter = rng.uniform(-0.4, 0.4, (300, 2)) * [0.13, 0.07] * rng.integers(0, 2, (300, 1))
+        uv = np.array(centers) + jitter
+        uv[:20] = rng.uniform(-1.0, 2.0, (20, 2))
+        test = dataset_of(
+            [sample_at(u, v, rng.uniform(0.1, 1.0, q), t=0.1 * i) for i, (u, v) in enumerate(uv)],
+            q,
+        )
+        for m in (1, 3, q):
+            want = [
+                oracle_query(db, normalize(s.tx_pos, NORM), m) for s in test.samples
+            ]
+            assert evaluate_baseline(db, test, NORM, m) == want
+
+    def test_outside_grid_queries_fall_back(self):
+        grid = BinGrid.unit_square(32)
+        db = FingerprintDatabase(
+            grid=grid,
+            codebook_size=2,
+            bins={(0, 0): BinStats(1, np.array([1.0, 0.0])), (31, 31): BinStats(1, np.array([0.0, 1.0]))},
+        )
+        # u or v below 0, or at 1.0 and above (key 32), are outside the grid
+        points = [(-0.2, 0.1), (0.1, -0.01), (1.0, 0.99), (0.99, 1.0), (1.5, 1.5), (-0.5, 1.2)]
+        test = dataset_of([sample_at(u, v, [1.0, 2.0]) for u, v in points], 2)
+        want = [oracle_query(db, NormalizedPosition(u, v), 1) for u, v in points]
+        assert want == [[0], [0], [1], [1], [1], [0]]
+        assert evaluate_baseline(db, test, NORM, 1) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_build_database_bit_identical_to_per_sample_kahan(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = BinGrid(NormalizedPosition(0.02, -0.05), 0.21, 0.12)
+        # uneven occupancy: a few crowded bins and many sparse ones
+        n = 400
+        uv = np.where(
+            rng.random((n, 1)) < 0.6,
+            rng.normal(0.5, 0.03, (n, 2)),
+            rng.uniform(-0.1, 1.1, (n, 2)),
+        )
+        train = dataset_of(
+            [sample_at(u, v, rng.lognormal(0.0, 2.0, 7), t=0.1 * i) for i, (u, v) in enumerate(uv)],
+            7,
+        )
+        db = build_database(train, grid, NORM)
+        want = oracle_build(train, grid, NORM)
+        assert db.bins.keys() == want.keys()
+        for key, (count, mean) in want.items():
+            assert db.bins[key].count == count
+            assert np.array_equal(db.bins[key].mean_power, mean)
 
 
 class TestPersistence:

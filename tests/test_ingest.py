@@ -1,13 +1,18 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from v2vbeam import ingest
 from v2vbeam.errors import (
     IndexMismatchError,
     RowParseError,
     SchemaMismatchError,
+    V2VBeamError,
 )
-from v2vbeam.geodata import GeoPosition
+from v2vbeam.geodata import GeoPosition, validate_position
 from v2vbeam.ingest import (
     Dataset,
     Sample,
@@ -252,3 +257,260 @@ class TestSplit:
             "data.test.csv",
         ]
         assert parse_dataset(paths[0]) == tr
+
+
+# --- block I/O against the per-row reference ------------------------------------------
+
+
+def oracle_write(d, path):
+    """Reference writer: one csv.writer row per Sample."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["t", "tx_lat", "tx_lon", "rx_lat", "rx_lon", "best_beam"]
+            + [f"p{i}" for i in range(d.codebook_size)]
+        )
+        for s in d.samples:
+            writer.writerow(
+                [
+                    repr(float(s.t)),
+                    repr(float(s.tx_pos.lat_deg)),
+                    repr(float(s.tx_pos.lon_deg)),
+                    repr(float(s.rx_pos.lat_deg)) if s.rx_pos else "",
+                    repr(float(s.rx_pos.lon_deg)) if s.rx_pos else "",
+                    str(s.optimal_index),
+                ]
+                + [repr(float(p)) for p in s.powers]
+            )
+    return path
+
+
+def oracle_row(row, line_no, has_best_beam):
+    def as_float(text, what):
+        try:
+            value = float(text)
+        except ValueError:
+            raise RowParseError(line_no, f"bad {what}: {text!r}") from None
+        if not math.isfinite(value):
+            raise RowParseError(line_no, f"non-finite {what}: {text!r}")
+        return value
+
+    t = as_float(row[0], "t")
+    try:
+        tx_pos = validate_position(
+            GeoPosition(as_float(row[1], "tx_lat"), as_float(row[2], "tx_lon"))
+        )
+        rx_pos = None
+        if row[3] or row[4]:
+            rx_pos = validate_position(
+                GeoPosition(as_float(row[3], "rx_lat"), as_float(row[4], "rx_lon"))
+            )
+    except RowParseError:
+        raise
+    except Exception as exc:
+        raise RowParseError(line_no, str(exc)) from exc
+    offset = 6 if has_best_beam else 5
+    powers = np.array([as_float(cell, "power") for cell in row[offset:]])
+    if np.any(powers < 0):
+        raise RowParseError(line_no, "negative power value")
+    computed = int(np.argmax(powers))
+    if has_best_beam and row[5]:
+        try:
+            stored = int(row[5])
+        except ValueError:
+            raise RowParseError(line_no, f"bad best_beam: {row[5]!r}") from None
+        if stored != computed:
+            raise IndexMismatchError(line_no, stored, computed)
+    return Sample(t=t, tx_pos=tx_pos, rx_pos=rx_pos, powers=powers, optimal_index=computed)
+
+
+def oracle_parse(path):
+    """Reference parser: csv.reader, one validated Sample per record."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        has_best_beam = header[5] == "best_beam"
+        samples = []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise SchemaMismatchError(
+                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            samples.append(oracle_row(row, line_no, has_best_beam))
+    period = 0.1
+    if len(samples) >= 2 and samples[1].t - samples[0].t > 0:
+        period = samples[1].t - samples[0].t
+    return Dataset(
+        samples=tuple(samples),
+        codebook_size=len(header) - (6 if has_best_beam else 5),
+        sampling_period=period,
+    )
+
+
+@pytest.fixture(params=[4, None], ids=["block4", "default-block"])
+def block_rows(request, monkeypatch):
+    """Run a test with tiny blocks (so rows land in first, middle and last blocks)
+    and with the default block size."""
+    if request.param is not None:
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", request.param)
+
+
+def scenario_dataset(n_seconds=1.2):
+    from v2vbeam.synthchan import (
+        ArrayConfig,
+        SyntheticChannelConfig,
+        TrajectoryConfig,
+        generate_scenario,
+    )
+
+    traj = TrajectoryConfig(
+        duration=n_seconds,
+        sample_period=0.1,
+        origin=GeoPosition(33.42, -111.93),
+        tx_waypoints=((-20.0, 30.0), (20.0, 40.0)),
+        rx_waypoints=((0.0, 0.0), (3.0, 1.0)),
+        rx_heading=math.pi / 2,
+    )
+    return generate_scenario(
+        traj, ArrayConfig(), SyntheticChannelConfig(noise_power=1e-4, seed=8)
+    )
+
+
+class TestBlockWrite:
+    def test_generated_drive_matches_csv_writer(self, tmp_path, block_rows):
+        ds = scenario_dataset()
+        got = write_dataset(ds, tmp_path / "a.csv").read_bytes()
+        assert got == oracle_write(ds, tmp_path / "b.csv").read_bytes()
+
+    def test_rows_without_rx_match_csv_writer(self, tmp_path, block_rows):
+        rng = np.random.default_rng(4)
+        samples = tuple(
+            make_sample(
+                0.1 * i,
+                rng.uniform(0.0, 3.0, 5),
+                lat=-33.0 - 1e-3 * i,
+                lon=151.0 + 1e-3 * i,
+                rx=GeoPosition(-33.5, 151.5) if i % 3 == 0 else None,
+            )
+            for i in range(11)
+        )
+        ds = Dataset(samples=samples, codebook_size=5)
+        got = write_dataset(ds, tmp_path / "a.csv").read_bytes()
+        assert got == oracle_write(ds, tmp_path / "b.csv").read_bytes()
+
+
+HEADER = "t,tx_lat,tx_lon,rx_lat,rx_lon,best_beam,p0,p1,p2\n"
+
+
+def good_row(i):
+    return f"{0.1 * i!r},33.0,{-112.0 + 1e-3 * i!r},,,2,0.5,1.5,{2.0 + i!r}\n"
+
+
+class TestBlockParse:
+    def check_same(self, path):
+        want = oracle_parse(path)
+        got = parse_dataset(path)
+        assert got == want
+        assert got.samples == want.samples
+
+    def test_generated_drive(self, tmp_path, block_rows):
+        self.check_same(write_dataset(scenario_dataset(), tmp_path / "d.csv"))
+
+    def test_quoted_fields(self, tmp_path, block_rows):
+        rows = [good_row(i) for i in range(10)]
+        rows[5] = '"0.5","33.0","-112.0",,,"2","0.5","1.5","7.0"\n'
+        # a quoted cell holding a line break that crosses a block boundary
+        rows[3] = '0.3,33.0,-112.0,,,2,0.5,"1.5\n",9.0\n'
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows), encoding="utf-8")
+        self.check_same(path)
+
+    def test_crlf_line_endings(self, tmp_path, block_rows):
+        path = tmp_path / "d.csv"
+        text = HEADER + "".join(good_row(i) for i in range(9))
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        self.check_same(path)
+
+    def test_header_without_best_beam(self, tmp_path, block_rows):
+        path = tmp_path / "d.csv"
+        rows = [f"{0.1 * i!r},33.0,-112.0,,,{1.0 + i!r},2.5\n" for i in range(9)]
+        path.write_text("t,tx_lat,tx_lon,rx_lat,rx_lon,p0,p1\n" + "".join(rows))
+        self.check_same(path)
+
+    def test_empty_best_beam_cells(self, tmp_path, block_rows):
+        rows = [good_row(i) for i in range(9)]
+        for i in (0, 4, 8):
+            rows[i] = rows[i].replace(",,,2,", ",,,,")
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        self.check_same(path)
+
+    def test_mixed_rx_present_and_absent(self, tmp_path, block_rows):
+        rows = [good_row(i) for i in range(9)]
+        for i in (1, 4, 5, 8):
+            rows[i] = rows[i].replace(",,,2,", ",33.1,-112.1,2,")
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        self.check_same(path)
+
+    def test_plain_rows_skip_the_per_row_path(self, tmp_path, block_rows, monkeypatch):
+        rows = [good_row(i) for i in range(9)]
+        for i in (1, 4, 5, 8):
+            rows[i] = rows[i].replace(",,,2,", ",33.1,-112.1,,")
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        want = oracle_parse(path)
+
+        def per_row(*args):
+            raise AssertionError("a plain block went through csv.reader")
+
+        monkeypatch.setattr(ingest, "_parse_rows", per_row)
+        assert parse_dataset(path) == want
+
+    def test_no_final_newline(self, tmp_path, block_rows):
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(good_row(i) for i in range(8)).rstrip("\n"))
+        self.check_same(path)
+
+
+BAD_ROWS = {
+    "field count": "0.0,33.0,-112.0,,,2,0.5,1.5\n",
+    "blank line": "\n",
+    "bad t": "xx,33.0,-112.0,,,2,0.5,1.5,2.0\n",
+    "non-finite t": "nan,33.0,-112.0,,,2,0.5,1.5,2.0\n",
+    "bad tx": "0.0,33.0,east,,,2,0.5,1.5,2.0\n",
+    "lat out of range": "0.0,95.0,-112.0,,,2,0.5,1.5,2.0\n",
+    "rx lon out of range": "0.0,33.0,-112.0,33.0,190.0,2,0.5,1.5,2.0\n",
+    "half an rx fix": "0.0,33.0,-112.0,33.0,,2,0.5,1.5,2.0\n",
+    "non-finite power": "0.0,33.0,-112.0,,,2,0.5,1.5,inf\n",
+    "negative power": "0.0,33.0,-112.0,,,2,-0.5,1.5,2.0\n",
+    "bad best_beam": "0.0,33.0,-112.0,,,two,0.5,1.5,2.0\n",
+    "best_beam mismatch": "0.0,33.0,-112.0,,,0,0.5,1.5,2.0\n",
+}
+
+
+class TestBlockParseErrors:
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    @pytest.mark.parametrize("index", [0, 6, 10], ids=["first-block", "middle-block", "last-line"])
+    def test_error_and_line_match_per_row_parser(self, tmp_path, block_rows, kind, index):
+        rows = [good_row(i) for i in range(11)]
+        rows[index] = BAD_ROWS[kind]
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        with pytest.raises(V2VBeamError) as want:
+            oracle_parse(path)
+        with pytest.raises(type(want.value)) as got:
+            parse_dataset(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"line {index + 2}:")
+
+    @pytest.mark.parametrize("index", [0, 6, 10])
+    def test_all_zero_powers_rejected_with_line(self, tmp_path, block_rows, index):
+        rows = [good_row(i) for i in range(11)]
+        rows[index] = "0.0,33.0,-112.0,,,0,0.0,0.0,0.0\n"
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        with pytest.raises(RowParseError) as exc:
+            parse_dataset(path)
+        assert exc.value.line == index + 2
+        assert "all powers are zero" in str(exc.value)

@@ -91,6 +91,33 @@ class TestMaxPool1d:
         # second window ties at 2.0; gradient goes to the first occurrence
         assert d_x.ravel().tolist() == [0.0, 1.0, 10.0, 0.0]
 
+    @staticmethod
+    def window_loop(x, window):
+        """Reference: one max/argmax reduction per window."""
+        length = x.shape[2]
+        l_out = -(-length // window)
+        out = np.empty((*x.shape[:2], l_out))
+        argmax = np.empty((*x.shape[:2], l_out), dtype=np.intp)
+        for j in range(l_out):
+            lo, hi = j * window, min((j + 1) * window, length)
+            segment = x[:, :, lo:hi]
+            out[:, :, j] = segment.max(axis=2)
+            argmax[:, :, j] = lo + segment.argmax(axis=2)
+        return out, argmax
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    @pytest.mark.parametrize("window", (1, 2, 3))
+    def test_matches_window_loop(self, length, window):
+        # post-ReLU inputs: small integers clipped at zero tie often, at zero and above
+        rng = np.random.default_rng(100 * length + window)
+        x, _ = relu_forward(rng.integers(-3, 3, size=(5, 4, length)).astype(float))
+        out, argmax = maxpool1d_forward(x, window)
+        ref_out, ref_argmax = self.window_loop(x, window)
+        assert out.shape == ref_out.shape and argmax.shape == ref_argmax.shape
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(argmax, ref_argmax)
+        assert not np.shares_memory(out, x)
+
 
 class TestDenseRelu:
     def test_dense_affine(self):
