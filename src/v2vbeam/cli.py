@@ -74,13 +74,13 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         updates["seed"] = args.seed
         updates["training"] = dataclasses.replace(config.training, seed=args.seed)
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         updates["out_dir"] = Path(args.out)
-    if getattr(args, "m_values", None):
+    if getattr(args, "m_values", None) is not None:
         updates["m_values"] = tuple(args.m_values)
-    if getattr(args, "split_mode", None):
+    if getattr(args, "split_mode", None) is not None:
         updates["split_mode"] = args.split_mode
-    if getattr(args, "repeats", None):
+    if getattr(args, "repeats", None) is not None:
         updates["repeats"] = args.repeats
     if getattr(args, "emit_svg", False):
         updates["emit_svg"] = True
@@ -184,21 +184,15 @@ def cmd_eval(args) -> int:
         concat([train_ds, val_ds]), BinGrid.unit_square(args.bins_per_axis), norm
     )
     baseline_preds = evaluate_baseline(db, test_ds, norm, m_max)
-    # evaluation is deterministic, so repeats reproduce the same report; the
-    # stddev column is populated (zeros) for schema consistency
-    reports = [
-        build_report(model_preds, baseline_preds, test_ds, m_values)
-        for _ in range(args.repeats)
-    ]
-    rows = aggregate_reports([model for model, _ in reports])
-    rows += aggregate_reports([baseline for _, baseline in reports])
+    # one deterministic pass; its stddev column reads 0.0, as for a one-repeat report
+    model, baseline = build_report(model_preds, baseline_preds, test_ds, m_values)
+    rows = aggregate_reports([model]) + aggregate_reports([baseline])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta_out = {
         "seed": seed,
         "m_values": list(m_values),
         "n_test": len(test_ds),
-        "repeats": args.repeats,
         "checkpoint": str(ckpt_path),
         "dataset": str(data_path),
     }
@@ -263,13 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="v2vbeam",
         description="Position-aware top-M beam prediction experiments",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved for within-stage parallelism; all stages currently run "
-        "single-threaded for determinism",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic scenario CSV")
@@ -296,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True, help="dataset CSV")
     p.add_argument("--m-values", dest="m_values", type=_parse_m_values, default=None)
-    p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="split seed (default: checkpoint seed)")
     p.add_argument("--split-mode", choices=("shuffle", "sequential"), default="shuffle")
     p.add_argument("--bins-per-axis", type=int, default=32)
@@ -323,8 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except (

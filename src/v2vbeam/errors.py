@@ -54,10 +54,6 @@ class GeometryOutOfSectorError(V2VBeamError):
     """Transmitter left the receiver array's front half-plane."""
 
 
-class EmptyVectorError(V2VBeamError):
-    """An operation that needs at least one entry got an empty vector."""
-
-
 class EmptyDatasetError(V2VBeamError):
     """An operation that needs at least one sample got an empty dataset."""
 

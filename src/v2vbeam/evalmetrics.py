@@ -1,11 +1,16 @@
-"""Top-M accuracy and received-power ratio for arbitrary candidate lists.
+"""Top-M accuracy and received-power ratio of ranked candidate arrays.
 
-Two accuracy variants are computed side by side. The inclusion variant counts
-a sample as correct when its ground-truth beam appears anywhere in the
-candidate list; this is the headline number. The literal variant averages
-|{truth} /\\ candidates| / |candidates| instead, which divides the single
-possible hit by M and therefore cannot exceed 1/M; it is reported so the two
-definitions can be compared directly. They coincide at M = 1.
+A predictor's answer for n samples is an (n, M) integer array of beam
+indices, best first; equal-length lists of lists are accepted too. Two
+accuracy variants are computed side by side. The inclusion variant counts a
+sample as correct when its ground-truth beam appears anywhere in its row of
+candidates; this is the headline number. The literal variant averages
+|{truth} /\\ candidates| / M instead, which divides the single possible hit
+by M and therefore cannot exceed 1/M; it is reported so the two definitions
+can be compared directly. They coincide at M = 1.
+
+Per-sample values are summed in row order with Python floats, so every mean is
+the one a per-sample loop over the same candidates gives.
 """
 
 from __future__ import annotations
@@ -20,59 +25,65 @@ import numpy as np
 from .errors import LengthMismatchError, ZeroGroundTruthPowerError
 from .ingest import Dataset
 
-CandidateLists = Sequence[Sequence[int]]
 
-
-def _check_lengths(preds: CandidateLists, truths: Sequence[int]) -> None:
+def _check_lengths(
+    preds: np.ndarray, truths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``preds`` as an (n, M) array and ``truths`` as (n,), checked to pair up."""
+    preds, truths = np.asarray(preds), np.asarray(truths)
+    if preds.ndim != 2:
+        raise ValueError(f"candidates must be an (n, M) array, got shape {preds.shape}")
     if len(preds) != len(truths):
         raise LengthMismatchError(
-            f"{len(preds)} candidate lists vs {len(truths)} ground truths"
+            f"{len(preds)} candidate rows vs {len(truths)} ground truths"
         )
     if len(preds) == 0:
         raise LengthMismatchError("need at least one sample")
+    return preds, truths
 
 
-def topm_accuracy_inclusion(preds: CandidateLists, truths: Sequence[int]) -> float:
-    """Fraction of samples whose ground-truth beam appears in its candidate list."""
-    _check_lengths(preds, truths)
-    hits = sum(1 for cands, truth in zip(preds, truths) if truth in cands)
-    return hits / len(truths)
+def _hits(preds: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    return (preds == truths[:, None]).any(axis=1)
 
 
-def topm_accuracy_literal(preds: CandidateLists, truths: Sequence[int]) -> float:
-    """Mean of |{truth} intersect candidates| / |candidates| per sample."""
-    _check_lengths(preds, truths)
-    total = sum(
-        (1.0 if truth in cands else 0.0) / len(cands)
-        for cands, truth in zip(preds, truths)
-    )
-    return total / len(truths)
+def _mean(values: np.ndarray) -> float:
+    # a Python sum in row order adds exactly as a per-sample loop does
+    return sum(values.tolist()) / len(values)
+
+
+def topm_accuracy_inclusion(preds: np.ndarray, truths: np.ndarray) -> float:
+    """Fraction of samples whose ground-truth beam appears among its candidates."""
+    preds, truths = _check_lengths(preds, truths)
+    return int(_hits(preds, truths).sum()) / len(truths)
+
+
+def topm_accuracy_literal(preds: np.ndarray, truths: np.ndarray) -> float:
+    """Mean of |{truth} intersect candidates| / M per sample."""
+    preds, truths = _check_lengths(preds, truths)
+    return _mean(_hits(preds, truths) / preds.shape[1])
 
 
 def received_power_ratio(
-    preds: CandidateLists,
-    power_vectors: Sequence[np.ndarray],
-    truths: Sequence[int],
+    preds: np.ndarray, power_vectors: np.ndarray, truths: np.ndarray
 ) -> float:
     """Mean of (best candidate power) / (ground-truth beam power).
 
     The numerator models the post-prediction mini-sweep: the link measures the
-    M candidates and keeps the strongest.
+    M candidates and keeps the strongest. ``power_vectors`` is (n, Q).
     """
-    _check_lengths(preds, truths)
-    if len(power_vectors) != len(truths):
+    preds, truths = _check_lengths(preds, truths)
+    powers = np.asarray(power_vectors, dtype=np.float64)
+    if len(powers) != len(truths):
         raise LengthMismatchError(
-            f"{len(power_vectors)} power vectors vs {len(truths)} ground truths"
+            f"{len(powers)} power vectors vs {len(truths)} ground truths"
         )
-    total = 0.0
-    for cands, powers, truth in zip(preds, power_vectors, truths):
-        gt_power = float(powers[truth])
-        if gt_power == 0.0:
-            raise ZeroGroundTruthPowerError(
-                "ground-truth beam has zero power; ratio undefined"
-            )
-        total += max(float(powers[i]) for i in cands) / gt_power
-    return total / len(truths)
+    rows = np.arange(len(truths))
+    gt_power = powers[rows, truths]
+    if (gt_power == 0.0).any():
+        raise ZeroGroundTruthPowerError(
+            "ground-truth beam has zero power; ratio undefined"
+        )
+    return _mean(powers[rows[:, None], preds].max(axis=1) / gt_power)
 
 
 @dataclass(frozen=True)
@@ -89,30 +100,32 @@ class EvaluationReport:
 
 def evaluate_predictions(
     predictor: str,
-    preds: CandidateLists,
+    preds: np.ndarray,
     test: Dataset,
     m_values: Sequence[int],
 ) -> EvaluationReport:
-    """Score full candidate lists at every M by taking length-M prefixes.
+    """Score ranked candidates at every M by taking the first M columns.
 
-    ``preds`` must hold at least max(m_values) candidates per sample, ranked
-    best first.
+    ``preds`` is (n, at least max(m_values)), ranked best first.
     """
     if not m_values:
         raise ValueError("m_values must be non-empty")
     if any(not 1 <= m <= test.codebook_size for m in m_values):
         raise ValueError(f"every M must lie in [1, {test.codebook_size}]")
-    truths = test.best.tolist()
-    powers = test.powers
+    preds = np.asarray(preds)
+    if preds.ndim != 2 or preds.shape[1] < max(m_values):
+        raise ValueError(
+            f"need {max(m_values)} ranked candidates per sample, got shape {preds.shape}"
+        )
     acc_inc, acc_lit, ratio = [], [], []
     for m in m_values:
-        prefix = [list(c[:m]) for c in preds]
-        acc_inc.append(topm_accuracy_inclusion(prefix, truths))
-        acc_lit.append(topm_accuracy_literal(prefix, truths))
-        ratio.append(received_power_ratio(prefix, powers, truths))
+        prefix = preds[:, :m]
+        acc_inc.append(topm_accuracy_inclusion(prefix, test.best))
+        acc_lit.append(topm_accuracy_literal(prefix, test.best))
+        ratio.append(received_power_ratio(prefix, test.powers, test.best))
     return EvaluationReport(
         predictor=predictor,
-        n_test=len(truths),
+        n_test=len(test),
         m_values=tuple(int(m) for m in m_values),
         accuracy_inclusion=tuple(acc_inc),
         accuracy_literal=tuple(acc_lit),
@@ -121,12 +134,12 @@ def evaluate_predictions(
 
 
 def build_report(
-    model_preds: CandidateLists,
-    baseline_preds: CandidateLists,
+    model_preds: np.ndarray,
+    baseline_preds: np.ndarray,
     test: Dataset,
     m_values: Sequence[int] = (1, 5, 9, 13),
 ) -> tuple[EvaluationReport, EvaluationReport]:
-    """Score the model and the baseline on the same test set."""
+    """Score the model's and the baseline's candidate arrays on the same test set."""
     return (
         evaluate_predictions("model", model_preds, test, m_values),
         evaluate_predictions("baseline", baseline_preds, test, m_values),

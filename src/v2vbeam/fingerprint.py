@@ -118,12 +118,6 @@ def build_database(
     return FingerprintDatabase(grid=grid, codebook_size=train.codebook_size, bins=bins)
 
 
-def _top_m_indices(mean_power: np.ndarray, m: int) -> list[int]:
-    # stable sort on the negated powers keeps the lowest index first among ties
-    order = np.argsort(-mean_power, kind="stable")
-    return [int(i) for i in order[: min(m, mean_power.size)]]
-
-
 def _answering_bin(db: FingerprintDatabase, key: tuple[int, int]) -> tuple[int, int]:
     """``key`` itself if occupied, else the nearest occupied bin by distance
     between bin centers, ties toward the lowest (row, col)."""
@@ -158,27 +152,28 @@ def query_candidates(
     """
     _check_query(db, m)
     key = _answering_bin(db, db.grid.bin_of(pos))
-    return _top_m_indices(db.bins[key].mean_power, m)
+    # stable sort on the negated powers keeps the lowest index first among ties
+    return np.argsort(-db.bins[key].mean_power, kind="stable")[:m].tolist()
 
 
 def evaluate_baseline(
     db: FingerprintDatabase, test: Dataset, norm: NormalizationParams, m: int
-) -> list[list[int]]:
-    """Candidate lists for every test sample, in order; equal to
-    :func:`query_candidates` per sample.
+) -> np.ndarray:
+    """Ranked candidates for every test sample, shape (n, min(m, codebook size));
+    row i equals :func:`query_candidates` for sample i.
 
-    Each distinct queried bin is resolved once, and each answering bin ranked
-    once.
+    Each distinct queried bin is resolved and ranked once; the rows are taken
+    from that one ranked array.
     """
-    if len(test) == 0:
-        return []
     _check_query(db, m)
     keys, key_of_row = np.unique(
         db.grid.bins_of(normalize_points(test.tx, norm)), axis=0, return_inverse=True
     )
-    answers = [_answering_bin(db, tuple(key)) for key in keys.tolist()]
-    ranked = {a: _top_m_indices(db.bins[a].mean_power, m) for a in set(answers)}
-    return [list(ranked[answers[i]]) for i in key_of_row.ravel().tolist()]
+    means = np.array(
+        [db.bins[_answering_bin(db, tuple(key))].mean_power for key in keys.tolist()]
+    ).reshape(len(keys), db.codebook_size)
+    ranked = np.argsort(-means, axis=1, kind="stable")[:, :m]
+    return ranked[key_of_row.ravel()]
 
 
 def save_database(db: FingerprintDatabase, path: str | Path) -> Path:
@@ -205,22 +200,3 @@ def save_database(db: FingerprintDatabase, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
     return path
-
-
-def load_database(path: str | Path) -> FingerprintDatabase:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    grid = BinGrid(
-        NormalizedPosition(doc["grid"]["origin_u"], doc["grid"]["origin_v"]),
-        doc["grid"]["bin_width_u"],
-        doc["grid"]["bin_width_v"],
-    )
-    bins = {
-        (entry["row"], entry["col"]): BinStats(
-            count=entry["count"],
-            mean_power=np.array(entry["mean_power"], dtype=np.float64),
-        )
-        for entry in doc["bins"]
-    }
-    return FingerprintDatabase(
-        grid=grid, codebook_size=doc["codebook_size"], bins=bins
-    )

@@ -10,7 +10,6 @@ destroy monotonicity for unseen positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -62,19 +61,12 @@ def validate_position(p: GeoPosition) -> GeoPosition:
     return p
 
 
-def fit_normalization(
-    positions: Iterable[GeoPosition] | np.ndarray,
-) -> NormalizationParams:
-    """Compute exact per-axis min/max over a fitting set.
+def fit_normalization(positions: np.ndarray) -> NormalizationParams:
+    """Compute exact per-axis min/max over an (n, 2) array of [lat, lon] degrees.
 
-    ``positions`` are GeoPositions or an (n, 2) array of [lat, lon] degrees.
     Needs at least two distinct latitudes and two distinct longitudes;
     a degenerate axis would make the scale factor undefined.
     """
-    if not isinstance(positions, np.ndarray):
-        positions = np.array(
-            [(p.lat_deg, p.lon_deg) for p in positions], dtype=np.float64
-        ).reshape(-1, 2)
     lats, lons = positions[:, 0], positions[:, 1]
     if len(lats) < 2 or lats.min() == lats.max():
         raise DegenerateRangeError("lat")
@@ -103,10 +95,3 @@ def normalize_points(points: np.ndarray, params: NormalizationParams) -> np.ndar
         [params.lat_max - params.lat_min, params.lon_max - params.lon_min]
     )
     return (points - lo) / span
-
-
-def denormalize(n: NormalizedPosition, params: NormalizationParams) -> GeoPosition:
-    """Invert :func:`normalize` (up to float rounding)."""
-    lat = n.u * (params.lat_max - params.lat_min) + params.lat_min
-    lon = n.v * (params.lon_max - params.lon_min) + params.lon_min
-    return GeoPosition(lat, lon)

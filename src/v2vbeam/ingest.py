@@ -203,16 +203,6 @@ class Dataset:
             sampling_period=self.sampling_period,
         )
 
-    def tx_positions(self) -> list[GeoPosition]:
-        return [GeoPosition(lat, lon) for lat, lon in self.tx.tolist()]
-
-    def powers_matrix(self) -> np.ndarray:
-        """All power vectors stacked, shape (n, codebook_size)."""
-        return self.powers
-
-    def optimal_indices(self) -> np.ndarray:
-        return self.best
-
 
 def concat(parts: Sequence[Dataset]) -> Dataset:
     """The rows of ``parts`` one after another; the first part's sampling period."""
@@ -498,15 +488,3 @@ def split(
         d.rows(slice(lo, hi) if order is None else order[lo:hi])
         for lo, hi in zip(cuts, cuts[1:])
     )
-
-
-def write_split_datasets(
-    base: str | Path, train: Dataset, val: Dataset, test: Dataset
-) -> tuple[Path, Path, Path]:
-    """Write the three split parts next to ``base`` with the standard suffixes."""
-    base = Path(base)
-    stem = base.with_suffix("") if base.suffix == ".csv" else base
-    paths = tuple(Path(f"{stem}.{part}.csv") for part in ("train", "val", "test"))
-    for part, p in zip((train, val, test), paths):
-        write_dataset(part, p)
-    return paths

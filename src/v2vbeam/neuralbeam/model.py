@@ -4,6 +4,10 @@ The classifier maps a short position sequence to beam probabilities:
 three conv blocks (conv -> ReLU -> maxpool), flatten, a hidden dense layer
 with ReLU, an output dense layer, softmax. Defaults follow the smallest
 conventional ladder that keeps a length-2 input valid through all blocks.
+
+Prediction works on whole batches: :func:`predict_top_m_batch` ranks every
+row at once into an (n, M) integer array of beam indices, best first, the
+candidate array that ``evalmetrics`` scores.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ShapeMismatchError
-from ..geodata import GeoPosition, NormalizationParams, normalize
+from ..geodata import NormalizationParams
 from . import layers
 
 
@@ -118,21 +122,6 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Class probabilities plus the ranked candidate indices."""
-
-    probabilities: np.ndarray
-    top_m: tuple[int, ...]
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-        if abs(float(p.sum()) - 1.0) > 1e-9 or np.any(p < 0) or np.any(p > 1):
-            raise ValueError("probabilities must form a distribution")
-
-
 def init_params(spec: LayerSpec, rng: np.random.Generator) -> ModelParams:
     """Uniform init in +-1/sqrt(fan_in) per layer; bounded so the first-epoch
     loss starts near log(classes)."""
@@ -154,10 +143,6 @@ def init_params(spec: LayerSpec, rng: np.random.Generator) -> ModelParams:
     return ModelParams(conv_w, conv_b, dense_w, dense_b)
 
 
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return params.with_arrays([np.zeros_like(a) for a in params.arrays()])
-
-
 def _check_input(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (spec.in_channels, spec.in_length):
@@ -168,42 +153,38 @@ def _check_input(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(
-    params: ModelParams, spec: LayerSpec, x: np.ndarray
+    params: ModelParams, spec: LayerSpec, x: np.ndarray, caches: list | None = None
 ) -> np.ndarray:
-    """Probabilities for a batch, shape (B, classes)."""
-    probs, _ = _forward_with_cache(params, spec, x)
-    return probs
+    """Probabilities for a batch, shape (B, classes).
 
-
-def _forward_with_cache(params: ModelParams, spec: LayerSpec, x: np.ndarray):
-    x = _check_input(spec, x)
-    caches = []
-    h = x
+    Each layer's backward inputs (conv columns, ReLU masks, pooling argmaxes,
+    dense inputs) are appended to ``caches`` when a list is given, as
+    :func:`backward` does. Without one they are dropped as soon as the next
+    layer has them, so scoring a large batch holds about two layers at a time.
+    """
+    h = _check_input(spec, x)
     for block, w, b in zip(spec.conv_blocks, params.conv_weights, params.conv_biases):
         pre, cols = layers.conv1d_forward(h, w, b, block.padding)
         act, mask = layers.relu_forward(pre)
-        pooled, argmax = layers.maxpool1d_forward(act, block.pool)
-        caches.append(("conv", cols, mask, argmax, act.shape[2]))
-        h = pooled
-    batch = h.shape[0]
-    flat_shape = h.shape
-    h = h.reshape(batch, -1)
+        del pre
+        h, argmax = layers.maxpool1d_forward(act, block.pool)
+        if caches is not None:
+            caches.append((cols, mask, argmax, act.shape[2]))
+        del cols, act, mask, argmax
+    h = h.reshape(h.shape[0], -1)
     if h.shape[1] != spec.flatten_size():
         raise ShapeMismatchError(
             f"flattened width {h.shape[1]} != spec {spec.flatten_size()}"
         )
-    n_dense = len(params.dense_weights)
     for i, (w, b) in enumerate(zip(params.dense_weights, params.dense_biases)):
-        pre, x_in = layers.dense_forward(h, w, b)
-        if i < n_dense - 1:
-            act, mask = layers.relu_forward(pre)
-            caches.append(("dense", x_in, mask))
-            h = act
-        else:
-            caches.append(("dense", x_in, None))
-            h = pre
-    probs = layers.softmax(h)
-    return probs, (caches, flat_shape)
+        h, x_in = layers.dense_forward(h, w, b)
+        mask = None
+        if i < len(params.dense_weights) - 1:
+            h, mask = layers.relu_forward(h)
+        if caches is not None:
+            caches.append((x_in, mask))
+        del x_in, mask
+    return layers.softmax(h)
 
 
 def backward(
@@ -217,81 +198,42 @@ def backward(
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != np.shape(x)[0] or labels.shape[0] == 0:
         raise ShapeMismatchError("labels must be a non-empty vector matching the batch")
-    probs, (caches, flat_shape) = _forward_with_cache(params, spec, x)
+    caches: list = []
+    probs = forward_batch(params, spec, x, caches)
     loss = layers.cross_entropy_batch(probs, labels)
     batch = len(labels)
     d_logits = probs.copy()
     d_logits[np.arange(batch), labels] -= 1.0
     d_logits /= batch
 
-    grads = zeros_like_params(params)
+    # gradients are collected last layer first and reversed at the end
+    dense_w, dense_b, conv_w, conv_b = [], [], [], []
     d_h = d_logits
-    for i in range(len(params.dense_weights) - 1, -1, -1):
-        kind, x_in, mask = caches.pop()
-        assert kind == "dense"
+    for w in reversed(params.dense_weights):
+        x_in, mask = caches.pop()
         if mask is not None:
             d_h = layers.relu_backward(d_h, mask)
-        d_h, grads.dense_weights[i], grads.dense_biases[i] = layers.dense_backward(
-            d_h, x_in, params.dense_weights[i]
-        )
-    d_h = d_h.reshape(flat_shape)
-    for i in range(len(params.conv_weights) - 1, -1, -1):
-        kind, cols, mask, argmax, pre_pool_len = caches.pop()
-        assert kind == "conv"
+        d_h, d_w, d_b = layers.dense_backward(d_h, x_in, w)
+        dense_w.append(d_w)
+        dense_b.append(d_b)
+    d_h = d_h.reshape(caches[-1][2].shape)  # the last pooled output's shape
+    for block, w in zip(reversed(spec.conv_blocks), reversed(params.conv_weights)):
+        cols, mask, argmax, pre_pool_len = caches.pop()
         d_h = layers.maxpool1d_backward(d_h, argmax, pre_pool_len)
         d_h = layers.relu_backward(d_h, mask)
-        d_h, grads.conv_weights[i], grads.conv_biases[i] = layers.conv1d_backward(
-            d_h, cols, params.conv_weights[i], spec.conv_blocks[i].padding
-        )
-    return loss, grads
-
-
-def rank_beams(probabilities: np.ndarray, m: int) -> tuple[int, ...]:
-    """Indices of the m highest probabilities, descending, lowest index on ties."""
-    order = np.argsort(-probabilities, kind="stable")
-    return tuple(int(i) for i in order[:m])
-
-
-def forward(params: ModelParams, spec: LayerSpec, features: np.ndarray) -> Prediction:
-    """Single-sample forward pass; returns the full beam ranking."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.size != spec.in_channels * spec.in_length:
-        raise ShapeMismatchError(
-            f"feature vector of size {features.size} != "
-            f"{spec.in_channels} x {spec.in_length}"
-        )
-    x = features.reshape(1, spec.in_channels, spec.in_length)
-    probs = forward_batch(params, spec, x)[0]
-    return Prediction(probabilities=probs, top_m=rank_beams(probs, spec.classes))
-
-
-def predict_top_m(
-    params: ModelParams,
-    spec: LayerSpec,
-    pos: GeoPosition,
-    norm: NormalizationParams,
-    m: int,
-) -> Prediction:
-    """Normalize a raw position, run the model, keep the m best beams."""
-    if not 1 <= m <= spec.classes:
-        raise ValueError(f"m must be in [1, {spec.classes}]")
-    if spec.in_channels * spec.in_length != 2:
-        raise ShapeMismatchError(
-            "predict_top_m feeds a single position; this spec expects input "
-            f"width {spec.in_channels} x {spec.in_length}"
-        )
-    n = normalize(pos, norm)
-    x = np.array([n.u, n.v]).reshape(1, spec.in_channels, spec.in_length)
-    probs = forward_batch(params, spec, x)[0]
-    return Prediction(probabilities=probs, top_m=rank_beams(probs, m))
+        d_h, d_w, d_b = layers.conv1d_backward(d_h, cols, w, block.padding)
+        conv_w.append(d_w)
+        conv_b.append(d_b)
+    return loss, ModelParams(conv_w[::-1], conv_b[::-1], dense_w[::-1], dense_b[::-1])
 
 
 def predict_top_m_batch(
     params: ModelParams, spec: LayerSpec, x: np.ndarray, m: int
-) -> list[list[int]]:
-    """Ranked candidate lists for a feature batch."""
+) -> np.ndarray:
+    """Ranked candidates, shape (B, m): beam indices by descending probability,
+    the lowest index first among ties."""
     probs = forward_batch(params, spec, x)
-    return [list(rank_beams(p, m)) for p in probs]
+    return np.argsort(-probs, axis=1, kind="stable")[:, :m]
 
 
 CHECKPOINT_VERSION = 1

@@ -79,9 +79,9 @@ def train(
     if len(train_ds) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     x_train = dataset_features(train_ds, norm, input_mode)
-    y_train = train_ds.optimal_indices()
+    y_train = train_ds.best
     x_val = dataset_features(val_ds, norm, input_mode)
-    y_val = val_ds.optimal_indices()
+    y_val = val_ds.best
 
     rng = np.random.default_rng(config.seed)
     params = init_params(spec, rng)
@@ -119,12 +119,3 @@ def write_history(history: list[EpochRecord], path: str | Path) -> Path:
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
-
-
-def read_history(path: str | Path) -> list[EpochRecord]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    records = []
-    for line in lines[1:]:
-        epoch, loss, top1 = line.split(",")
-        records.append(EpochRecord(int(epoch), float(loss), float(top1)))
-    return records

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    EmptyVectorError,
     GeometryOutOfSectorError,
     InvalidGeometryError,
 )
@@ -71,10 +70,6 @@ class Codebook:
     @property
     def n_elements(self) -> int:
         return self.weights.shape[1]
-
-    @property
-    def beams(self) -> list[np.ndarray]:
-        return list(self.weights)
 
 
 @dataclass(frozen=True)
@@ -188,14 +183,6 @@ def beam_power_vector(
         sigma = ch.noise_power * math.sqrt(math.pi / 2.0)
         p = p + np.abs(rng.normal(0.0, sigma, size=cb.size))
     return p
-
-
-def optimal_beam(p: np.ndarray) -> int:
-    """Index of the maximum power; ties break toward the lowest index."""
-    p = np.asarray(p)
-    if p.size == 0:
-        raise EmptyVectorError("power vector is empty")
-    return int(np.argmax(p))
 
 
 def local_to_geo(origin: GeoPosition, east_m: float, north_m: float) -> GeoPosition:

@@ -155,24 +155,9 @@ class TestEval:
         assert report[0] == "predictor,metric,variant,M,mean,stddev"
         # 2 predictors x 3 series x 4 m values
         assert len(report) == 1 + 24
-        assert (out / "report.json").exists()
+        meta = json.loads((out / "report.json").read_text())["meta"]
+        assert meta["n_test"] == 80 and "repeats" not in meta
         assert (out / "report.svg").exists()
-
-    def test_repeats_populate_stddev(self, experiment_config, tmp_path):
-        ckpt, data = self._train_and_generate(experiment_config, tmp_path)
-        out = tmp_path / "eval_out"
-        main(
-            [
-                "eval",
-                "--checkpoint", str(ckpt),
-                "--dataset", str(data),
-                "--repeats", "5",
-                "--out", str(out),
-            ]
-        )
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["meta"]["repeats"] == 5
-        assert all("stddev" in row for row in doc["rows"])
 
     def test_codebook_mismatch_exit_2(self, experiment_config, tmp_path):
         ckpt, data = self._train_and_generate(experiment_config, tmp_path)
@@ -215,7 +200,7 @@ class TestReport:
         second = (tmp_path / "out" / "report.csv").read_text()
         assert first != second
 
-    def test_threads_flag_accepted(self, tmp_path):
-        cfg = tmp_path / "experiment.json"
-        cfg.write_text(json.dumps(experiment_doc(tmp_path / "out")))
-        assert main(["--threads", "2", "report", "--config", str(cfg)]) == 0
+    def test_zero_repeats_exit_2(self, experiment_config, capsys):
+        code = main(["report", "--config", str(experiment_config), "--repeats", "0"])
+        assert code == 2
+        assert "repeats" in capsys.readouterr().err

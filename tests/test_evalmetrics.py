@@ -74,6 +74,10 @@ class TestInclusionAccuracy:
         with pytest.raises(LengthMismatchError):
             topm_accuracy_inclusion([[1]], [1, 2])
 
+    def test_one_dimensional_candidates_rejected(self):
+        with pytest.raises(ValueError, match=r"\(n, M\) array"):
+            topm_accuracy_inclusion(np.array([3, 7]), [3, 7])
+
 
 class TestLiteralAccuracy:
     def test_printed_formula_value(self):
@@ -99,6 +103,23 @@ class TestLiteralAccuracy:
             preds, _, truths = random_case(rng, m=4)
             assert topm_accuracy_literal(preds, truths) == brute_force_literal(
                 preds, truths
+            )
+
+
+class TestCandidateArrays:
+    def test_arrays_equal_per_row_loops_exactly(self):
+        rng = np.random.default_rng(10)
+        for m in (1, 5, 9, 13):
+            preds, powers, truths = random_case(rng, n=2000, q=64, m=m)
+            array = np.array(preds)
+            assert topm_accuracy_inclusion(array, np.array(truths)) == (
+                brute_force_inclusion(preds, truths)
+            )
+            assert topm_accuracy_literal(array, truths) == brute_force_literal(
+                preds, truths
+            )
+            assert received_power_ratio(array, np.array(powers), truths) == (
+                brute_force_ratio(preds, powers, truths)
             )
 
 
@@ -182,6 +203,14 @@ class TestBuildReport:
         assert list(report.power_ratio) == sorted(report.power_ratio)
         assert report.accuracy_inclusion[-1] == 1.0
         assert report.power_ratio[-1] == 1.0
+
+    def test_narrow_candidate_array_rejected(self):
+        ds = tiny_dataset(q=8, n=5, seed=4)
+        preds = np.tile(np.arange(3), (5, 1))
+        with pytest.raises(ValueError, match="need 4 ranked candidates"):
+            evaluate_predictions("model", preds, ds, m_values=(1, 4))
+        report = evaluate_predictions("model", preds, ds, m_values=(1, 3))
+        assert report.m_values == (1, 3)
 
     def test_literal_equals_inclusion_at_m1(self):
         ds = tiny_dataset(q=8, n=25, seed=6)

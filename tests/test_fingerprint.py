@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from v2vbeam.fingerprint import (
     BinStats,
     build_database,
     evaluate_baseline,
-    load_database,
     query_candidates,
     save_database,
 )
@@ -166,18 +167,19 @@ class TestEvaluateBaseline:
         ds = dataset_of(samples, 6)
         db = build_database(ds, BinGrid.unit_square(10), NORM)
         cands = evaluate_baseline(db, ds, NORM, 1)
-        assert [c[0] for c in cands] == [s.optimal_index for s in samples]
+        assert cands.shape == (10, 1) and cands.dtype.kind == "i"
+        assert cands[:, 0].tolist() == [s.optimal_index for s in samples]
 
     def test_m_full_is_permutation(self):
         ds = dataset_of([sample_at(0.5, 0.5, [0.3, 0.1, 0.2, 0.9])], 4)
         db = build_database(ds, BinGrid.unit_square(4), NORM)
         (cands,) = evaluate_baseline(db, ds, NORM, 4)
-        assert sorted(cands) == [0, 1, 2, 3]
+        assert sorted(cands.tolist()) == [0, 1, 2, 3]
 
     def test_empty_test_set(self):
         ds = dataset_of([sample_at(0.5, 0.5, [1.0, 2.0])], 2)
         db = build_database(ds, BinGrid.unit_square(4), NORM)
-        assert evaluate_baseline(db, dataset_of([], 2), NORM, 1) == []
+        assert evaluate_baseline(db, dataset_of([], 2), NORM, 1).shape == (0, 1)
 
 
 def oracle_query(db, pos, m):
@@ -238,11 +240,11 @@ class TestVectorisedAgainstReference:
             [sample_at(u, v, rng.uniform(0.1, 1.0, q), t=0.1 * i) for i, (u, v) in enumerate(uv)],
             q,
         )
-        for m in (1, 3, q):
+        for m in (1, 3, q, q + 2):
             want = [
                 oracle_query(db, normalize(s.tx_pos, NORM), m) for s in test.samples
             ]
-            assert evaluate_baseline(db, test, NORM, m) == want
+            assert evaluate_baseline(db, test, NORM, m).tolist() == want
 
     def test_outside_grid_queries_fall_back(self):
         grid = BinGrid.unit_square(32)
@@ -256,7 +258,7 @@ class TestVectorisedAgainstReference:
         test = dataset_of([sample_at(u, v, [1.0, 2.0]) for u, v in points], 2)
         want = [oracle_query(db, NormalizedPosition(u, v), 1) for u, v in points]
         assert want == [[0], [0], [1], [1], [1], [0]]
-        assert evaluate_baseline(db, test, NORM, 1) == want
+        assert evaluate_baseline(db, test, NORM, 1).tolist() == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_build_database_bit_identical_to_per_sample_kahan(self, seed):
@@ -289,14 +291,16 @@ class TestPersistence:
             for i in range(20)
         ]
         db = build_database(dataset_of(samples, 4), BinGrid.unit_square(8), NORM)
-        path = save_database(db, tmp_path / "db.json")
-        loaded = load_database(path)
-        assert loaded.codebook_size == db.codebook_size
-        assert loaded.grid == db.grid
-        assert loaded.bins.keys() == db.bins.keys()
-        for key in db.bins:
-            assert loaded.bins[key].count == db.bins[key].count
-            assert np.array_equal(loaded.bins[key].mean_power, db.bins[key].mean_power)
+        doc = json.loads(save_database(db, tmp_path / "db.json").read_text())
+        assert doc["codebook_size"] == db.codebook_size
+        assert doc["grid"] == {
+            "origin_u": 0.0, "origin_v": 0.0, "bin_width_u": 0.125, "bin_width_v": 0.125
+        }
+        assert [(b["row"], b["col"]) for b in doc["bins"]] == sorted(db.bins)
+        for b in doc["bins"]:
+            stats = db.bins[b["row"], b["col"]]
+            assert b["count"] == stats.count
+            assert np.array_equal(b["mean_power"], stats.mean_power)
 
     def test_deterministic_bytes(self, tmp_path):
         ds = dataset_of([sample_at(0.2, 0.7, [1.0, 2.0, 3.0])], 3)

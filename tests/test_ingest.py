@@ -20,7 +20,6 @@ from v2vbeam.ingest import (
     parse_dataset,
     split,
     write_dataset,
-    write_split_datasets,
 )
 
 
@@ -246,17 +245,6 @@ class TestSplit:
             SplitSpec(0.5, 0.2, 0.2, seed=0)
         with pytest.raises(ValueError):
             SplitSpec(-0.1, 0.6, 0.5, seed=0)
-
-    def test_write_split_files(self, tmp_path):
-        ds = make_dataset(10, q=2)
-        tr, va, te = split(ds, SplitSpec(seed=1))
-        paths = write_split_datasets(tmp_path / "data.csv", tr, va, te)
-        assert [p.name for p in paths] == [
-            "data.train.csv",
-            "data.val.csv",
-            "data.test.csv",
-        ]
-        assert parse_dataset(paths[0]) == tr
 
 
 # --- block I/O against the per-row reference ------------------------------------------

@@ -1,22 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from v2vbeam.errors import ShapeMismatchError
-from v2vbeam.geodata import GeoPosition, NormalizationParams
-from v2vbeam.neuralbeam.layers import cross_entropy_batch
+from v2vbeam.geodata import NormalizationParams
+from v2vbeam.neuralbeam.layers import cross_entropy_batch, softmax
 from v2vbeam.neuralbeam.model import (
     ConvBlockSpec,
     LayerSpec,
-    Prediction,
     backward,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
-    predict_top_m,
-    rank_beams,
+    predict_top_m_batch,
     save_checkpoint,
-    zeros_like_params,
 )
 
 SMALL = LayerSpec(
@@ -50,6 +48,11 @@ def numeric_gradients(params, spec, x, y, h=1e-6):
     return out
 
 
+def zero_params(spec):
+    params = init_params(spec, np.random.default_rng(0))
+    return params.with_arrays([np.zeros_like(a) for a in params.arrays()])
+
+
 def max_relative_error(analytic, numeric):
     worst = 0.0
     for a, n in zip(analytic, numeric):
@@ -76,9 +79,8 @@ class TestLayerSpec:
 class TestForward:
     def test_zero_params_give_uniform_probabilities(self):
         spec = LayerSpec()
-        params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
-        pred = forward(params, spec, np.array([0.3, 0.8]))
-        assert np.allclose(pred.probabilities, 1.0 / 64.0, atol=1e-15)
+        probs = forward_batch(zero_params(spec), spec, np.array([[[0.3, 0.8]]]))
+        assert np.allclose(probs, 1.0 / 64.0, atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
         spec = SMALL
@@ -102,9 +104,28 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             forward_batch(params, spec, np.zeros((2, 1, 9)))
 
-    def test_prediction_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Prediction(probabilities=np.array([0.5, 0.2]), top_m=(0, 1))
+    def test_caches_leave_probabilities_bit_identical(self):
+        params = init_params(SMALL, np.random.default_rng(16))
+        x = np.random.default_rng(17).normal(size=(11, 1, 4))
+        caches = []
+        cached = forward_batch(params, SMALL, x, caches)
+        assert np.array_equal(cached, forward_batch(params, SMALL, x))
+        # one entry per conv block and per dense layer
+        assert len(caches) == len(SMALL.conv_blocks) + len(SMALL.dense_widths)
+
+    def test_inference_frees_layer_caches(self):
+        # 4,000 rows on the default spec with both ends as input: holding every
+        # layer's backward inputs until the softmax peaked at about 51 MB
+        spec = LayerSpec(in_length=4)
+        params = init_params(spec, np.random.default_rng(18))
+        x = np.random.default_rng(19).uniform(size=(4000, 1, 4))
+        tracemalloc.start()
+        try:
+            forward_batch(params, spec, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 35e6
 
 
 class TestBackward:
@@ -152,45 +173,44 @@ class TestBackward:
 
 
 class TestPrediction:
-    def test_rank_beams_tie_break(self):
-        probs = np.array([0.25, 0.25, 0.3, 0.2])
-        assert rank_beams(probs, 3) == (2, 0, 1)
+    def test_matches_per_row_stable_ranking(self):
+        params = init_params(SMALL, np.random.default_rng(11))
+        x = np.random.default_rng(12).normal(size=(40, 1, 4))
+        probs = forward_batch(params, SMALL, x)
+        for m in (1, 3, 5):
+            cands = predict_top_m_batch(params, SMALL, x, m)
+            assert cands.shape == (40, m)
+            assert cands.dtype.kind == "i"
+            want = [np.argsort(-p, kind="stable")[:m].tolist() for p in probs]
+            assert cands.tolist() == want
 
     def test_top_m_prefix_property(self):
-        spec = SMALL
-        params = init_params(spec, np.random.default_rng(11))
-        probs = forward_batch(params, spec, np.zeros((1, 1, 4)))[0]
+        params = init_params(SMALL, np.random.default_rng(11))
+        x = np.zeros((1, 1, 4))
         for m in range(1, 5):
-            assert rank_beams(probs, m) == rank_beams(probs, m + 1)[:m]
+            assert np.array_equal(
+                predict_top_m_batch(params, SMALL, x, m),
+                predict_top_m_batch(params, SMALL, x, m + 1)[:, :m],
+            )
 
     def test_predict_top_m_full_is_permutation(self):
         spec = LayerSpec()
         params = init_params(spec, np.random.default_rng(12))
-        norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
-        pred = predict_top_m(params, spec, GeoPosition(33.4, -111.5), norm, 64)
-        assert sorted(pred.top_m) == list(range(64))
+        x = np.random.default_rng(13).uniform(size=(5, 1, 2))
+        for row in predict_top_m_batch(params, spec, x, 64):
+            assert sorted(row.tolist()) == list(range(64))
 
     def test_uniform_output_picks_index_zero(self):
         spec = LayerSpec()
-        params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
-        norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
-        pred = predict_top_m(params, spec, GeoPosition(33.4, -111.5), norm, 1)
-        assert pred.top_m == (0,)
-
-    def test_m_out_of_range_rejected(self):
-        spec = LayerSpec()
-        params = init_params(spec, np.random.default_rng(0))
-        norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
-        with pytest.raises(ValueError):
-            predict_top_m(params, spec, GeoPosition(33.4, -111.5), norm, 65)
+        x = np.array([[[0.4, 0.5]], [[0.9, 0.1]]])
+        cands = predict_top_m_batch(zero_params(spec), spec, x, 3)
+        assert cands.tolist() == [[0, 1, 2], [0, 1, 2]]
 
     def test_argmax_invariant_to_monotone_logit_transform(self):
         rng = np.random.default_rng(13)
         logits = rng.normal(size=64)
-        from v2vbeam.neuralbeam.layers import softmax
-
-        base = rank_beams(softmax(logits[None])[0], 1)
-        warped = rank_beams(softmax((3.0 * logits + 11.0)[None])[0], 1)
+        base = np.argmax(softmax(logits[None])[0])
+        warped = np.argmax(softmax((3.0 * logits + 11.0)[None])[0])
         assert base == warped
 
 

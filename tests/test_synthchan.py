@@ -5,7 +5,6 @@ import pytest
 
 from v2vbeam.errors import (
     ConfigError,
-    EmptyVectorError,
     GeometryOutOfSectorError,
     InvalidGeometryError,
 )
@@ -20,7 +19,6 @@ from v2vbeam.synthchan import (
     dft_codebook,
     generate_scenario,
     local_to_geo,
-    optimal_beam,
     scenario_from_json,
 )
 
@@ -80,7 +78,7 @@ class TestBeamPower:
         cb = dft_codebook(ARR, 64)
         p = beam_power_vector(ARR, cb, self.CH, theta=0.0, distance=1.0)
         assert p.max() == pytest.approx(16.0, abs=1e-9)
-        assert optimal_beam(p) == 32
+        assert np.argmax(p) == 32
 
     def test_pathloss_law(self):
         cb = dft_codebook(ARR, 64)
@@ -101,7 +99,7 @@ class TestBeamPower:
         p1 = beam_power_vector(ARR, cb, self.CH, -0.4, 5.0)
         p2 = beam_power_vector(ARR, cb, boosted, -0.4, 5.0)
         assert np.allclose(p2, 7.5 * p1, rtol=1e-12)
-        assert optimal_beam(p1) == optimal_beam(p2)
+        assert np.argmax(p1) == np.argmax(p2)
 
     def test_distance_below_reference_rejected(self):
         cb = dft_codebook(ARR, 64)
@@ -130,18 +128,6 @@ class TestBeamPower:
         assert np.mean(draws) == pytest.approx(0.5, rel=0.05)
 
 
-class TestOptimalBeam:
-    def test_plain_argmax(self):
-        assert optimal_beam(np.array([0.1, 0.9, 0.3])) == 1
-
-    def test_tie_breaks_low(self):
-        assert optimal_beam(np.array([0.5, 0.5])) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyVectorError):
-            optimal_beam(np.array([]))
-
-
 class TestInvariants:
     def test_matched_beam_tracks_steering_angle(self):
         # argmax beam's grid frequency stays within one step of sin(theta);
@@ -168,7 +154,7 @@ class TestInvariants:
         )
         ch = SyntheticChannelConfig(noise_power=0.001, seed=5)
         ds = generate_scenario(traj, ARR, ch)
-        pm = ds.powers_matrix()
+        pm = ds.powers
         assert np.all(np.isfinite(pm)) and np.all(pm >= 0)
 
 

@@ -8,10 +8,10 @@ from v2vbeam.geodata import GeoPosition, fit_normalization
 from v2vbeam.ingest import Dataset, SplitSpec, split
 from v2vbeam.neuralbeam import (
     ConvBlockSpec,
+    EpochRecord,
     LayerSpec,
     TrainingConfig,
     dataset_features,
-    read_history,
     train,
     write_history,
 )
@@ -43,7 +43,7 @@ def synthetic_split():
     )
     ds = generate_scenario(traj, ArrayConfig(), SyntheticChannelConfig(seed=3))
     train_ds, val_ds, test_ds = split(ds, SplitSpec(seed=0))
-    norm = fit_normalization(train_ds.tx_positions())
+    norm = fit_normalization(train_ds.tx)
     return train_ds, val_ds, test_ds, norm
 
 
@@ -130,13 +130,13 @@ class TestTrain:
         )
         assert len(ds) >= 1000
         train_ds, val_ds, _ = split(ds, SplitSpec(seed=0))
-        norm = fit_normalization(train_ds.tx_positions())
+        norm = fit_normalization(train_ds.tx)
         spec = LayerSpec()
         cfg = TrainingConfig(epochs=30, seed=0)
 
         init = init_params(spec, np.random.default_rng(cfg.seed))
         x = dataset_features(train_ds, norm)
-        y = train_ds.optimal_indices()
+        y = train_ds.best
         initial_loss = cross_entropy_batch(forward_batch(init, spec, x), y)
         assert initial_loss == pytest.approx(math.log(64), abs=0.5)
 
@@ -150,9 +150,13 @@ class TestHistoryIO:
         cfg = TrainingConfig(epochs=2, seed=0)
         _, history = train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
         path = write_history(history, tmp_path / "history.csv")
-        assert read_history(path) == history
-        header = path.read_text().splitlines()[0]
+        header, *lines = path.read_text().splitlines()
         assert header == "epoch,train_loss,val_top1"
+        read = [line.split(",") for line in lines]
+        assert [
+            EpochRecord(int(epoch), float(loss), float(top1))
+            for epoch, loss, top1 in read
+        ] == history
 
     def test_deterministic_bytes(self, tmp_path, synthetic_split):
         train_ds, val_ds, _, norm = synthetic_split
