@@ -1,8 +1,17 @@
 """Exception hierarchy shared across the package."""
 
+import copyreg
+
 
 class V2VBeamError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Exception's default reduce calls cls(*args), but several subclasses
+        # take other constructor arguments than their one-message args; rebuild
+        # with __new__ and restore the attributes instead, so an error raised in
+        # a worker process arrives as the same type with the same message
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class OutOfRangeError(V2VBeamError):

@@ -91,7 +91,9 @@ class Dataset:
     with :meth:`from_columns`; ``samples`` rebuilds the objects on demand.
     """
 
-    __slots__ = ("t", "tx", "rx", "powers", "best", "sampling_period", "_samples")
+    __slots__ = (
+        "t", "tx", "rx", "powers", "best", "sampling_period", "_samples", "_span"
+    )
 
     def __init__(
         self,
@@ -145,6 +147,9 @@ class Dataset:
             object.__setattr__(self, name, column)
         object.__setattr__(self, "sampling_period", sampling_period)
         object.__setattr__(self, "_samples", samples)
+        # (source, start, stop) when the columns are the row slice start:stop of
+        # source's columns, so concat can rejoin adjacent slices without copying
+        object.__setattr__(self, "_span", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -198,14 +203,28 @@ class Dataset:
 
     def rows(self, indices: np.ndarray | slice) -> "Dataset":
         """The rows at ``indices`` (an index array, or a slice giving views)."""
-        return Dataset.from_columns(
+        part = Dataset.from_columns(
             *(getattr(self, name)[indices] for name in _COLUMNS),
             sampling_period=self.sampling_period,
         )
+        if isinstance(indices, slice):
+            start, stop, step = indices.indices(len(self))
+            if step == 1:
+                object.__setattr__(part, "_span", (self, start, max(start, stop)))
+        return part
 
 
 def concat(parts: Sequence[Dataset]) -> Dataset:
-    """The rows of ``parts`` one after another; the first part's sampling period."""
+    """The rows of ``parts`` one after another; the first part's sampling period.
+
+    Adjacent row slices of one dataset (such as the train and validation parts
+    of a ``split``) are joined as a view of that dataset instead of a copy.
+    """
+    spans = [d._span for d in parts]
+    if None not in spans and all(
+        a[0] is b[0] and a[2] == b[1] for a, b in zip(spans, spans[1:])
+    ):
+        return spans[0][0].rows(slice(spans[0][1], spans[-1][2]))
     return Dataset.from_columns(
         *(np.concatenate([getattr(d, name) for d in parts]) for name in _COLUMNS),
         sampling_period=parts[0].sampling_period,
@@ -472,19 +491,18 @@ def split(
     ``mode`` "shuffle" permutes sample order with the spec's seed before
     cutting; "sequential" preserves time order. Sizes are floor(n * frac) for
     each part, with the remainder assigned to train. The three parts are
-    disjoint and cover the input exactly.
+    disjoint and cover the input exactly. They are consecutive row slices of
+    one dataset (the input, or its permuted rows gathered once), so ``concat``
+    of train and validation is a view, not a copy.
     """
     if mode not in ("shuffle", "sequential"):
         raise ValueError(f"unknown split mode {mode!r}")
     n = len(d)
-    order = np.random.default_rng(s.seed).permutation(n) if mode == "shuffle" else None
+    if mode == "shuffle":
+        d = d.rows(np.random.default_rng(s.seed).permutation(n))
     n_train = int(n * s.train_frac)
     n_val = int(n * s.val_frac)
     n_test = int(n * s.test_frac)
     n_train += n - (n_train + n_val + n_test)
     cuts = (0, n_train, n_train + n_val, n)
-    # sequential parts are slices, so they share the columns instead of copying them
-    return tuple(
-        d.rows(slice(lo, hi) if order is None else order[lo:hi])
-        for lo, hi in zip(cuts, cuts[1:])
-    )
+    return tuple(d.rows(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))

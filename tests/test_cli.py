@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import v2vbeam
+from v2vbeam import experiment
 from v2vbeam.cli import main
+from v2vbeam.errors import ConfigError
 
 SCENARIO = {
     "codebook_size": 64,
@@ -200,7 +207,63 @@ class TestReport:
         second = (tmp_path / "out" / "report.csv").read_text()
         assert first != second
 
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        outputs = []
+        for k in (1, 2):
+            monkeypatch.setattr(experiment, "_usable_cpus", lambda k=k: k)
+            cfg = tmp_path / f"experiment_{k}.json"
+            cfg.write_text(json.dumps(experiment_doc(tmp_path / f"out_{k}", repeats=3)))
+            assert main(["report", "--config", str(cfg), "--emit-svg"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / f"out_{k}").iterdir()})
+        assert {
+            "checkpoint_r2.json", "history_r2.csv", "fingerprint_db_r2.json",
+            "report.csv", "report.json",
+        } <= set(outputs[0])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(
+        experiment._openblas_threads() is None, reason="repeats run serially without OpenBLAS"
+    )
+    def test_config_error_in_a_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        started = tmp_path / "started"
+        started.mkdir()
+        real_single_run = experiment.single_run
+
+        def single_run(dataset, config, run_seed):
+            (started / str(run_seed)).touch()
+            if os.getpid() != parent:
+                raise ConfigError("m_values", "raised in a worker")
+            return real_single_run(dataset, config, run_seed)
+
+        # forked workers inherit the patched function
+        monkeypatch.setattr(experiment, "single_run", single_run)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        cfg = tmp_path / "experiment.json"
+        cfg.write_text(json.dumps(experiment_doc(tmp_path / "out", repeats=6)))
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert "raised in a worker" in capsys.readouterr().err
+        # the one worker runs seeds 6, 8 and 10; after 6 fails the others never start
+        assert (started / "6").exists()
+        assert not (started / "8").exists()
+        assert not (started / "10").exists()
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_zero_repeats_exit_2(self, experiment_config, capsys):
         code = main(["report", "--config", str(experiment_config), "--repeats", "0"])
         assert code == 2
         assert "repeats" in capsys.readouterr().err
+
+
+def test_import_does_not_load_multiprocessing():
+    # the pool is imported only when repeats run in parallel
+    code = (
+        "import sys, v2vbeam.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(v2vbeam.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

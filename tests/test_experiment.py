@@ -1,5 +1,6 @@
 import pytest
 
+from v2vbeam import experiment
 from v2vbeam.errors import CodebookMismatchError, ConfigError
 from v2vbeam.experiment import (
     ExperimentConfig,
@@ -139,6 +140,44 @@ class TestRunExperiment:
         a = run_experiment(ds, cfg).rows
         b = run_experiment(ds, cfg).rows
         assert a == b
+
+
+class TestParallelRepeats:
+    @pytest.mark.skipif(
+        experiment._openblas_threads() is None, reason="repeats run serially without OpenBLAS"
+    )
+    def test_one_blas_thread_per_process_then_restored(self, tmp_path, monkeypatch):
+        get_threads, _ = experiment._openblas_threads()
+        threads = get_threads()
+        real_single_run = experiment.single_run
+
+        def single_run(dataset, config, run_seed):
+            (tmp_path / str(run_seed)).write_text(str(get_threads()))
+            return real_single_run(dataset, config, run_seed)
+
+        monkeypatch.setattr(experiment, "single_run", single_run)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        cfg = experiment_config_from_json(tiny_config(repeats=2))
+        run_experiment(resolve_dataset(cfg), cfg)
+        assert [(tmp_path / s).read_text() for s in ("3", "4")] == ["1", "1"]
+        assert get_threads() == threads
+
+    def test_same_results_for_any_worker_count(self, monkeypatch):
+        cfg = experiment_config_from_json(tiny_config(repeats=3))
+        ds = resolve_dataset(cfg)
+        results = []
+        for k in (1, 2):
+            monkeypatch.setattr(experiment, "_usable_cpus", lambda k=k: k)
+            results.append(run_experiment(ds, cfg))
+        serial, parallel = results
+        assert parallel.rows == serial.rows
+        assert [run.run_seed for run in parallel.runs] == [3, 4, 5]
+        for a, b in zip(serial.runs, parallel.runs):
+            assert a.run_seed == b.run_seed
+            assert a.history == b.history
+            assert [w.tobytes() for w in a.params.arrays()] == [
+                w.tobytes() for w in b.params.arrays()
+            ]
 
 
 class TestCodebookCheck:

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from v2vbeam.ingest import (
     Dataset,
     Sample,
     SplitSpec,
+    concat,
     parse_dataset,
     split,
     write_dataset,
@@ -245,6 +247,61 @@ class TestSplit:
             SplitSpec(0.5, 0.2, 0.2, seed=0)
         with pytest.raises(ValueError):
             SplitSpec(-0.1, 0.6, 0.5, seed=0)
+
+    def test_shuffle_parts_are_the_permuted_rows(self):
+        ds = make_dataset(103, q=3)
+        order = np.random.default_rng(4).permutation(103)
+        parts = split(ds, SplitSpec(seed=4))
+        for part, rows in zip(parts, (order[:63], order[63:83], order[83:])):
+            assert part == ds.rows(rows)
+
+    @pytest.mark.parametrize("mode", ["shuffle", "sequential"])
+    def test_train_val_concat_is_a_view(self, mode):
+        ds = make_dataset(50, q=3)
+        tr, va, te = split(ds, SplitSpec(seed=2), mode=mode)
+        joined = concat([tr, va])
+        assert joined == columns_concat([tr, va])
+        for name in ("t", "tx", "rx", "powers", "best"):
+            assert np.shares_memory(getattr(joined, name), getattr(tr, name))
+            assert np.shares_memory(getattr(joined, name), getattr(va, name))
+
+    def test_concat_of_parts_not_adjacent_copies(self):
+        ds = make_dataset(50, q=3)
+        tr, va, te = split(ds, SplitSpec(seed=2))
+        for parts in ([tr, te], [va, tr], [tr, va, te, tr]):
+            joined = concat(parts)
+            assert joined == columns_concat(parts)
+            assert not np.shares_memory(joined.powers, tr.powers)
+
+    def test_split_and_train_val_peak_memory(self):
+        # 20k rows of 64 powers, about 11 MB: the parts were three gathers and
+        # train+val a fourth copy (peak about 1.8x the dataset); now the
+        # permuted rows are gathered once and train+val is a view of them
+        n, q = 20_000, 64
+        rng = np.random.default_rng(5)
+        powers = rng.uniform(0.1, 2.0, (n, q))
+        ds = Dataset.from_columns(
+            np.arange(n) * 0.1, rng.uniform(33.0, 33.1, (n, 2)),
+            np.full((n, 2), np.nan), powers, powers.argmax(axis=1),
+        )
+        size = sum(getattr(ds, name).nbytes for name in ("t", "tx", "rx", "powers", "best"))
+        tracemalloc.start()
+        try:
+            tr, va, _ = split(ds, SplitSpec(seed=6))
+            concat([tr, va])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * size
+
+
+def columns_concat(parts):
+    """Reference concat: a copy of every column."""
+    return Dataset.from_columns(
+        *(np.concatenate([getattr(d, name) for d in parts])
+          for name in ("t", "tx", "rx", "powers", "best")),
+        sampling_period=parts[0].sampling_period,
+    )
 
 
 # --- block I/O against the per-row reference ------------------------------------------
