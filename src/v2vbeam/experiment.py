@@ -6,20 +6,20 @@ fingerprint baseline on train+validation, and score both on the held-out
 test part. Repeats rerun the whole pipeline with derived seeds and are
 aggregated into mean/stddev rows.
 
-Repeats run in parallel on the usable CPUs: with k = min(repeats, CPUs) > 1,
-``fork`` available and numpy's BLAS an OpenBLAS whose thread count can be set,
-the calling process runs every k-th seed itself and k - 1 forked workers,
-which inherit the dataset instead of receiving a pickled copy, run the rest,
-each process with one BLAS thread. Each repeat depends only on its seed and the
-results are put back in seed order, so every output is the same for any k.
+Repeats run in parallel on the usable CPUs through ``parallel.ordered_map``,
+one item per seed: the calling process runs every k-th seed itself and forked
+workers, which inherit the dataset instead of receiving a pickled copy, run
+the rest. Each repeat depends only on its seed and the results come back in
+seed order, so every output is the same for any number of CPUs. The same map
+synthesises a scenario and writes the dataset CSV in row chunks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +51,7 @@ from .neuralbeam import (
     predict_top_m_batch,
     train,
 )
+from .parallel import ordered_map
 from .synthchan import generate_scenario, scenario_from_json
 
 log = logging.getLogger(__name__)
@@ -286,116 +287,16 @@ class ExperimentResult:
     rows: list[ReportRow]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _openblas_threads():
-    """(get, set) of the loaded OpenBLAS's thread count, or None if none is found.
-
-    Side-by-side repeats must each run one BLAS thread: with OpenBLAS's default
-    of one thread per CPU, the helper threads of every process spin against each
-    other, and four repeats on 2 CPUs took 57 s instead of 17 s serially.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
-    except OSError:  # no /proc on this platform
-        return None
-    for path in sorted(p for p in paths if "openblas" in p):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        # plain, 64-bit-integer and scipy-openblas (numpy's wheels) builds
-        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
-            try:
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
-                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
 def _repeat(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
     r = run_seed - config.seed
     log.info("repeat %d/%d (seed %d)", r + 1, config.repeats, run_seed)
     return single_run(dataset, config, run_seed)
 
 
-# (dataset, config, stop event) of a forked pool worker, set by _adopt in the worker
-_worker_inputs = None
-
-
-def _adopt(dataset: Dataset, config: ExperimentConfig, stop) -> None:
-    global _worker_inputs
-    _worker_inputs = (dataset, config, stop)
-
-
-def _worker_repeat(run_seed: int) -> RunResult | None:
-    dataset, config, stop = _worker_inputs
-    if stop.is_set():  # another repeat failed; skip the ones not yet started
-        return None
-    try:
-        return _repeat(dataset, config, run_seed)
-    except BaseException:
-        stop.set()
-        raise
-
-
-def _parallel_runs(
-    dataset: Dataset, config: ExperimentConfig, seeds: list[int], k: int, blas
-) -> list[RunResult]:
-    """Run seeds[0::k] here and the other seeds in k - 1 forked workers."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)  # forked workers inherit the setting
-    ctx = multiprocessing.get_context("fork")
-    stop = ctx.Event()
-    # initargs reach the workers through fork, so the dataset is never pickled
-    pool = ProcessPoolExecutor(
-        k - 1, mp_context=ctx, initializer=_adopt, initargs=(dataset, config, stop)
-    )
-    try:
-        futures = [
-            pool.submit(_worker_repeat, s) for i, s in enumerate(seeds) if i % k
-        ]
-        runs = []
-        for run_seed in seeds[::k]:
-            for future in futures:
-                if future.done() and future.exception() is not None:
-                    raise future.exception()
-            runs.append(_repeat(dataset, config, run_seed))
-        runs += [future.result() for future in futures]
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
-        set_threads(threads)
-    return sorted(runs, key=lambda run: run.run_seed)
-
-
 def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResult:
     """All repeats with derived seeds, aggregated to mean/stddev rows."""
-    seeds = [config.seed + r for r in range(config.repeats)]
-    k = min(len(seeds), _usable_cpus())
-    blas = _openblas_threads() if k > 1 and hasattr(os, "fork") else None
-    if blas is not None:
-        runs = _parallel_runs(dataset, config, seeds, k, blas)
-    else:
-        runs = [_repeat(dataset, config, s) for s in seeds]
+    seeds = range(config.seed, config.seed + config.repeats)
+    runs = list(ordered_map(functools.partial(_repeat, dataset, config), seeds))
     rows = aggregate_reports([run.model_report for run in runs])
     rows += aggregate_reports([run.baseline_report for run in runs])
     return ExperimentResult(dataset_size=len(dataset), runs=runs, rows=rows)

@@ -22,7 +22,9 @@ with its line number.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -36,6 +38,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .geodata import GeoPosition, validate_position
+from .parallel import ordered_map
 
 _FIXED_COLUMNS = ("t", "tx_lat", "tx_lon", "rx_lat", "rx_lon")
 _COLUMNS = ("t", "tx", "rx", "powers", "best")
@@ -44,6 +47,9 @@ DEFAULT_SAMPLING_PERIOD = 0.1
 # are cheap, small enough that a block's text and strings (about 1 MB) do not
 # leave the heap larger than the columns themselves
 _BLOCK_ROWS = 256
+# rows per work item when synthesis or the CSV write runs on several CPUs: few
+# enough that a handful of chunks in flight keeps the writer's heap flat
+_CHUNK_ROWS = 2 * _BLOCK_ROWS
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,28 +465,42 @@ def _parse_row(row: list[str], line_no: int, has_best_beam: bool) -> tuple:
 def write_dataset(d: Dataset, path: str | Path) -> Path:
     """Write a dataset in the CSV schema; round-trips bit-exactly through parse.
 
-    Rows are formatted _BLOCK_ROWS at a time, each float as its shortest
-    round-trip ``repr``; the bytes are those of ``csv.writer`` with a "\\n"
-    line terminator.
+    Rows are formatted in chunks of _CHUNK_ROWS on the usable CPUs, each float
+    as its shortest round-trip ``repr``, and written in row order; the bytes
+    are those of ``csv.writer`` with a "\\n" line terminator. The file appears
+    whole or not at all: it is written beside ``path`` under a temporary name
+    and renamed over ``path`` once complete.
     """
     path = Path(path)
     header = list(_FIXED_COLUMNS) + ["best_beam"] + [
         f"p{i}" for i in range(d.codebook_size)
     ]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(d), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            fh.write("".join([
-                f"{t!r},{tx_lat!r},{tx_lon!r},"
-                + (",," if math.isnan(rx_lat) else f"{rx_lat!r},{rx_lon!r},")
-                + f"{best},{','.join(map(repr, powers))}\n"
-                for t, (tx_lat, tx_lon), (rx_lat, rx_lon), best, powers in zip(
-                    d.t[block].tolist(), d.tx[block].tolist(), d.rx[block].tolist(),
-                    d.best[block].tolist(), d.powers[block].tolist(),
-                )
-            ]))
+    starts = range(0, len(d), _CHUNK_ROWS)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for text in ordered_map(functools.partial(_format_rows, d), starts):
+                fh.write(text)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return path
+
+
+def _format_rows(d: Dataset, start: int) -> str:
+    """CSV lines of rows start .. start + _CHUNK_ROWS - 1."""
+    rows = slice(start, start + _CHUNK_ROWS)
+    return "".join([
+        f"{t!r},{tx_lat!r},{tx_lon!r},"
+        + (",," if math.isnan(rx_lat) else f"{rx_lat!r},{rx_lon!r},")
+        + f"{best},{','.join(map(repr, powers))}\n"
+        for t, (tx_lat, tx_lon), (rx_lat, rx_lon), best, powers in zip(
+            d.t[rows].tolist(), d.tx[rows].tolist(), d.rx[rows].tolist(),
+            d.best[rows].tolist(), d.powers[rows].tolist(),
+        )
+    ])
 
 
 def split(

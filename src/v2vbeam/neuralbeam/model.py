@@ -7,7 +7,9 @@ conventional ladder that keeps a length-2 input valid through all blocks.
 
 Prediction works on whole batches: :func:`predict_top_m_batch` ranks every
 row at once into an (n, M) integer array of beam indices, best first, the
-candidate array that ``evalmetrics`` scores.
+candidate array that ``evalmetrics`` scores. A forward pass without backward
+caches scores 512 rows at a time, so validation and test scoring stay small
+in memory.
 """
 
 from __future__ import annotations
@@ -152,6 +154,12 @@ def _check_input(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
+# rows per scoring pass: a multiple of the 128-row training batch (on OpenBLAS
+# such chunks give every row the bits of one pass over all rows), and few
+# enough that scoring a 4,000-row part never sets the process's peak memory
+_SCORE_ROWS = 4 * 128
+
+
 def forward_batch(
     params: ModelParams, spec: LayerSpec, x: np.ndarray, caches: list | None = None
 ) -> np.ndarray:
@@ -160,8 +168,14 @@ def forward_batch(
     Each layer's backward inputs (conv columns, ReLU masks, pooling argmaxes,
     dense inputs) are appended to ``caches`` when a list is given, as
     :func:`backward` does. Without one they are dropped as soon as the next
-    layer has them, so scoring a large batch holds about two layers at a time.
+    layer has them, and the rows are scored _SCORE_ROWS at a time, so scoring
+    a large batch holds about two layers of one chunk at a time.
     """
+    if caches is None and len(x) > _SCORE_ROWS:
+        return np.concatenate([
+            forward_batch(params, spec, x[start : start + _SCORE_ROWS])
+            for start in range(0, len(x), _SCORE_ROWS)
+        ])
     h = _check_input(spec, x)
     for block, w, b in zip(spec.conv_blocks, params.conv_weights, params.conv_biases):
         pre, cols = layers.conv1d_forward(h, w, b, block.padding)

@@ -13,10 +13,17 @@ frequency psi ~= sin(theta) for half-wavelength spacing.
 
 Scenarios move a transmitter and receiver along planar waypoint paths anchored
 at a GPS origin, and record one sample per period in the ingest CSV schema.
+Samples are synthesised in chunks of rows on the usable CPUs
+(``parallel.ordered_map``). Within a chunk, each sample's geometry and path
+gain are Python floats, as for one sample alone, while the array responses,
+gains and noise are computed for the whole chunk. Sample i's noise comes from
+its own substream of the channel seed, so the output does not depend on the
+chunking or the CPU count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +35,8 @@ from .errors import (
     InvalidGeometryError,
 )
 from .geodata import GeoPosition
-from .ingest import Dataset
+from .ingest import _CHUNK_ROWS, Dataset
+from .parallel import ordered_map
 
 # Local planar frame scale: meters per degree of latitude (and of longitude
 # at the equator). Scenario geometry only needs a consistent, monotone map.
@@ -126,8 +134,13 @@ def array_response(cfg: ArrayConfig, theta: float) -> np.ndarray:
     """
     if abs(theta) > math.pi / 2:
         raise GeometryOutOfSectorError(f"theta {theta} outside front half-plane")
+    return _array_responses(cfg, np.array([math.sin(theta)]))[0]
+
+
+def _array_responses(cfg: ArrayConfig, sin_theta: np.ndarray) -> np.ndarray:
+    """Array responses, one row per entry of ``sin_theta``: shape (m, n_elements)."""
     k = np.arange(cfg.n_elements)
-    return np.exp(2j * math.pi * cfg.element_spacing * k * math.sin(theta))
+    return np.exp(2j * math.pi * cfg.element_spacing * k * sin_theta[:, None])
 
 
 def dft_codebook(cfg: ArrayConfig, size: int = 64) -> Codebook:
@@ -146,8 +159,16 @@ def dft_codebook(cfg: ArrayConfig, size: int = 64) -> Codebook:
 
 def beam_gains(cfg: ArrayConfig, cb: Codebook, theta: float) -> np.ndarray:
     """Per-beam array gains |a(theta)^T q_i|^2, length ``cb.size``."""
-    a = array_response(cfg, theta)
-    return np.abs(cb.weights @ a) ** 2
+    return _gains(cb, array_response(cfg, theta)[None])[0]
+
+
+def _gains(cb: Codebook, responses: np.ndarray) -> np.ndarray:
+    """Per-beam gains of each row of ``responses``: shape (m, cb.size).
+
+    One matrix-vector product per row: a single (m, n) x (n, Q) product sums
+    in another order and changes the last bits.
+    """
+    return np.abs(np.matmul(cb.weights[None], responses[:, :, None])[:, :, 0]) ** 2
 
 
 def path_gain(ch: SyntheticChannelConfig, distance: float) -> float:
@@ -225,19 +246,45 @@ def generate_scenario(
     """Simulate one drive: a sample per period with positions, powers, and label.
 
     The transmitter must stay in the receiver's front half-plane; the angle is
-    measured from the array boresight. Per-sample noise comes from spawned
-    substreams of ``ch.seed``, so output is deterministic and independent of
-    evaluation order.
+    measured from the array boresight. Sample i draws its noise from
+    ``SeedSequence(ch.seed, spawn_key=(i,))``, the i-th spawned substream of
+    ``ch.seed``, so output is deterministic and independent of evaluation
+    order. Rows are synthesised in chunks on the usable CPUs.
     """
     cb = dft_codebook(arr, codebook_size)
     n_samples = int(round(traj.duration / traj.sample_period))
-    streams = np.random.SeedSequence(ch.seed).spawn(n_samples)
-    t = np.empty(n_samples)
-    tx_geo = np.empty((n_samples, 2))
-    rx_geo = np.empty((n_samples, 2))
-    powers = np.empty((n_samples, codebook_size))
-    for i in range(n_samples):
-        t[i] = time = i * traj.sample_period
+    columns = (
+        np.empty(n_samples), np.empty((n_samples, 2)), np.empty((n_samples, 2)),
+        np.empty((n_samples, codebook_size)),
+    )
+    starts = range(0, n_samples, _CHUNK_ROWS)
+    synthesize = functools.partial(_synthesize, traj, arr, cb, ch, n_samples)
+    for start, chunk in zip(starts, ordered_map(synthesize, starts)):
+        for column, values in zip(columns, chunk):
+            column[start : start + len(values)] = values
+    t, tx_geo, rx_geo, powers = columns
+    return Dataset.from_columns(
+        t, tx_geo, rx_geo, powers, powers.argmax(axis=1), traj.sample_period
+    )
+
+
+def _synthesize(
+    traj: TrajectoryConfig,
+    arr: ArrayConfig,
+    cb: Codebook,
+    ch: SyntheticChannelConfig,
+    n_samples: int,
+    start: int,
+) -> tuple[np.ndarray, ...]:
+    """Columns t, tx, rx and powers of samples start .. start + _CHUNK_ROWS - 1.
+
+    Each sample's geometry, path gain and scale are Python floats, exactly as
+    for one sample alone; only the array responses, gains and noise are
+    computed for the whole chunk.
+    """
+    rows = []  # t, tx lat, tx lon, rx lat, rx lon, sin(theta), power scale
+    for i in range(start, min(start + _CHUNK_ROWS, n_samples)):
+        time = i * traj.sample_period
         fraction = time / traj.duration
         tx = _path_position(traj.tx_waypoints, fraction)
         rx = _path_position(traj.rx_waypoints, fraction)
@@ -247,17 +294,23 @@ def generate_scenario(
             raise GeometryOutOfSectorError(
                 f"sample {i}: transmitter angle {theta:.4f} rad outside (-pi/2, pi/2)"
             )
-        distance = math.hypot(dx, dy)
-        powers[i] = beam_power_vector(
-            arr, cb, ch, theta, distance, rng=np.random.default_rng(streams[i])
-        )
+        scale = ch.n_subcarriers * path_gain(ch, math.hypot(dx, dy)) * ch.tx_power
         tx_pos = local_to_geo(traj.origin, tx[0], tx[1])
         rx_pos = local_to_geo(traj.origin, rx[0], rx[1])
-        tx_geo[i] = tx_pos.lat_deg, tx_pos.lon_deg
-        rx_geo[i] = rx_pos.lat_deg, rx_pos.lon_deg
-    return Dataset.from_columns(
-        t, tx_geo, rx_geo, powers, powers.argmax(axis=1), traj.sample_period
-    )
+        rows.append((
+            time, tx_pos.lat_deg, tx_pos.lon_deg, rx_pos.lat_deg, rx_pos.lon_deg,
+            math.sin(theta), scale,
+        ))
+    values = np.array(rows)
+    powers = values[:, 6:] * _gains(cb, _array_responses(arr, values[:, 5]))
+    if ch.noise_power > 0.0:
+        sigma = ch.noise_power * math.sqrt(math.pi / 2.0)
+        noise = np.empty_like(powers)
+        for row, i in enumerate(range(start, start + len(rows))):
+            rng = np.random.default_rng(np.random.SeedSequence(ch.seed, spawn_key=(i,)))
+            noise[row] = rng.normal(0.0, sigma, size=cb.size)
+        powers += np.abs(noise)
+    return values[:, 0], values[:, 1:3], values[:, 3:5], powers
 
 
 def scenario_from_json(doc: dict) -> tuple[TrajectoryConfig, ArrayConfig, SyntheticChannelConfig, int]:

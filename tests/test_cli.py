@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import v2vbeam
-from v2vbeam import experiment
+from v2vbeam import experiment, parallel
 from v2vbeam.cli import main
 from v2vbeam.errors import ConfigError
 
@@ -63,6 +63,22 @@ class TestGenerate:
         main(["generate", "--config", str(cfg), "--out", str(out_a)])
         main(["generate", "--config", str(cfg), "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("duration", [133.7, 30.0], ids=["1337rows", "300rows"])
+    def test_same_csv_for_any_cpu_count(self, tmp_path, monkeypatch, duration):
+        # 1337 rows end in a part chunk; 300 rows are fewer than one chunk
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(dict(
+            SCENARIO, trajectory=dict(SCENARIO["trajectory"], duration=duration)
+        )))
+        outputs = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda k=k: k)
+            out = tmp_path / f"cpus_{k}.csv"
+            assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].count(b"\n") == round(duration / 0.1) + 1
 
     def test_malformed_config_exit_2_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
@@ -210,7 +226,7 @@ class TestReport:
     def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch):
         outputs = []
         for k in (1, 2):
-            monkeypatch.setattr(experiment, "_usable_cpus", lambda k=k: k)
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda k=k: k)
             cfg = tmp_path / f"experiment_{k}.json"
             cfg.write_text(json.dumps(experiment_doc(tmp_path / f"out_{k}", repeats=3)))
             assert main(["report", "--config", str(cfg), "--emit-svg"]) == 0
@@ -222,7 +238,7 @@ class TestReport:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.skipif(
-        experiment._openblas_threads() is None, reason="repeats run serially without OpenBLAS"
+        parallel._openblas_threads() is None, reason="repeats run serially without OpenBLAS"
     )
     def test_config_error_in_a_worker_exits_2(self, tmp_path, capsys, monkeypatch):
         parent = os.getpid()
@@ -238,7 +254,7 @@ class TestReport:
 
         # forked workers inherit the patched function
         monkeypatch.setattr(experiment, "single_run", single_run)
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         cfg = tmp_path / "experiment.json"
         cfg.write_text(json.dumps(experiment_doc(tmp_path / "out", repeats=6)))
         assert main(["report", "--config", str(cfg)]) == 2
@@ -253,6 +269,63 @@ class TestReport:
         code = main(["report", "--config", str(experiment_config), "--repeats", "0"])
         assert code == 2
         assert "repeats" in capsys.readouterr().err
+
+
+# runs the CLI with one write chunk raising, as a full disk would
+FAIL_IN_SECOND_CHUNK = """
+import sys
+from v2vbeam import ingest, parallel
+from v2vbeam.cli import main
+parallel._usable_cpus = lambda: int(sys.argv[1])
+real_format_rows = ingest._format_rows
+def format_rows(d, start):
+    if start == ingest._CHUNK_ROWS:
+        raise OSError("disk full")
+    return real_format_rows(d, start)
+ingest._format_rows = format_rows
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_failing_write(cpus, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(v2vbeam.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", FAIL_IN_SECOND_CHUNK, str(cpus), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestAtomicDatasetWrite:
+    SCENARIO_600_ROWS = dict(SCENARIO, trajectory=dict(SCENARIO["trajectory"], duration=60.0))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["absent", "existing"])
+    def test_generate(self, tmp_path, cpus, old):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(self.SCENARIO_600_ROWS))
+        out = tmp_path / "data" / "drive.csv"
+        if old is not None:
+            out.parent.mkdir()
+            out.write_bytes(old)
+        done = run_failing_write(cpus, "generate", "--config", str(cfg), "--out", str(out))
+        assert done.returncode != 0
+        assert "disk full" in done.stderr
+        if old is None:
+            assert list(out.parent.iterdir()) == []
+        else:
+            assert out.read_bytes() == old
+            assert list(out.parent.iterdir()) == [out]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_report(self, tmp_path, cpus):
+        cfg = tmp_path / "experiment.json"
+        doc = experiment_doc(tmp_path / "out", training={"epochs": 1})
+        doc["dataset"] = {"synthetic": self.SCENARIO_600_ROWS}
+        cfg.write_text(json.dumps(doc))
+        done = run_failing_write(cpus, "report", "--config", str(cfg))
+        assert done.returncode != 0
+        assert "disk full" in done.stderr
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_import_does_not_load_multiprocessing():

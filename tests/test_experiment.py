@@ -1,6 +1,6 @@
 import pytest
 
-from v2vbeam import experiment
+from v2vbeam import experiment, parallel
 from v2vbeam.errors import CodebookMismatchError, ConfigError
 from v2vbeam.experiment import (
     ExperimentConfig,
@@ -144,10 +144,10 @@ class TestRunExperiment:
 
 class TestParallelRepeats:
     @pytest.mark.skipif(
-        experiment._openblas_threads() is None, reason="repeats run serially without OpenBLAS"
+        parallel._openblas_threads() is None, reason="repeats run serially without OpenBLAS"
     )
     def test_one_blas_thread_per_process_then_restored(self, tmp_path, monkeypatch):
-        get_threads, _ = experiment._openblas_threads()
+        get_threads, _ = parallel._openblas_threads()
         threads = get_threads()
         real_single_run = experiment.single_run
 
@@ -156,7 +156,7 @@ class TestParallelRepeats:
             return real_single_run(dataset, config, run_seed)
 
         monkeypatch.setattr(experiment, "single_run", single_run)
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         cfg = experiment_config_from_json(tiny_config(repeats=2))
         run_experiment(resolve_dataset(cfg), cfg)
         assert [(tmp_path / s).read_text() for s in ("3", "4")] == ["1", "1"]
@@ -167,12 +167,12 @@ class TestParallelRepeats:
         ds = resolve_dataset(cfg)
         results = []
         for k in (1, 2):
-            monkeypatch.setattr(experiment, "_usable_cpus", lambda k=k: k)
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda k=k: k)
             results.append(run_experiment(ds, cfg))
-        serial, parallel = results
-        assert parallel.rows == serial.rows
-        assert [run.run_seed for run in parallel.runs] == [3, 4, 5]
-        for a, b in zip(serial.runs, parallel.runs):
+        serial, pooled = results
+        assert pooled.rows == serial.rows
+        assert [run.run_seed for run in pooled.runs] == [3, 4, 5]
+        for a, b in zip(serial.runs, pooled.runs):
             assert a.run_seed == b.run_seed
             assert a.history == b.history
             assert [w.tobytes() for w in a.params.arrays()] == [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2vbeam import ingest
+from v2vbeam import ingest, parallel
 from v2vbeam.errors import (
     IndexMismatchError,
     RowParseError,
@@ -394,10 +394,11 @@ def oracle_parse(path):
 
 @pytest.fixture(params=[4, None], ids=["block4", "default-block"])
 def block_rows(request, monkeypatch):
-    """Run a test with tiny blocks (so rows land in first, middle and last blocks)
-    and with the default block size."""
+    """Run a test with tiny blocks and write chunks (so rows land in first, middle
+    and last ones) and with the default sizes."""
     if request.param is not None:
         monkeypatch.setattr(ingest, "_BLOCK_ROWS", request.param)
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", request.param)
 
 
 def scenario_dataset(n_seconds=1.2):
@@ -442,6 +443,56 @@ class TestBlockWrite:
         ds = Dataset(samples=samples, codebook_size=5)
         got = write_dataset(ds, tmp_path / "a.csv").read_bytes()
         assert got == oracle_write(ds, tmp_path / "b.csv").read_bytes()
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["1cpu", "2cpu", "3cpu"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def mixed_rx_dataset(n):
+    rng = np.random.default_rng(5)
+    samples = tuple(
+        make_sample(
+            0.1 * i,
+            rng.uniform(0.0, 3.0, 6),
+            lat=47.0 + 1e-4 * i,
+            lon=-122.0 - 1e-4 * i,
+            rx=GeoPosition(47.5, -122.5 + 1e-5 * i) if i % 4 < 2 else None,
+        )
+        for i in range(n)
+    )
+    return Dataset(samples=samples, codebook_size=6)
+
+
+class TestChunkedWrite:
+    @pytest.mark.parametrize("n", [0, 1, 13])
+    def test_matches_csv_writer_on_any_cpu_count(self, tmp_path, monkeypatch, cpus, n):
+        # 13 rows: three full chunks and one row
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+        ds = mixed_rx_dataset(n)
+        got = write_dataset(ds, tmp_path / "a.csv").read_bytes()
+        assert got == oracle_write(ds, tmp_path / "b.csv").read_bytes()
+        assert parse_dataset(tmp_path / "a.csv") == ds
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+        target = tmp_path / "a.csv"
+        target.write_bytes(b"old bytes")
+        real_format_rows = ingest._format_rows
+
+        def format_rows(d, start):
+            if start == 4:  # a worker's chunk on 2 or more CPUs
+                raise OSError("disk full")
+            return real_format_rows(d, start)
+
+        monkeypatch.setattr(ingest, "_format_rows", format_rows)
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(mixed_rx_dataset(13), target)
+        assert target.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
 
 HEADER = "t,tx_lat,tx_lon,rx_lat,rx_lon,best_beam,p0,p1,p2\n"

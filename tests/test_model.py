@@ -5,6 +5,7 @@ import pytest
 
 from v2vbeam.errors import ShapeMismatchError
 from v2vbeam.geodata import NormalizationParams
+from v2vbeam.neuralbeam import model
 from v2vbeam.neuralbeam.layers import cross_entropy_batch, softmax
 from v2vbeam.neuralbeam.model import (
     ConvBlockSpec,
@@ -16,6 +17,7 @@ from v2vbeam.neuralbeam.model import (
     predict_top_m_batch,
     save_checkpoint,
 )
+from v2vbeam.neuralbeam.training import top1_accuracy
 
 SMALL = LayerSpec(
     in_channels=1,
@@ -127,6 +129,44 @@ class TestForward:
             tracemalloc.stop()
         assert peak < 35e6
 
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("in_length", [2, 4])
+    def test_same_answers_as_one_pass(self, monkeypatch, in_length):
+        spec = LayerSpec(in_length=in_length)
+        params = init_params(spec, np.random.default_rng(20))
+        x = np.random.default_rng(21).uniform(size=(4000 + 7, 1, in_length))
+        chunked = forward_batch(params, spec, x)
+        ranked = predict_top_m_batch(params, spec, x, 13)
+        monkeypatch.setattr(model, "_SCORE_ROWS", len(x))
+        one_pass = forward_batch(params, spec, x)
+        assert chunked.shape == one_pass.shape
+        assert np.allclose(chunked, one_pass, rtol=1e-12, atol=0.0)
+        assert (ranked == predict_top_m_batch(params, spec, x, 13)).all()
+        labels = np.argmax(one_pass, axis=1)
+        labels[::3] = 0
+        monkeypatch.undo()
+        assert top1_accuracy(params, spec, x, labels) == float(
+            np.mean(np.argmax(one_pass, axis=1) == labels)
+        )
+
+    def test_scoring_4000_rows_peaks_at_one_chunk(self):
+        spec = LayerSpec(in_length=4)
+        params = init_params(spec, np.random.default_rng(18))
+        x = np.random.default_rng(19).uniform(size=(4000, 1, 4))
+        for score in (
+            lambda: predict_top_m_batch(params, spec, x, 13),
+            lambda: top1_accuracy(params, spec, x, np.zeros(len(x), dtype=np.int64)),
+        ):
+            tracemalloc.start()
+            try:
+                score()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # one pass over all 4,000 rows peaked at 23.3 MB
+            assert peak < 8e6
 
 class TestBackward:
     def test_softmax_ce_gradient_identity_at_output(self):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from v2vbeam import ingest, parallel, synthchan
 from v2vbeam.errors import (
     ConfigError,
     GeometryOutOfSectorError,
@@ -244,3 +246,128 @@ class TestScenarioJson:
         with pytest.raises(ConfigError) as exc:
             scenario_from_json(doc)
         assert "tx_waypoints" in str(exc.value)
+
+
+# --- chunked synthesis on several CPUs -------------------------------------------------
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["1cpu", "2cpu", "3cpu"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def per_sample_oracle(traj, arr, ch, codebook_size=64):
+    """The per-sample loop: each sample's own response, gains and spawned substream."""
+    cb = dft_codebook(arr, codebook_size)
+    n = int(round(traj.duration / traj.sample_period))
+    streams = np.random.SeedSequence(ch.seed).spawn(n)
+    t, tx_geo, rx_geo, powers = [], [], [], []
+    for i in range(n):
+        time = i * traj.sample_period
+        tx = synthchan._path_position(traj.tx_waypoints, time / traj.duration)
+        rx = synthchan._path_position(traj.rx_waypoints, time / traj.duration)
+        dx, dy = tx[0] - rx[0], tx[1] - rx[1]
+        theta = synthchan._wrap_angle(math.atan2(dy, dx) - traj.rx_heading)
+        if not -math.pi / 2 < theta < math.pi / 2:
+            raise GeometryOutOfSectorError(
+                f"sample {i}: transmitter angle {theta:.4f} rad outside (-pi/2, pi/2)"
+            )
+        g = (ch.reference_distance / math.hypot(dx, dy)) ** ch.pathloss_exponent
+        k = np.arange(arr.n_elements)
+        a = np.exp(2j * math.pi * arr.element_spacing * k * math.sin(theta))
+        p = ch.n_subcarriers * g * ch.tx_power * np.abs(cb.weights @ a) ** 2
+        if ch.noise_power > 0.0:
+            sigma = ch.noise_power * math.sqrt(math.pi / 2.0)
+            rng = np.random.default_rng(streams[i])
+            p = p + np.abs(rng.normal(0.0, sigma, size=cb.size))
+        t.append(time)
+        for fixes, (east, north) in ((tx_geo, tx), (rx_geo, rx)):
+            pos = local_to_geo(traj.origin, east, north)
+            fixes.append((pos.lat_deg, pos.lon_deg))
+        powers.append(p)
+    return np.array(t), np.array(tx_geo), np.array(rx_geo), np.array(powers)
+
+
+def weaving_drive(n_samples, **kw):
+    defaults = dict(
+        duration=n_samples * 0.1,
+        sample_period=0.1,
+        origin=GeoPosition(47.6, -122.3),
+        tx_waypoints=((-40.0, 30.0), (10.0, 55.0), (60.0, 25.0)),
+        rx_waypoints=((0.0, 0.0), (5.0, 2.0)),
+        rx_heading=math.pi / 2,
+    )
+    defaults.update(kw)
+    return TrajectoryConfig(**defaults)
+
+
+def column_bytes(ds):
+    columns = (ds.t, ds.tx, ds.rx, ds.powers, ds.best)
+    return [np.ascontiguousarray(c).tobytes() for c in columns]
+
+
+class TestChunkedSynthesis:
+    CH = SyntheticChannelConfig(
+        n_subcarriers=3, tx_power=2.5, noise_power=0.3, pathloss_exponent=2.7,
+        reference_distance=0.7, seed=11,
+    )
+
+    @pytest.mark.parametrize("n", [ingest._CHUNK_ROWS * 2 + 77, ingest._CHUNK_ROWS - 5])
+    def test_columns_equal_the_per_sample_loop(self, n, cpus):
+        arr = ArrayConfig(8, 0.4)
+        ds = generate_scenario(weaving_drive(n), arr, self.CH, 32)
+        assert len(ds) == n
+        oracle = per_sample_oracle(weaving_drive(n), arr, self.CH, 32)
+        for got, want in zip((ds.t, ds.tx, ds.rx, ds.powers), oracle):
+            assert got.tobytes() == want.tobytes()
+        assert ds.best.tolist() == oracle[3].argmax(axis=1).tolist()
+
+    def test_same_bytes_for_any_cpu_count(self, monkeypatch):
+        traj = weaving_drive(ingest._CHUNK_ROWS * 3 + 1)
+        ch = SyntheticChannelConfig(noise_power=1e-4, seed=3)
+        columns = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda k=k: k)
+            columns.append(column_bytes(generate_scenario(traj, ARR, ch)))
+        assert columns[0] == columns[1] == columns[2]
+
+    def test_noise_rows_come_from_spawned_substreams(self, cpus):
+        n = ingest._CHUNK_ROWS + 9
+        noisy, clean = (
+            generate_scenario(weaving_drive(n), ARR, SyntheticChannelConfig(noise_power=p, seed=21))
+            for p in (0.5, 0.0)
+        )
+        sigma = 0.5 * math.sqrt(math.pi / 2.0)
+        for i, stream in enumerate(np.random.SeedSequence(21).spawn(n)):
+            draw = np.random.default_rng(stream).normal(0.0, sigma, size=64)
+            assert (noisy.powers[i] == clean.powers[i] + np.abs(draw)).all()
+
+    def test_sector_exit_in_a_worker_chunk_names_the_first_sample(self, cpus):
+        # the transmitter crosses behind the array inside the second chunk
+        n = ingest._CHUNK_ROWS * 3
+        traj = weaving_drive(
+            n, tx_waypoints=((-30.0, 40.0), (30.0, 40.0 - 40.0 * n / 700.0)),
+            rx_waypoints=((0.0, 0.0),),
+        )
+        with pytest.raises(GeometryOutOfSectorError) as oracle:
+            per_sample_oracle(traj, ARR, self.CH)
+        first_bad = int(str(oracle.value).split()[1][:-1])  # "sample 700: ..."
+        assert ingest._CHUNK_ROWS < first_bad < 2 * ingest._CHUNK_ROWS
+        with pytest.raises(GeometryOutOfSectorError) as exc:
+            generate_scenario(traj, ARR, self.CH)
+        assert str(exc.value) == str(oracle.value)
+
+    def test_heap_peak_near_the_columns(self):
+        traj = weaving_drive(30_000, tx_waypoints=((-400.0, 30.0), (400.0, 45.0)))
+        ch = SyntheticChannelConfig(noise_power=1e-4, seed=7)
+        generate_scenario(weaving_drive(2), ARR, ch)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            ds = generate_scenario(traj, ARR, ch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(c.nbytes for c in (ds.t, ds.tx, ds.rx, ds.powers, ds.best))
+        # the per-sample loop held every spawned SeedSequence: 1.7x the columns
+        assert peak < 1.3 * columns
