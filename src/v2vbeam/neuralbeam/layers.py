@@ -4,6 +4,11 @@ Tensor conventions: conv inputs are (batch, channels, length), dense inputs
 are (batch, features). Forward functions return (output, cache); backward
 functions consume the cache and the upstream gradient and return input and
 parameter gradients. Everything is float64.
+
+A conv layer contracts only the kernel taps that meet its input; the taps
+that would read padding alone keep their weights, with a zero gradient.
+Max-pool backward passes the gradient through when every window holds one
+element.
 """
 
 from __future__ import annotations
@@ -15,6 +20,17 @@ from ..errors import ShapeMismatchError
 PROB_FLOOR = 1e-12
 
 
+def _data_taps(length: int, kernel: int, padding: int) -> tuple[int, int]:
+    """Kernel taps [lo, hi) that meet the input at some output position.
+
+    Tap k reads padded positions k .. k + l_out - 1 and the data sits at
+    padding .. padding + length - 1; every other tap multiplies only padding
+    zeros (with kernel 3 and padding 1, a length-1 input leaves tap 1 alone).
+    """
+    l_out = length + 2 * padding - kernel + 1
+    return max(0, padding - (l_out - 1)), min(kernel, length + padding)
+
+
 def conv1d_forward(
     x: np.ndarray, weights: np.ndarray, bias: np.ndarray, padding: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -23,7 +39,9 @@ def conv1d_forward(
     x (B, C_in, L), weights (C_out, C_in, K), bias (C_out,). Output length is
     L + 2*padding - K + 1. Returns (out, stacked input columns) for the
     backward pass. The kernel axis is unrolled into columns so the whole
-    convolution is one BLAS contraction.
+    convolution is one BLAS contraction. Only the taps that meet the input
+    are unrolled: the others would add products with padding zeros, which
+    change no sum, though the BLAS may group the remaining terms otherwise.
     """
     if x.ndim != 3 or weights.ndim != 3 or x.shape[1] != weights.shape[1]:
         raise ShapeMismatchError(
@@ -32,18 +50,21 @@ def conv1d_forward(
     c_out, _, kernel = weights.shape
     if bias.shape != (c_out,):
         raise ShapeMismatchError(f"conv1d: bias {bias.shape} != ({c_out},)")
-    x_pad = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
-    l_out = x_pad.shape[2] - kernel + 1
+    batch, c_in, length = x.shape
+    l_out = length + 2 * padding - kernel + 1
     if l_out < 1:
         raise ShapeMismatchError(
-            f"conv1d: kernel {kernel} longer than padded length {x_pad.shape[2]}"
+            f"conv1d: kernel {kernel} longer than padded length {length + 2 * padding}"
         )
+    x_pad = np.zeros((batch, c_in, length + 2 * padding))
+    x_pad[:, :, padding : padding + length] = x
+    lo, hi = _data_taps(length, kernel, padding)
     cols = np.stack(
-        [x_pad[:, :, k : k + l_out] for k in range(kernel)], axis=2
-    )  # (B, C_in, K, L_out)
-    # (O, C*K) x (B, C*K, L_out) -> (O, B, L_out)
+        [x_pad[:, :, k : k + l_out] for k in range(lo, hi)], axis=2
+    )  # (B, C_in, taps, L_out)
+    # (O, C*taps) x (B, C*taps, L_out) -> (O, B, L_out)
     out = np.tensordot(
-        weights.reshape(c_out, -1),
+        weights[:, :, lo:hi].reshape(c_out, -1),
         cols.reshape(cols.shape[0], -1, l_out),
         axes=([1], [1]),
     )
@@ -56,20 +77,23 @@ def conv1d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients w.r.t. conv input, weights, and bias.
 
-    ``cols`` is the stacked-column cache from the forward pass.
+    ``cols`` is the column cache from the forward pass. The taps it leaves
+    out see only padding, so their weights get a zero gradient.
     """
-    l_out = d_out.shape[2]
+    batch, c_in, _, l_out = cols.shape
     kernel = weights.shape[2]
+    padded_len = l_out + kernel - 1
+    lo, hi = _data_taps(padded_len - 2 * padding, kernel, padding)
     # d_w[o,c,k] = sum_{b,l} d_out[b,o,l] * cols[b,c,k,l]
-    d_w = np.tensordot(d_out, cols, axes=([0, 2], [0, 3]))
+    d_w = np.zeros(weights.shape)
+    d_w[:, :, lo:hi] = np.tensordot(d_out, cols, axes=([0, 2], [0, 3]))
     d_b = d_out.sum(axis=(0, 2))
     # d_cols[b,c,k,l] = sum_o d_out[b,o,l] * weights[o,c,k]
-    d_cols = np.tensordot(d_out, weights, axes=([1], [0]))  # (B, L, C, K)
+    d_cols = np.tensordot(d_out, weights[:, :, lo:hi], axes=([1], [0]))  # (B, L, C, taps)
     d_cols = d_cols.transpose(0, 2, 3, 1)
-    padded_len = l_out + kernel - 1
-    d_xpad = np.zeros((cols.shape[0], cols.shape[1], padded_len))
-    for k in range(kernel):
-        d_xpad[:, :, k : k + l_out] += d_cols[:, :, k, :]
+    d_xpad = np.zeros((batch, c_in, padded_len))
+    for k in range(lo, hi):
+        d_xpad[:, :, k : k + l_out] += d_cols[:, :, k - lo, :]
     d_x = d_xpad[:, :, padding : padded_len - padding] if padding else d_xpad
     return d_x, d_w, d_b
 
@@ -105,7 +129,12 @@ def maxpool1d_forward(
 def maxpool1d_backward(
     d_out: np.ndarray, argmax: np.ndarray, length: int
 ) -> np.ndarray:
-    """Route each window's gradient to the position that produced its max."""
+    """Route each window's gradient to the position that produced its max.
+
+    When every window holds one element, that is the gradient itself (copied).
+    """
+    if d_out.shape[2] == length:
+        return d_out.copy()
     d_x = np.zeros((*d_out.shape[:2], length))
     b_idx = np.arange(d_out.shape[0])[:, None, None]
     c_idx = np.arange(d_out.shape[1])[None, :, None]

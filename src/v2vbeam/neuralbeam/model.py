@@ -5,6 +5,10 @@ three conv blocks (conv -> ReLU -> maxpool), flatten, a hidden dense layer
 with ReLU, an output dense layer, softmax. Defaults follow the smallest
 conventional ladder that keeps a length-2 input valid through all blocks.
 
+Every ``ModelParams`` keeps its tensors as views into one float64 vector,
+``flat``, and :func:`backward` returns its gradients in the same layout, so
+the optimizer updates all parameters with a few whole-vector operations.
+
 Prediction works on whole batches: :func:`predict_top_m_batch` ranks every
 row at once into an (n, M) integer array of beam indices, best first, the
 candidate array that ``evalmetrics`` scores. A forward pass without backward
@@ -85,22 +89,41 @@ class LayerSpec:
         return channels * length
 
 
-@dataclass
 class ModelParams:
-    """All learnable tensors, ordered to match the spec's layers."""
+    """All learnable tensors, ordered to match the spec's layers.
+
+    The constructor copies the tensors into one float64 vector, ``flat``, in
+    :meth:`arrays` order, and every tensor attribute is a view into it: the
+    optimizer updates ``flat`` in place, and a write through any tensor is a
+    write to ``flat``.
+    """
 
     conv_weights: list[np.ndarray]  # each (C_out, C_in, K)
     conv_biases: list[np.ndarray]  # each (C_out,)
     dense_weights: list[np.ndarray]  # each (n_out, n_in)
     dense_biases: list[np.ndarray]  # each (n_out,)
 
+    def __init__(self, conv_weights, conv_biases, dense_weights, dense_biases):
+        pairs = [*zip(conv_weights, conv_biases), *zip(dense_weights, dense_biases)]
+        arrays = [a for pair in pairs for a in pair]
+        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        views, offset = [], 0
+        for a in arrays:
+            views.append(self.flat[offset : offset + np.size(a)].reshape(np.shape(a)))
+            offset += np.size(a)
+        n = 2 * len(conv_weights)
+        self.conv_weights, self.conv_biases = views[0:n:2], views[1:n:2]
+        self.dense_weights, self.dense_biases = views[n::2], views[n + 1 :: 2]
+
+    def __reduce__(self):
+        # pickle the tensors, not ``flat`` beside copies of its views
+        return (
+            ModelParams,
+            (self.conv_weights, self.conv_biases, self.dense_weights, self.dense_biases),
+        )
+
     def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.conv_weights, self.conv_biases):
-            out += [w, b]
-        for w, b in zip(self.dense_weights, self.dense_biases):
-            out += [w, b]
-        return out
+        return [a for _, a in self.named_arrays()]
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         names: list[tuple[str, np.ndarray]] = []
@@ -111,17 +134,9 @@ class ModelParams:
         return names
 
     def with_arrays(self, arrays: list[np.ndarray]) -> "ModelParams":
-        """Rebuild the same structure from a flat array list (arrays() order)."""
-        n_conv = len(self.conv_weights)
-        n_dense = len(self.dense_weights)
-        it = iter(arrays)
-        pairs = [(next(it), next(it)) for _ in range(n_conv + n_dense)]
-        return ModelParams(
-            conv_weights=[w for w, _ in pairs[:n_conv]],
-            conv_biases=[b for _, b in pairs[:n_conv]],
-            dense_weights=[w for w, _ in pairs[n_conv:]],
-            dense_biases=[b for _, b in pairs[n_conv:]],
-        )
+        """The same structure over copies of ``arrays`` (in arrays() order)."""
+        n = 2 * len(self.conv_weights)
+        return ModelParams(arrays[0:n:2], arrays[1:n:2], arrays[n::2], arrays[n + 1 :: 2])
 
 
 def init_params(spec: LayerSpec, rng: np.random.Generator) -> ModelParams:
@@ -261,7 +276,11 @@ def save_checkpoint(
     seed: int,
     input_mode: str = "tx",
 ) -> Path:
-    """Single JSON document: version, spec, normalization, seed, all tensors."""
+    """Single JSON document: version, spec, normalization, seed, all tensors.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True)``, written one
+    tensor row at a time, so the text of only one row is held at once.
+    """
     doc = {
         "version": CHECKPOINT_VERSION,
         "seed": seed,
@@ -282,10 +301,24 @@ def save_checkpoint(
             "lon_min": norm.lon_min,
             "lon_max": norm.lon_max,
         },
-        "tensors": {name: arr.tolist() for name, arr in params.named_arrays()},
+        "tensors": {},
     }
+    head, _, tail = json.dumps(doc, sort_keys=True).partition('"tensors": {}')
+    tensors = sorted(params.named_arrays(), key=lambda item: item[0])
     path = Path(path)
-    path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.write(head + '"tensors": {')
+        for i, (name, arr) in enumerate(tensors):
+            out.write(f"{', ' if i else ''}{json.dumps(name)}: ")
+            if arr.ndim < 2:
+                out.write(json.dumps(arr.tolist()))
+                continue
+            # json.dumps of a list is "[" + ", ".join(its items' dumps) + "]"
+            out.write("[")
+            for j, row in enumerate(arr):
+                out.write(f"{', ' if j else ''}{json.dumps(row.tolist())}")
+            out.write("]")
+        out.write("}" + tail)
     return path
 
 

@@ -1,7 +1,13 @@
-"""Adam with bias correction and coupled L2 weight decay."""
+"""Adam (Kingma & Ba 2015) with bias correction and coupled L2 weight decay.
+
+The update works on the flat vectors of ``ModelParams`` and ``AdamState``
+in place: a step allocates nothing, and the parameters it is given are the
+parameters it returns.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,33 +29,34 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per tensor plus the step counter."""
+    """Flat first/second moment estimates, the step counter and two scratch
+    vectors, each laid out like ``ModelParams.flat``."""
 
     step: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            step=0,
-            m=[np.zeros_like(a) for a in params.arrays()],
-            v=[np.zeros_like(a) for a in params.arrays()],
-        )
+        n = params.flat.size
+        return cls(0, np.zeros(n), np.zeros(n), scratch=(np.empty(n), np.empty(n)))
 
 
 def adam_step(
@@ -58,17 +65,38 @@ def adam_step(
     state: AdamState,
     config: TrainingConfig,
 ) -> tuple[ModelParams, AdamState]:
-    """One update; weight decay enters the gradient before the moment updates."""
-    t = state.step + 1
-    new_arrays, new_m, new_v = [], [], []
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
-    for p, g, m, v in zip(params.arrays(), gradients.arrays(), state.m, state.v):
-        g = g + config.weight_decay * p
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        step = config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
-        new_arrays.append(p - step)
-        new_m.append(m)
-        new_v.append(v)
-    return params.with_arrays(new_arrays), AdamState(step=t, m=new_m, v=new_v)
+    """One update of ``params`` and ``state`` in place; returns them both.
+
+    Weight decay enters the gradient before the moment updates. Each line
+    below is one operation of
+
+        g = grad + wd * p
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + ((1 - b2) * g) * g
+        p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    in this order, so the result is bit for bit that of the formula
+    evaluated with a fresh array per intermediate.
+    """
+    state.step += 1
+    bc1 = 1.0 - config.beta1**state.step
+    bc2 = 1.0 - config.beta2**state.step
+    p, m, v = params.flat, state.m, state.v
+    g, s = state.scratch
+    np.multiply(config.weight_decay, p, out=g)
+    np.add(gradients.flat, g, out=g)
+    np.multiply(config.beta1, m, out=m)
+    np.multiply(1.0 - config.beta1, g, out=s)
+    np.add(m, s, out=m)
+    np.multiply(config.beta2, v, out=v)
+    np.multiply(1.0 - config.beta2, g, out=s)
+    np.multiply(s, g, out=s)
+    np.add(v, s, out=v)
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    np.add(s, config.epsilon, out=s)
+    np.divide(m, bc1, out=g)
+    np.multiply(config.learning_rate, g, out=g)
+    np.divide(g, s, out=g)
+    np.subtract(p, g, out=p)
+    return params, state

@@ -265,6 +265,19 @@ class TestReport:
         assert not (started / "10").exists()
         assert not (tmp_path / "out" / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("weight_decay", float("nan")), ("learning_rate", float("inf")), ("epsilon", 0.0)],
+    )
+    def test_non_finite_optimizer_setting_exit_2(self, tmp_path, capsys, field, value):
+        # a NaN weight decay used to train to all-NaN tensors and exit 0
+        cfg = tmp_path / "experiment.json"
+        doc = experiment_doc(tmp_path / "out", training={"epochs": 2, field: value})
+        cfg.write_text(json.dumps(doc))  # as NaN / Infinity, which json reads back
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_repeats_exit_2(self, experiment_config, capsys):
         code = main(["report", "--config", str(experiment_config), "--repeats", "0"])
         assert code == 2

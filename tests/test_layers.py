@@ -22,6 +22,36 @@ def as3d(values):
     return np.asarray(values, dtype=float).reshape(1, 1, -1)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def full_tap_conv1d_forward(x, weights, bias, padding):
+    """Reference: every kernel tap unrolled, the ones over padding included."""
+    c_out, _, kernel = weights.shape
+    x_pad = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
+    l_out = x_pad.shape[2] - kernel + 1
+    cols = np.stack([x_pad[:, :, k : k + l_out] for k in range(kernel)], axis=2)
+    out = np.tensordot(
+        weights.reshape(c_out, -1), cols.reshape(cols.shape[0], -1, l_out), axes=([1], [1])
+    )
+    return out.transpose(1, 0, 2) + bias[None, :, None], cols
+
+
+def full_tap_conv1d_backward(d_out, cols, weights, padding):
+    l_out = d_out.shape[2]
+    kernel = weights.shape[2]
+    d_w = np.tensordot(d_out, cols, axes=([0, 2], [0, 3]))
+    d_b = d_out.sum(axis=(0, 2))
+    d_cols = np.tensordot(d_out, weights, axes=([1], [0])).transpose(0, 2, 3, 1)
+    padded_len = l_out + kernel - 1
+    d_xpad = np.zeros((cols.shape[0], cols.shape[1], padded_len))
+    for k in range(kernel):
+        d_xpad[:, :, k : k + l_out] += d_cols[:, :, k, :]
+    d_x = d_xpad[:, :, padding : padded_len - padding] if padding else d_xpad
+    return d_x, d_w, d_b
+
+
 class TestConv1d:
     def test_hand_convolution_with_padding(self):
         # padded [0, 1, 2, 0] under kernel [1, 1, 1] -> [3, 3]
@@ -67,6 +97,70 @@ class TestConv1d:
         assert d_b.shape == (4,)
 
 
+class TestDataTaps:
+    """Only the kernel taps that meet the input are contracted."""
+
+    @pytest.mark.parametrize(
+        "c_in, c_out, length",
+        # the default spec's three blocks with tx input (length 2, 1, 1) and with both
+        [(1, 32, 2), (32, 64, 1), (64, 128, 1), (1, 32, 4), (32, 64, 2)],
+    )
+    def test_default_spec_blocks_match_full_taps_bit_for_bit(self, c_in, c_out, length):
+        rng = np.random.default_rng(c_in + length)
+        x, _ = relu_forward(rng.normal(size=(128, c_in, length)))
+        w = rng.uniform(-0.3, 0.3, (c_out, c_in, 3))
+        b = rng.uniform(-0.1, 0.1, c_out)
+        out, cols = conv1d_forward(x, w, b, 1)
+        ref_out, ref_cols = full_tap_conv1d_forward(x, w, b, 1)
+        # upstream gradients after a ReLU: exact zeros of both signs among them
+        d_out, _ = relu_forward(rng.normal(size=out.shape))
+        d_out[:, ::2] *= -1.0
+        got = conv1d_backward(d_out, cols, w, 1)
+        want = full_tap_conv1d_backward(d_out, ref_cols, w, 1)
+        assert same_bits(out, ref_out)
+        for g, r in zip(got, want):
+            assert same_bits(g, r)
+
+    def test_taps_over_padding_alone_get_zero_gradient(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(4, 2, 1))
+        w = rng.normal(size=(3, 2, 3))
+        out, cols = conv1d_forward(x, w, np.zeros(3), 1)
+        assert cols.shape == (4, 2, 1, 1)  # the middle tap only
+        _, d_w, _ = conv1d_backward(rng.normal(size=out.shape), cols, w, 1)
+        assert not d_w[:, :, [0, 2]].any()
+        assert not np.signbit(d_w[:, :, [0, 2]]).any()
+
+    def test_random_shapes_within_four_ulps_of_the_term_sum(self):
+        # leaving out zero products can only regroup the BLAS sums: the drift
+        # stays within 4 * eps * sum(|terms|); on OpenBLAS 0.3.31, 7 of these 300
+        # cases drifted, by at most 1.23 * eps * sum(|terms|) (3.6e-15)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(300)
+        cases = 0
+        while cases < 300:
+            kernel, padding, length = (int(v) for v in rng.integers(1, [6, 4, 7]))
+            if length + 2 * padding - kernel + 1 < 1:
+                continue
+            cases += 1
+            batch, c_in, c_out = (int(v) for v in rng.integers(1, 9, 3))
+            x = rng.normal(size=(batch, c_in, length))
+            w = rng.normal(size=(c_out, c_in, kernel))
+            b = rng.normal(size=c_out)
+            out, cols = conv1d_forward(x, w, b, padding)
+            ref_out, ref_cols = full_tap_conv1d_forward(x, w, b, padding)
+            d_out = rng.normal(size=ref_out.shape)
+            got = (out, *conv1d_backward(d_out, cols, w, padding))
+            want = (ref_out, *full_tap_conv1d_backward(d_out, ref_cols, w, padding))
+            # the same contractions over absolute values bound each sum's error
+            x, w, b, d_out = (np.abs(a) for a in (x, w, b, d_out))
+            abs_out, abs_cols = full_tap_conv1d_forward(x, w, b, padding)
+            scales = (abs_out, *full_tap_conv1d_backward(d_out, abs_cols, w, padding))
+            for g, r, scale in zip(got, want, scales):
+                assert g.shape == r.shape
+                assert np.all(np.abs(g - r) <= 4 * eps * scale)
+
+
 class TestMaxPool1d:
     def test_simple_window(self):
         out, _ = maxpool1d_forward(as3d([3.0, 1.0]), 2)
@@ -90,6 +184,20 @@ class TestMaxPool1d:
         d_x = maxpool1d_backward(np.array([[[1.0, 10.0]]]), argmax, 4)
         # second window ties at 2.0; gradient goes to the first occurrence
         assert d_x.ravel().tolist() == [0.0, 1.0, 10.0, 0.0]
+
+    @pytest.mark.parametrize("length, window", [(1, 1), (1, 2), (1, 3), (4, 1), (5, 1)])
+    def test_one_element_windows_pass_the_gradient_through(self, length, window):
+        rng = np.random.default_rng(length + window)
+        x, _ = relu_forward(rng.normal(size=(6, 4, length)))
+        out, argmax = maxpool1d_forward(x, window)
+        d_out = rng.normal(size=out.shape)
+        d_out.flat[:2] = [-0.0, 0.0]
+        d_x = maxpool1d_backward(d_out, argmax, length)
+        # the scatter the general path does
+        ref = np.zeros((6, 4, length))
+        ref[np.arange(6)[:, None, None], np.arange(4)[None, :, None], argmax] = d_out
+        assert same_bits(d_x, ref)
+        assert not np.shares_memory(d_x, d_out)
 
     @staticmethod
     def window_loop(x, window):

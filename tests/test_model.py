@@ -1,3 +1,5 @@
+import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from v2vbeam.neuralbeam.layers import cross_entropy_batch, softmax
 from v2vbeam.neuralbeam.model import (
     ConvBlockSpec,
     LayerSpec,
+    ModelParams,
     backward,
     forward_batch,
     init_params,
@@ -61,6 +64,42 @@ def max_relative_error(analytic, numeric):
         err = np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
         worst = max(worst, float(err.max()))
     return worst
+
+
+class TestModelParams:
+    def test_tensors_are_views_of_one_flat_vector(self):
+        params = init_params(SMALL, np.random.default_rng(30))
+        arrays = params.arrays()
+        assert params.flat.dtype == np.float64
+        assert params.flat.size == sum(a.size for a in arrays)
+        assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in arrays]))
+        assert all(np.shares_memory(a, params.flat) for a in arrays)
+        params.flat[:] = 0.0
+        assert not any(a.any() for a in arrays)
+
+    def test_backward_gradients_share_the_layout(self):
+        params = init_params(SMALL, np.random.default_rng(31))
+        x = np.random.default_rng(32).normal(size=(3, 1, 4))
+        _, grads = backward(params, SMALL, x, np.array([0, 1, 2]))
+        assert grads.flat.shape == params.flat.shape
+        assert [a.shape for a in grads.arrays()] == [a.shape for a in params.arrays()]
+        assert all(np.shares_memory(a, grads.flat) for a in grads.arrays())
+
+    def test_with_arrays_copies(self):
+        params = init_params(SMALL, np.random.default_rng(33))
+        arrays = [np.ones_like(a) for a in params.arrays()]
+        rebuilt = params.with_arrays(arrays)
+        assert not any(np.shares_memory(a, rebuilt.flat) for a in arrays)
+        assert rebuilt.flat.sum() == params.flat.size
+
+    def test_pickle_keeps_one_vector(self):
+        params = init_params(SMALL, np.random.default_rng(34))
+        data = pickle.dumps(params)
+        # the tensors travel once, not again as a copy of the flat vector
+        assert len(data) < 1.5 * params.flat.nbytes
+        loaded = pickle.loads(data)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert all(np.shares_memory(a, loaded.flat) for a in loaded.arrays())
 
 
 class TestLayerSpec:
@@ -280,3 +319,65 @@ class TestCheckpoint:
         a = save_checkpoint(tmp_path / "a.json", params, spec, norm, seed=1).read_bytes()
         b = save_checkpoint(tmp_path / "b.json", params, spec, norm, seed=1).read_bytes()
         assert a == b
+
+    @staticmethod
+    def one_document(params, spec, norm, seed, input_mode):
+        """Reference: the whole checkpoint as one json.dumps."""
+        doc = {
+            "version": model.CHECKPOINT_VERSION,
+            "seed": seed,
+            "input_mode": input_mode,
+            "spec": {
+                "in_channels": spec.in_channels,
+                "in_length": spec.in_length,
+                "conv_blocks": [
+                    {"out_channels": b.out_channels, "kernel": b.kernel, "pool": b.pool}
+                    for b in spec.conv_blocks
+                ],
+                "dense_widths": list(spec.dense_widths),
+                "classes": spec.classes,
+            },
+            "normalization": {
+                "lat_min": norm.lat_min,
+                "lat_max": norm.lat_max,
+                "lon_min": norm.lon_min,
+                "lon_max": norm.lon_max,
+            },
+            "tensors": {name: arr.tolist() for name, arr in params.named_arrays()},
+        }
+        return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "spec, input_mode",
+        [
+            (LayerSpec(), "tx"),
+            (LayerSpec(in_length=4), "both"),
+            (
+                LayerSpec(
+                    conv_blocks=(ConvBlockSpec(8), ConvBlockSpec(16, kernel=5, pool=1)),
+                    dense_widths=(64,),
+                ),
+                "tx",
+            ),
+        ],
+    )
+    def test_streamed_bytes_equal_one_json_dumps(self, tmp_path, spec, input_mode):
+        params = init_params(spec, np.random.default_rng(35))
+        params.flat[:3] = [-0.0, 1e-310, 0.1]  # a signed zero, a subnormal
+        norm = NormalizationParams(33.4201, 33.4205, -111.9309, -111.9291)
+        path = save_checkpoint(tmp_path / "c.json", params, spec, norm, 7, input_mode)
+        assert path.read_bytes() == self.one_document(params, spec, norm, 7, input_mode)
+
+    def test_default_spec_write_holds_one_row(self, tmp_path):
+        spec = LayerSpec()
+        params = init_params(spec, np.random.default_rng(36))
+        norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
+        save_checkpoint(tmp_path / "warm.json", params, spec, norm, seed=1)
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "c.json", params, spec, norm, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one json.dumps of the whole document peaked at 8.6 MB
+        assert peak < 1e6

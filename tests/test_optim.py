@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from v2vbeam.neuralbeam.model import ModelParams
+from v2vbeam.neuralbeam.model import LayerSpec, ModelParams, init_params
 from v2vbeam.neuralbeam.optim import AdamState, TrainingConfig, adam_step
 
 
@@ -33,6 +33,23 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(batch_size=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("weight_decay", float("nan")),
+            ("weight_decay", float("inf")),
+            ("epsilon", float("nan")),
+            ("epsilon", float("inf")),
+            ("epsilon", 0.0),
+            ("epsilon", -1e-8),
+        ],
+    )
+    def test_non_finite_or_non_positive_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainingConfig(**{field: value})
+
 
 class TestAdamStep:
     def test_first_step_closed_form(self):
@@ -48,10 +65,11 @@ class TestAdamStep:
 
     def test_zero_gradient_no_motion(self):
         params = scalar_params(3.0)
+        before = [a.copy() for a in params.arrays()]  # the step works in place
         grads = scalar_params(0.0)
         cfg = TrainingConfig(weight_decay=0.0)
         new_params, _ = adam_step(params, grads, AdamState.zeros(params), cfg)
-        for a, b in zip(params.arrays(), new_params.arrays()):
+        for a, b in zip(before, new_params.arrays()):
             assert np.array_equal(a, b)
 
     def test_equal_gradients_update_identically(self):
@@ -83,10 +101,11 @@ class TestAdamStep:
 
     def test_zero_learning_rate_freezes(self):
         params = scalar_params(1.5)
+        before = [a.copy() for a in params.arrays()]  # the step works in place
         grads = scalar_params(0.7)
         cfg = TrainingConfig(learning_rate=0.0)
         new_params, state = adam_step(params, grads, AdamState.zeros(params), cfg)
-        for a, b in zip(params.arrays(), new_params.arrays()):
+        for a, b in zip(before, new_params.arrays()):
             assert np.array_equal(a, b)
         assert state.step == 1
 
@@ -105,3 +124,56 @@ class TestAdamStep:
             v_hat = v / (1 - cfg.beta2**t)
             p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
             assert params.arrays()[0].ravel()[0] == pytest.approx(p, abs=1e-15)
+
+
+def list_form_adam_step(arrays, gradients, m, v, t, config):
+    """Reference: the update with a fresh array per intermediate, tensor by tensor."""
+    bc1 = 1.0 - config.beta1**t
+    bc2 = 1.0 - config.beta2**t
+    new_arrays, new_m, new_v = [], [], []
+    for p, g, m_, v_ in zip(arrays, gradients, m, v):
+        g = g + config.weight_decay * p
+        m_ = config.beta1 * m_ + (1.0 - config.beta1) * g
+        v_ = config.beta2 * v_ + (1.0 - config.beta2) * g * g
+        step = config.learning_rate * (m_ / bc1) / (np.sqrt(v_ / bc2) + config.epsilon)
+        new_arrays.append(p - step)
+        new_m.append(m_)
+        new_v.append(v_)
+    return new_arrays, new_m, new_v
+
+
+class TestInPlaceAdam:
+    def test_updates_the_flat_vectors_in_place(self):
+        params = init_params(LayerSpec(), np.random.default_rng(0))
+        grads = params.with_arrays([np.full_like(a, 0.5) for a in params.arrays()])
+        state = AdamState.zeros(params)
+        buffers = [params.flat, state.m, state.v, *state.scratch]
+        stepped, new_state = adam_step(params, grads, state, TrainingConfig())
+        assert stepped is params and new_state is state
+        after = [stepped.flat, new_state.m, new_state.v, *new_state.scratch]
+        assert all(a is b for a, b in zip(after, buffers))
+        assert np.shares_memory(stepped.conv_weights[0], stepped.flat)
+
+    @pytest.mark.parametrize(
+        "learning_rate, weight_decay", [(0.01, 1e-4), (0.01, 0.0), (0.0, 1e-4)]
+    )
+    def test_matches_list_form_bit_for_bit(self, learning_rate, weight_decay):
+        rng = np.random.default_rng(1)
+        params = init_params(LayerSpec(), rng)
+        state = AdamState.zeros(params)
+        cfg = TrainingConfig(learning_rate=learning_rate, weight_decay=weight_decay)
+        ref = [a.copy() for a in params.arrays()]
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        for t in range(1, 51):
+            grads = [rng.normal(0.0, 0.1, a.shape) for a in ref]
+            # the dead conv taps get exact zeros; signed zeros must survive too
+            grads[2][:, :, 0] = 0.0
+            grads[2][:, :, 2] = -0.0
+            params, state = adam_step(params, params.with_arrays(grads), state, cfg)
+            ref, ref_m, ref_v = list_form_adam_step(ref, grads, ref_m, ref_v, t, cfg)
+        assert state.step == 50
+        for got, want in zip(params.arrays(), ref):
+            assert got.tobytes() == want.tobytes()
+        assert state.m.tobytes() == b"".join(a.tobytes() for a in ref_m)
+        assert state.v.tobytes() == b"".join(a.tobytes() for a in ref_v)

@@ -96,6 +96,36 @@ class TestTrain:
         losses = [h.train_loss for h in history]
         assert losses[0] == pytest.approx(losses[-1], rel=1e-12)
 
+    def test_one_backward_and_one_adam_step_per_batch(self, synthetic_split, monkeypatch):
+        # a tracer wraps these two module globals and reads the batch size as
+        # the length of backward's fourth positional argument, the labels
+        from v2vbeam.neuralbeam import training
+
+        train_ds, val_ds, _, norm = synthetic_split
+        calls = []
+        real_backward, real_adam_step = training.backward, training.adam_step
+
+        def backward(*args, **kwargs):
+            calls.append(("backward", len(args), len(args[3]), sorted(kwargs)))
+            x, labels = args[2], args[3]
+            assert labels.dtype.kind in "iu" and len(labels) == len(x)
+            return real_backward(*args, **kwargs)
+
+        def adam_step(*args, **kwargs):
+            calls.append(("adam_step", len(args), None, sorted(kwargs)))
+            return real_adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "backward", backward)
+        monkeypatch.setattr(training, "adam_step", adam_step)
+        cfg = TrainingConfig(epochs=2, batch_size=50, seed=4)
+        train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
+        n = len(train_ds)
+        sizes = [min(50, n - start) for start in range(0, n, 50)]
+        per_epoch = []
+        for size in sizes:
+            per_epoch += [("backward", 4, size, []), ("adam_step", 4, None, [])]
+        assert calls == per_epoch * cfg.epochs
+
     def test_initial_loss_near_log_classes(self, synthetic_split):
         # bounded init keeps the first epoch close to the uniform-guess loss
         train_ds, val_ds, _, norm = synthetic_split
