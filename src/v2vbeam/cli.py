@@ -3,7 +3,8 @@
 Subcommands: generate | train | baseline | eval | report. Configs are JSON
 files; a handful of flags override them. Exit codes: 0 success, 2 config
 error, 3 missing input, 4 runtime numeric failure. BEAM_LOG sets the log
-level (DEBUG, INFO, WARNING, ...).
+level (DEBUG, INFO, WARNING, ...). Every subcommand runs numpy's OpenBLAS at
+one thread, so its outputs are the same bytes for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .neuralbeam import (
     train,
     write_history,
 )
+from .parallel import one_blas_thread
 from .synthchan import generate_scenario, scenario_from_json
 
 log = logging.getLogger("v2vbeam")
@@ -310,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except (
         ConfigError,
         CodebookMismatchError,

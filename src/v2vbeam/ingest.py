@@ -13,17 +13,23 @@ bit-exact.
 A ``Dataset`` holds its rows as numpy columns (times, tx and rx fixes, the
 power matrix and the best-beam labels), so splitting is index slicing and
 callers work on whole arrays. The CSV is read and written in blocks of rows,
-never as one string: a block of plain rows is converted column by column, and
-only a block that fails a check goes through ``csv.reader`` row by row, which
-reads quoted fields and CRLF line ends or raises the offending row's error
-with its line number.
+never as one string, and on the usable CPUs (``parallel.ordered_map``). A
+block of plain rows is converted column by column. From the first block that
+fails a check on, the file is read in the calling process, and a failing
+block goes through ``csv.reader`` row by row, which reads quoted fields and
+CRLF line ends or raises the offending row's error with its line number. A
+file with any quote or carriage return is read that way from its first row.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import functools
+import io
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
@@ -43,9 +49,9 @@ from .parallel import ordered_map
 _FIXED_COLUMNS = ("t", "tx_lat", "tx_lon", "rx_lat", "rx_lon")
 _COLUMNS = ("t", "tx", "rx", "powers", "best")
 DEFAULT_SAMPLING_PERIOD = 0.1
-# rows per block read or written at once: big enough that per-block numpy calls
-# are cheap, small enough that a block's text and strings (about 1 MB) do not
-# leave the heap larger than the columns themselves
+# rows per block read or written at once, and per work item of a parse: big
+# enough that per-block numpy calls are cheap, small enough that a block's text
+# and strings (about 1 MB) do not leave the heap larger than the columns themselves
 _BLOCK_ROWS = 256
 # rows per work item when synthesis or the CSV write runs on several CPUs: few
 # enough that a handful of chunks in flight keeps the writer's heap flat
@@ -271,10 +277,14 @@ def parse_dataset(path: str | Path) -> Dataset:
     best-beam disagrees with the argmax of that row's powers. Errors name the
     row's line number, counting the header as line 1.
 
-    The file is read in blocks of _BLOCK_ROWS lines. A block of plain rows is
-    converted column by column; a block in which any check fails (or that
-    holds quotes or carriage returns) is parsed again row by row with
+    The rows are parsed in blocks of _BLOCK_ROWS lines on the usable CPUs:
+    each block's bytes are read, decoded and converted column by column into
+    columns that the pool's processes share (``_shared_columns``). From
+    the first block that fails a check (or is not UTF-8) on, the file is read
+    here block by block, and a failing block is parsed again row by row with
     ``csv.reader``, which either reads it correctly or raises the row's error.
+    A file holding any quote or carriage return is read that way from its
+    first row, since a quoted record may span blocks.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -283,34 +293,110 @@ def parse_dataset(path: str | Path) -> Dataset:
         except StopIteration:
             raise SchemaMismatchError("empty file, expected a header row") from None
         has_best_beam, codebook_size = _check_header(header)
-        # blocks are copied into columns sized once, so no list of block arrays is
-        # left to concatenate (and to linger in the heap afterwards)
-        capacity = _max_rows(path)
-        columns = (
-            np.empty(capacity), np.empty((capacity, 2)), np.empty((capacity, 2)),
-            np.empty((capacity, codebook_size)), np.empty(capacity, dtype=np.int64),
-        )
+        spans, capacity, plain = _scan(path, _BLOCK_ROWS)
+        columns = _shared_columns(capacity, codebook_size)
         n = 0
-        while lines := list(islice(fh, _BLOCK_ROWS)):
+        serial = not plain
+        if plain:
+            parse_span = functools.partial(
+                _parse_span, path, columns, len(header), has_best_beam
+            )
+            with contextlib.closing(ordered_map(parse_span, spans)) as counts:
+                for count in counts:
+                    if count is None:
+                        serial = True
+                        break
+                    n += count
+            if serial:
+                # skip the rows parsed so far: the stream decodes the file from its
+                # start, as a serial read does, so a decoding error reads the same
+                collections.deque(islice(fh, n), maxlen=0)
+        while serial and (lines := list(islice(fh, _BLOCK_ROWS))):
             block = _parse_block(lines, len(header), has_best_beam)
             if block is None:
                 # a quoted record may run past the block; the reader goes on into it
                 source = chain(lines, fh)
                 block = _parse_rows(source, len(lines), n + 2, header, has_best_beam)
-            for column, values in zip(columns, block):
-                column[n : n + len(values)] = values
-            n += len(block[0])
+            n = _fill(columns, n, block)
     t, tx, rx, powers, best = (column[:n] for column in columns)
     return Dataset.from_columns(t, tx, rx, powers, best, _infer_sampling_period(t))
 
 
-def _max_rows(path: Path) -> int:
-    """An upper bound on the data rows of a CSV file: its line breaks, plus one."""
+def _scan(path: Path, block_rows: int) -> tuple[list[tuple[int, int, int]], int, bool]:
+    """One pass over a CSV file's bytes, in 64 KB pieces.
+
+    Returns (first row, start byte, stop byte) of each block of ``block_rows``
+    data lines (the last one runs to the end of the file), an upper bound on
+    the data rows (the line breaks, plus one) and whether the file holds no
+    quote and no carriage return.
+    """
+    starts: list[int] = []
+    newlines = breaks = size = 0
+    plain = True
     with path.open("rb") as fh:
-        return 1 + sum(
-            chunk.count(b"\n") + chunk.count(b"\r")
-            for chunk in iter(lambda: fh.read(1 << 16), b"")
-        )
+        for piece in iter(lambda: fh.read(1 << 16), b""):
+            ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == ord("\n"))
+            # data line i starts after newline i; newline 0 ends the header
+            starts += (size + 1 + ends[-newlines % block_rows :: block_rows]).tolist()
+            newlines += len(ends)
+            returns = piece.count(b"\r")
+            breaks += len(ends) + returns
+            plain = plain and not returns and b'"' not in piece
+            size += len(piece)
+    starts = [start for start in starts if start < size] + [size]
+    first_rows = range(0, len(starts) * block_rows, block_rows)
+    return list(zip(first_rows, starts, starts[1:])), breaks + 1, plain
+
+
+def _shared_columns(capacity: int, codebook_size: int) -> tuple[np.ndarray, ...]:
+    """Empty t, tx, rx, powers and best columns of ``capacity`` rows.
+
+    They live in one anonymous shared mapping, so a forked pool worker writes
+    its rows straight into the caller's columns: no parsed rows are sent back
+    through the pool, and the caller holds no block but its own.
+    """
+    shapes = (
+        (capacity,), (capacity, 2), (capacity, 2), (capacity, codebook_size), (capacity,)
+    )
+    buffer = mmap.mmap(-1, 8 * sum(map(math.prod, shapes)))
+    columns, offset = [], 0
+    for shape, dtype in zip(shapes, (np.float64,) * 4 + (np.int64,)):
+        count = math.prod(shape)
+        columns.append(np.frombuffer(buffer, dtype, count, offset).reshape(shape))
+        offset += 8 * count
+    return tuple(columns)
+
+
+def _parse_span(
+    path: Path,
+    columns: tuple[np.ndarray, ...],
+    n_fields: int,
+    has_best_beam: bool,
+    span: tuple[int, int, int],
+) -> int | None:
+    """Parse the lines in bytes [start, stop) of the file into ``columns`` from row
+    ``first_row`` on; the number of rows, or None, leaving the columns as they
+    were, if the lines are not UTF-8 or any row fails a check of ``_parse_block``.
+    """
+    first_row, start, stop = span
+    with path.open("rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    block = _parse_block(list(io.StringIO(text, newline="")), n_fields, has_best_beam)
+    if block is None:
+        return None
+    return _fill(columns, first_row, block) - first_row
+
+
+def _fill(columns: tuple[np.ndarray, ...], n: int, block: tuple[np.ndarray, ...]) -> int:
+    """Copy a block's columns into ``columns`` from row n; the row after them."""
+    for column, values in zip(columns, block):
+        column[n : n + len(values)] = values
+    return n + len(block[0])
 
 
 def _floats(cells: list[str]) -> np.ndarray:

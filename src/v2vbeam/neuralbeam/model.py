@@ -9,11 +9,11 @@ Every ``ModelParams`` keeps its tensors as views into one float64 vector,
 ``flat``, and :func:`backward` returns its gradients in the same layout, so
 the optimizer updates all parameters with a few whole-vector operations.
 
-Prediction works on whole batches: :func:`predict_top_m_batch` ranks every
-row at once into an (n, M) integer array of beam indices, best first, the
-candidate array that ``evalmetrics`` scores. A forward pass without backward
-caches scores 512 rows at a time, so validation and test scoring stay small
-in memory.
+Prediction works on whole batches: :func:`predict_top_m_batch` ranks the
+rows into an (n, M) integer array of beam indices, best first, the candidate
+array that ``evalmetrics`` scores. A forward pass without backward caches
+scores 512 rows at a time, and each such chunk is ranked as it is scored, so
+validation and test scoring stay small in memory.
 """
 
 from __future__ import annotations
@@ -260,9 +260,19 @@ def predict_top_m_batch(
     params: ModelParams, spec: LayerSpec, x: np.ndarray, m: int
 ) -> np.ndarray:
     """Ranked candidates, shape (B, m): beam indices by descending probability,
-    the lowest index first among ties."""
-    probs = forward_batch(params, spec, x)
-    return np.argsort(-probs, axis=1, kind="stable")[:, :m]
+    the lowest index first among ties.
+
+    Each _SCORE_ROWS chunk is ranked as soon as it is scored, so only one
+    chunk's probabilities and full ranking are held at a time.
+    """
+
+    def rank(rows: np.ndarray) -> np.ndarray:
+        probs = forward_batch(params, spec, rows)
+        return np.argsort(-probs, axis=1, kind="stable")[:, :m].copy()
+
+    # an empty batch is one empty chunk, so it fails in forward_batch as it always has
+    starts = range(0, max(len(x), 1), _SCORE_ROWS)
+    return np.concatenate([rank(x[start : start + _SCORE_ROWS]) for start in starts])
 
 
 CHECKPOINT_VERSION = 1

@@ -10,6 +10,10 @@ most ``2 * k`` items are handed out ahead of the one being yielded, so results
 never pile up in the caller. Every process runs one BLAS thread while the pool
 runs. Otherwise the items are mapped serially, here.
 
+``one_blas_thread()`` holds OpenBLAS at one thread around any block: a product
+split across BLAS threads sums in another order, so its bits would depend on
+the number of CPUs.
+
 Each result depends only on its item and comes back in item order, so the
 output is the same for any number of processes. The exception of the earliest
 failing item is the one raised, and the workers skip every later item they
@@ -18,10 +22,11 @@ have not started.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from collections import deque
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Generator, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -68,17 +73,35 @@ def _openblas_threads():
     return None
 
 
-def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold numpy's OpenBLAS at one thread inside the block, then restore it.
+
+    Does nothing where no OpenBLAS with a settable thread count is loaded.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)  # forked workers inherit the setting
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
+def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> Generator[R, None, None]:
     """``fn(item)`` for each of ``items`` in order, on up to the usable CPUs.
 
     ``items`` is read by index, no further than the window ahead of the
-    result being yielded.
+    result being yielded. Closing the generator stops the pool.
     """
     k = min(len(items), _usable_cpus())
-    blas = _openblas_threads() if k > 1 and hasattr(os, "fork") else None
-    if blas is None:
-        return map(fn, items)
-    return _pool_map(fn, items, k, blas)
+    if k > 1 and hasattr(os, "fork") and _openblas_threads() is not None:
+        return _pool_map(fn, items, k)
+    return (fn(item) for item in items)
 
 
 # (fn, index of the earliest failed item) of a forked pool worker, set by _adopt
@@ -107,38 +130,35 @@ def _work(job):
         raise
 
 
-def _pool_map(fn: Callable[[T], R], items: Sequence[T], k: int, blas) -> Iterator[R]:
+def _pool_map(fn: Callable[[T], R], items: Sequence[T], k: int) -> Iterator[R]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)  # forked workers inherit the setting
-    ctx = multiprocessing.get_context("fork")
-    first_failure = ctx.Value("q", len(items))
-    # initargs reach the workers through fork, so fn and its data are never pickled
-    pool = ProcessPoolExecutor(
-        k - 1, mp_context=ctx, initializer=_adopt, initargs=(fn, first_failure)
-    )
-    window = 2 * k
-    pending = deque()  # futures of the workers' items handed out, in item order
+    with one_blas_thread():
+        ctx = multiprocessing.get_context("fork")
+        first_failure = ctx.Value("q", len(items))
+        # initargs reach the workers through fork, so fn and its data are never pickled
+        pool = ProcessPoolExecutor(
+            k - 1, mp_context=ctx, initializer=_adopt, initargs=(fn, first_failure)
+        )
+        window = 2 * k
+        pending = deque()  # futures of the workers' items handed out, in item order
 
-    def hand_out(j: int) -> None:
-        if j < len(items) and j % k:
-            pending.append(pool.submit(_work, (j, items[j])))
+        def hand_out(j: int) -> None:
+            if j < len(items) and j % k:
+                pending.append(pool.submit(_work, (j, items[j])))
 
-    i = 0
-    try:
-        for j in range(window - 1):
-            hand_out(j)
-        for i in range(len(items)):
-            hand_out(i + window - 1)  # items i .. i + window - 1 are now out
-            # items before i all succeeded, so a failure here is the earliest; a
-            # worker skips only items after a failed one, which are never reached
-            yield fn(items[i]) if i % k == 0 else pending.popleft().result()
-    except BaseException:  # a failure, or the caller stopped reading
-        _note_failure(first_failure, i)
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
-        set_threads(threads)
+        i = 0
+        try:
+            for j in range(window - 1):
+                hand_out(j)
+            for i in range(len(items)):
+                hand_out(i + window - 1)  # items i .. i + window - 1 are now out
+                # items before i all succeeded, so a failure here is the earliest; a
+                # worker skips only items after a failed one, which are never reached
+                yield fn(items[i]) if i % k == 0 else pending.popleft().result()
+        except BaseException:  # a failure, or the caller stopped reading
+            _note_failure(first_failure, i)
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)

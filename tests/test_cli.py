@@ -143,6 +143,35 @@ class TestTrain:
         assert "line 201" in capsys.readouterr().err
 
 
+    @pytest.mark.skipif(
+        parallel._openblas_threads() is None, reason="needs an OpenBLAS whose threads can be set"
+    )
+    def test_checkpoint_same_for_one_and_two_blas_threads(self, tmp_path):
+        # 1,003 rows: the 603-row train part ends in a batch of 91, for which two
+        # BLAS threads sum the conv products of the `both` model in another order
+        scenario = dict(SCENARIO, trajectory=dict(SCENARIO["trajectory"], duration=100.3))
+        get_threads, set_threads = parallel._openblas_threads()
+        before = get_threads()
+        checkpoints = []
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                doc = experiment_doc(
+                    tmp_path / f"out_{threads}",
+                    dataset={"synthetic": scenario},
+                    model={"input_mode": "both"},
+                    training={"epochs": 1},
+                )
+                cfg = tmp_path / f"experiment_{threads}.json"
+                cfg.write_text(json.dumps(doc))
+                assert main(["train", "--config", str(cfg)]) == 0
+                assert get_threads() == threads
+                checkpoints.append((tmp_path / f"out_{threads}" / "checkpoint.json").read_bytes())
+        finally:
+            set_threads(before)
+        assert checkpoints[0] == checkpoints[1]
+
+
 class TestBaseline:
     def test_writes_database(self, experiment_config, tmp_path):
         assert main(["baseline", "--config", str(experiment_config)]) == 0
@@ -181,6 +210,19 @@ class TestEval:
         meta = json.loads((out / "report.json").read_text())["meta"]
         assert meta["n_test"] == 80 and "repeats" not in meta
         assert (out / "report.svg").exists()
+
+    def test_same_report_for_any_cpu_count(self, experiment_config, tmp_path, monkeypatch):
+        # 400 rows parse as two chunks of the default size
+        ckpt, data = self._train_and_generate(experiment_config, tmp_path)
+        outputs = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda k=k: k)
+            out = tmp_path / f"eval_{k}"
+            args = ["eval", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(out)]
+            assert main(args) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert set(outputs[0]) == {"report.csv", "report.json"}
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_codebook_mismatch_exit_2(self, experiment_config, tmp_path):
         ckpt, data = self._train_and_generate(experiment_config, tmp_path)

@@ -610,3 +610,98 @@ class TestBlockParseErrors:
             parse_dataset(path)
         assert exc.value.line == index + 2
         assert "all powers are zero" in str(exc.value)
+
+
+# --- row chunks parsed on the pool ------------------------------------------------------
+
+
+@pytest.fixture
+def blocks_of_4(monkeypatch):
+    """11 rows make chunks of rows 0-3, 4-7 and 8-10 (lines 2-5, 6-9, 10-12)."""
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 4)
+
+
+def assert_same_bytes(got, want):
+    assert got.sampling_period == want.sampling_period
+    for name in ("t", "tx", "rx", "powers", "best"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_same_error(path):
+    with pytest.raises(Exception) as want:
+        oracle_parse(path)
+    with pytest.raises(type(want.value)) as got:
+        parse_dataset(path)
+    assert str(got.value) == str(want.value)
+    return got.value
+
+
+class TestPooledParse:
+    def test_columns_are_the_oracles_bytes(self, tmp_path, block_rows, cpus):
+        path = write_dataset(mixed_rx_dataset(1101), tmp_path / "d.csv")
+        assert_same_bytes(parse_dataset(path), oracle_parse(path))
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    @pytest.mark.parametrize("index", [0, 6, 10], ids=["first-chunk", "middle-chunk", "last-chunk"])
+    def test_error_and_line_in_any_chunk(self, tmp_path, blocks_of_4, cpus, kind, index):
+        rows = [good_row(i) for i in range(11)]
+        rows[index] = BAD_ROWS[kind]
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        error = assert_same_error(path)
+        assert str(error).startswith(f"line {index + 2}:")
+
+    @pytest.mark.parametrize("where", ["quote", "cr"])
+    def test_quote_or_cr_past_the_first_chunk_parses_serially(
+        self, tmp_path, blocks_of_4, cpus, monkeypatch, where
+    ):
+        rows = [good_row(i) for i in range(11)]
+        if where == "quote":
+            # a quoted cell with a line break, running from the second chunk into the third
+            rows[7] = '0.7,33.0,-112.0,,,2,0.5,"1.5\n",9.0\n'
+        else:
+            rows[9] = rows[9].replace("\n", "\r\n")
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows), newline="")
+
+        def parse_span(*args):
+            raise AssertionError("a file with a quote or CR reached the chunked parse")
+
+        monkeypatch.setattr(ingest, "_parse_span", parse_span)
+        assert_same_bytes(parse_dataset(path), oracle_parse(path))
+
+    @pytest.mark.parametrize("index", [5, 250, 399])
+    def test_non_utf8_byte_in_a_later_chunk(self, tmp_path, blocks_of_4, cpus, index):
+        # 400 rows are about 18 KB; the text layer decodes 8 KB at a time, and the
+        # message holds the byte's position in the piece being decoded
+        rows = [good_row(i).encode() for i in range(400)]
+        rows[index] = rows[index].replace(b"33.0", b"33.\xff")
+        path = tmp_path / "d.csv"
+        path.write_bytes(HEADER.encode() + b"".join(rows))
+        assert path.stat().st_size > 16384
+        assert isinstance(assert_same_error(path), UnicodeDecodeError)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_row_count_a_multiple_of_the_chunk(self, tmp_path, blocks_of_4, cpus, n, final_newline):
+        text = HEADER + "".join(good_row(i) for i in range(n))
+        path = tmp_path / "d.csv"
+        path.write_text(text if final_newline else text.rstrip("\n"))
+        got = parse_dataset(path)
+        assert len(got) == n
+        assert_same_bytes(got, oracle_parse(path))
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_trailing_blank_line_fails_as_serially(self, tmp_path, blocks_of_4, cpus, n):
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(good_row(i) for i in range(n)) + "\n")
+        error = assert_same_error(path)
+        assert isinstance(error, SchemaMismatchError)
+        assert str(error).startswith(f"line {n + 2}:")
+
+    def test_header_only(self, tmp_path, blocks_of_4, cpus):
+        for text in (HEADER, HEADER.rstrip("\n")):
+            path = tmp_path / "d.csv"
+            path.write_text(text)
+            assert len(parse_dataset(path)) == 0

@@ -190,6 +190,41 @@ class TestChunkedScoring:
             np.mean(np.argmax(one_pass, axis=1) == labels)
         )
 
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 4000])
+    def test_chunked_ranking_is_the_one_pass_ranking(self, monkeypatch, n):
+        spec = LayerSpec(in_length=4)
+        params = init_params(spec, np.random.default_rng(22))
+        x = np.random.default_rng(23).uniform(size=(n, 1, 4))
+        ranked = predict_top_m_batch(params, spec, x, 13)
+        one_pass = np.argsort(-forward_batch(params, spec, x), axis=1, kind="stable")[:, :13]
+        assert (ranked.dtype, ranked.shape) == (one_pass.dtype, one_pass.shape) == (np.intp, (n, 13))
+        assert ranked.tobytes() == one_pass.tobytes()
+        monkeypatch.setattr(model, "_SCORE_ROWS", n)
+        assert predict_top_m_batch(params, spec, x, 13).tobytes() == ranked.tobytes()
+
+    def test_empty_batch_fails_as_one_pass_does(self):
+        spec = LayerSpec(in_length=4)
+        params = init_params(spec, np.random.default_rng(22))
+        x = np.empty((0, 1, 4))
+        with pytest.raises(ValueError) as one_pass:
+            forward_batch(params, spec, x)
+        with pytest.raises(ValueError) as ranked:
+            predict_top_m_batch(params, spec, x, 13)
+        assert str(ranked.value) == str(one_pass.value)
+
+    def test_ranking_holds_one_chunks_probabilities(self):
+        spec = LayerSpec(in_length=4)
+        params = init_params(spec, np.random.default_rng(18))
+        x = np.random.default_rng(19).uniform(size=(4000, 1, 4))
+        tracemalloc.start()
+        try:
+            predict_top_m_batch(params, spec, x, 13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # ranking all 4,000 rows after scoring them peaked at 6.2 MB
+        assert peak < 4.5e6
+
     def test_scoring_4000_rows_peaks_at_one_chunk(self):
         spec = LayerSpec(in_length=4)
         params = init_params(spec, np.random.default_rng(18))

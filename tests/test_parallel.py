@@ -102,3 +102,35 @@ def test_blas_threads_restored_when_the_map_is_abandoned(monkeypatch):
 def test_openblas_lookup_is_cached():
     assert parallel._openblas_threads() is parallel._openblas_threads()
     assert parallel._openblas_threads.cache_info().currsize == 1
+
+
+def test_closing_the_map_stops_it(cpus):
+    results = ordered_map(square_and_pid, range(10))
+    assert next(results)[0] == 0
+    results.close()
+    with pytest.raises(StopIteration):
+        next(results)
+
+
+@needs_pool
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_blas_thread_holds_and_restores(threads):
+    get_threads, set_threads = parallel._openblas_threads()
+    before = get_threads()
+    set_threads(threads)
+    try:
+        with parallel.one_blas_thread():
+            assert get_threads() == 1
+        assert get_threads() == threads
+        with pytest.raises(ValueError), parallel.one_blas_thread():
+            raise ValueError("inside")
+        assert get_threads() == threads
+    finally:
+        set_threads(before)
+
+
+def test_one_blas_thread_without_openblas(monkeypatch):
+    monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)
+    with parallel.one_blas_thread():
+        pass
+    assert list(ordered_map(square_and_pid, range(3))) == [(i * i, os.getpid()) for i in range(3)]
