@@ -177,6 +177,12 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else meta["seed"]
     split_spec = SplitSpec(0.6, 0.2, 0.2, seed=seed)
     train_ds, val_ds, test_ds = split(dataset, split_spec, mode=args.split_mode)
+    if not len(test_ds):
+        raise ConfigError(
+            "dataset",
+            f"{len(dataset)} rows leave no test rows in the {split_spec.train_frac}/"
+            f"{split_spec.val_frac}/{split_spec.test_frac} {args.split_mode} split",
+        )
 
     m_max = max(m_values)
     input_mode = meta.get("input_mode", "tx")

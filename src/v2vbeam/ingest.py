@@ -8,7 +8,8 @@ rx_lat/rx_lon may be empty, best_beam may be empty or absent (it is always
 recomputed from the powers and cross-checked when present), and powers are
 non-negative decimals in linear units, not all zero in one row. Floats are
 written with their shortest round-trip representation, so write -> parse is
-bit-exact.
+bit-exact: ``floatrepr.format_floats`` writes the bytes of ``repr`` for a
+block of values at once.
 
 A ``Dataset`` holds its rows as numpy columns (times, tx and rx fixes, the
 power matrix and the best-beam labels), so splitting is index slicing and
@@ -38,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import floatrepr
 from .errors import (
     IndexMismatchError,
     RowParseError,
@@ -552,10 +554,10 @@ def write_dataset(d: Dataset, path: str | Path) -> Path:
     """Write a dataset in the CSV schema; round-trips bit-exactly through parse.
 
     Rows are formatted in chunks of _CHUNK_ROWS on the usable CPUs, each float
-    as its shortest round-trip ``repr``, and written in row order; the bytes
-    are those of ``csv.writer`` with a "\\n" line terminator. The file appears
-    whole or not at all: it is written beside ``path`` under a temporary name
-    and renamed over ``path`` once complete.
+    as ``repr`` writes it (``floatrepr.format_floats``), and written in row
+    order; the bytes are those of ``csv.writer`` with a "\\n" line terminator.
+    The file appears whole or not at all: it is written beside ``path`` under a
+    temporary name and renamed over ``path`` once complete.
     """
     path = Path(path)
     header = list(_FIXED_COLUMNS) + ["best_beam"] + [
@@ -564,8 +566,8 @@ def write_dataset(d: Dataset, path: str | Path) -> Path:
     starts = range(0, len(d), _CHUNK_ROWS)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with partial.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
+        with partial.open("wb") as fh:
+            fh.write(",".join(header).encode("utf-8") + b"\n")
             for text in ordered_map(functools.partial(_format_rows, d), starts):
                 fh.write(text)
         os.replace(partial, path)
@@ -575,18 +577,34 @@ def write_dataset(d: Dataset, path: str | Path) -> Path:
     return path
 
 
-def _format_rows(d: Dataset, start: int) -> str:
-    """CSV lines of rows start .. start + _CHUNK_ROWS - 1."""
-    rows = slice(start, start + _CHUNK_ROWS)
-    return "".join([
-        f"{t!r},{tx_lat!r},{tx_lon!r},"
-        + (",," if math.isnan(rx_lat) else f"{rx_lat!r},{rx_lon!r},")
-        + f"{best},{','.join(map(repr, powers))}\n"
-        for t, (tx_lat, tx_lon), (rx_lat, rx_lon), best, powers in zip(
-            d.t[rows].tolist(), d.tx[rows].tolist(), d.rx[rows].tolist(),
-            d.best[rows].tolist(), d.powers[rows].tolist(),
-        )
-    ])
+def _format_rows(d: Dataset, start: int) -> bytes:
+    """CSV lines of rows start .. start + _CHUNK_ROWS - 1.
+
+    The floats of a few rows at a time (one block of ``format_floats``) are
+    formatted together; a "|" after each row's last fix marks where its best
+    beam goes, and a row without an rx fix drops its rx cells there.
+    """
+    stop = min(start + _CHUNK_ROWS, len(d))
+    step = max(1, floatrepr.BLOCK // (len(_FIXED_COLUMNS) + d.codebook_size))
+    lines = []
+    for first in range(start, stop, step):
+        rows = slice(first, min(first + step, stop))
+        values = np.column_stack([d.t[rows], d.tx[rows], d.rx[rows], d.powers[rows]])
+        has_rx = ~np.isnan(values[:, 3])
+        seps = np.full(values.shape, ord(","), np.uint8)
+        seps[:, -1] = ord("\n")
+        seps[np.arange(len(values)), np.where(has_rx, 4, 2)] = ord("|")
+        keep = np.ones(values.shape, bool)
+        keep[:, 3:5] = has_rx[:, None]
+        text = floatrepr.format_floats(values[keep], seps[keep])
+        gaps = [
+            b",%d," % best if rx else b",,,%d," % best
+            for best, rx in zip(d.best[rows].tolist(), has_rx.tolist())
+        ]
+        parts = text.split(b"|")
+        lines += chain.from_iterable(zip(parts, gaps))
+        lines.append(parts[-1])
+    return b"".join(lines)
 
 
 def split(

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import floatrepr
 from ..errors import ShapeMismatchError
 from ..geodata import NormalizationParams
 from . import layers
@@ -288,8 +289,9 @@ def save_checkpoint(
 ) -> Path:
     """Single JSON document: version, spec, normalization, seed, all tensors.
 
-    The bytes are those of ``json.dumps(doc, sort_keys=True)``, written one
-    tensor row at a time, so the text of only one row is held at once.
+    The bytes are those of ``json.dumps(doc, sort_keys=True)``. Each tensor is
+    written a block of values at a time through ``floatrepr.format_floats``
+    (``_write_tensor``), so the text of only one block is held at once.
     """
     doc = {
         "version": CHECKPOINT_VERSION,
@@ -316,20 +318,37 @@ def save_checkpoint(
     head, _, tail = json.dumps(doc, sort_keys=True).partition('"tensors": {}')
     tensors = sorted(params.named_arrays(), key=lambda item: item[0])
     path = Path(path)
-    with path.open("w", encoding="utf-8") as out:
-        out.write(head + '"tensors": {')
+    with path.open("wb") as out:
+        out.write(f'{head}"tensors": {{'.encode("utf-8"))
         for i, (name, arr) in enumerate(tensors):
-            out.write(f"{', ' if i else ''}{json.dumps(name)}: ")
-            if arr.ndim < 2:
-                out.write(json.dumps(arr.tolist()))
-                continue
-            # json.dumps of a list is "[" + ", ".join(its items' dumps) + "]"
-            out.write("[")
-            for j, row in enumerate(arr):
-                out.write(f"{', ' if j else ''}{json.dumps(row.tolist())}")
-            out.write("]")
-        out.write("}" + tail)
+            out.write(f"{', ' if i else ''}{json.dumps(name)}: ".encode("utf-8"))
+            _write_tensor(out, arr)
+        out.write(f"}}{tail}".encode("utf-8"))
     return path
+
+
+def _write_tensor(out, arr: np.ndarray) -> None:
+    """Write the bytes of ``json.dumps(arr.tolist())``.
+
+    The separator after each value is the byte k + 1, where k is the number of
+    the tensor's axes that end at that value; it becomes ", " for k = 0,
+    "]" * k + ", " + "[" * k for an inner axis, and nothing after the last
+    value. json.dumps writes a finite float as its repr and a non-finite one
+    as NaN, Infinity or -Infinity.
+    """
+    values = arr.ravel()
+    sizes = np.cumprod(arr.shape[::-1])  # values per slice along each axis
+    joins = [b", "] + [b"]" * k + b", " + b"[" * k for k in range(1, arr.ndim)] + [b""]
+    out.write(b"[" * arr.ndim)
+    for start in range(0, len(values), floatrepr.BLOCK):
+        block = values[start : start + floatrepr.BLOCK]
+        ends = np.arange(start + 1, start + len(block) + 1)
+        seps = 1 + (ends[:, None] % sizes == 0).sum(axis=1)
+        text = floatrepr.format_floats(block, seps)
+        for k, join in enumerate(joins):
+            text = text.replace(bytes([k + 1]), join)
+        out.write(text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity"))
+    out.write(b"]" * arr.ndim)
 
 
 def load_checkpoint(

@@ -240,6 +240,18 @@ class TestEval:
         )
         assert code == 3
 
+    def test_too_few_rows_for_a_test_part_exit_2(self, experiment_config, tmp_path, capsys):
+        # floor(4 * 0.2) = 0 test rows; the message names the row count and the split
+        ckpt, data = self._train_and_generate(experiment_config, tmp_path)
+        small = tmp_path / "four.csv"
+        small.write_text("".join(data.read_text().splitlines(keepends=True)[:5]))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(small)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "4 rows leave no test rows in the 0.6/0.2/0.2 shuffle split" in err
+        assert "reshape" not in err
+
 
 class TestReport:
     def test_full_experiment_with_repeats(self, tmp_path, capsys):

@@ -403,6 +403,17 @@ class TestCheckpoint:
         path = save_checkpoint(tmp_path / "c.json", params, spec, norm, 7, input_mode)
         assert path.read_bytes() == self.one_document(params, spec, norm, 7, input_mode)
 
+    def test_non_finite_values_written_as_json_dumps(self, tmp_path):
+        spec = LayerSpec(in_length=4)
+        params = init_params(spec, np.random.default_rng(37))
+        conv = params.conv_weights[1]
+        conv[0, 0, :] = [np.nan, np.inf, -np.inf]
+        params.dense_weights[0][3, 5] = np.nan
+        norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
+        path = save_checkpoint(tmp_path / "c.json", params, spec, norm, 3)
+        assert path.read_bytes() == self.one_document(params, spec, norm, 3, "tx")
+        assert b"[[NaN, Infinity, -Infinity], [" in path.read_bytes()
+
     def test_default_spec_write_holds_one_row(self, tmp_path):
         spec = LayerSpec()
         params = init_params(spec, np.random.default_rng(36))
