@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -25,50 +24,40 @@ from .errors import (
     SchemaMismatchError,
     V2VBeamError,
 )
-from .evalmetrics import (
-    aggregate_reports,
-    build_report,
-    write_report_csv,
-    write_report_json,
-    write_report_svg,
-)
+from .evalmetrics import write_report_csv, write_report_json, write_report_svg
 from .experiment import (
     ExperimentConfig,
-    build_layer_spec,
+    ModelOptions,
+    baseline_stage,
     check_codebook_compatible,
     fit_split_normalization,
+    fit_stage,
     load_experiment_config,
+    report_rows,
     resolve_dataset,
     run_experiment,
+    score_stage,
+    split_stage,
 )
-from .fingerprint import BinGrid, build_database, evaluate_baseline, save_database
-from .ingest import SplitSpec, concat, parse_dataset, split, write_dataset
-from .neuralbeam import (
-    dataset_features,
-    load_checkpoint,
-    predict_top_m_batch,
-    save_checkpoint,
-    train,
-    write_history,
-)
+from .experiment import load_json as _load_json
+from .fingerprint import save_database
+from .ingest import parse_dataset, write_dataset
+from .neuralbeam import load_checkpoint, save_checkpoint, write_history
 from .parallel import one_blas_thread
 from .synthchan import generate_scenario, scenario_from_json
 
-log = logging.getLogger("v2vbeam")
+# Not called here any more: the stages in ``experiment`` call these. The
+# benchmark's tracer (perfbench/spans.py) still wraps them under this module's
+# names, so they stay importable from it until the tracer drops those entries.
+from .evalmetrics import aggregate_reports, build_report  # noqa: F401
+from .fingerprint import build_database, evaluate_baseline  # noqa: F401
+from .ingest import split  # noqa: F401
+from .neuralbeam import dataset_features, predict_top_m_batch, train  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
 EXIT_NUMERIC = 4
-
-
-def _load_json(path: Path) -> dict:
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<json>", f"invalid JSON in {path}: {exc}") from exc
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -86,6 +75,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         updates["repeats"] = args.repeats
     if getattr(args, "emit_svg", False):
         updates["emit_svg"] = True
+    if getattr(args, "bins_per_axis", None) is not None:
+        updates["bins_per_axis"] = args.bins_per_axis
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -116,31 +107,44 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _prepare(config: ExperimentConfig):
-    dataset = resolve_dataset(config)
-    spec = build_layer_spec(config.model, dataset.codebook_size)
-    split_spec = SplitSpec(
-        config.train_frac, config.val_frac, config.test_frac, seed=config.seed
+def _out_dir(config: ExperimentConfig) -> Path:
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    return config.out_dir
+
+
+def _save_model(config, suffix, run_seed, spec, norm, params, history):
+    """Write ``checkpoint<suffix>.json`` and ``history<suffix>.csv``; return both paths."""
+    out_dir = _out_dir(config)
+    ckpt = save_checkpoint(
+        out_dir / f"checkpoint{suffix}.json", params, spec, norm, run_seed,
+        input_mode=config.model.input_mode,
     )
-    parts = split(dataset, split_spec, mode=config.split_mode)
-    return dataset, spec, parts
+    return ckpt, write_history(history, out_dir / f"history{suffix}.csv")
+
+
+def _write_report(rows, config: ExperimentConfig, meta: dict, headline: str) -> int:
+    """Write report.csv, report.json (and report.svg) and print the rows."""
+    out_dir = _out_dir(config)
+    csv_path = write_report_csv(rows, out_dir / "report.csv")
+    json_path = write_report_json(rows, out_dir / "report.json", meta)
+    print(headline)
+    for row in rows:
+        print(
+            f"  {row.predictor:8s} {row.metric}/{row.variant} M={row.m}: "
+            f"{row.mean:.4f} (std {row.stddev:.4f})"
+        )
+    print(f"report: {csv_path}")
+    print(f"report: {json_path}")
+    if config.emit_svg:
+        print(f"report: {write_report_svg(rows, out_dir / 'report.svg')}")
+    return EXIT_OK
 
 
 def cmd_train(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    dataset, spec, (train_ds, val_ds, _) = _prepare(config)
-    norm = fit_split_normalization(train_ds, config.model.input_mode)
-    params, history = train(
-        train_ds, val_ds, spec, config.training, norm,
-        input_mode=config.model.input_mode,
-    )
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = save_checkpoint(
-        out_dir / "checkpoint.json", params, spec, norm, config.seed,
-        input_mode=config.model.input_mode,
-    )
-    hist = write_history(history, out_dir / "history.csv")
+    train_ds, val_ds, _ = split_stage(resolve_dataset(config), config, config.seed, scored=False)
+    fit = fit_stage(train_ds, val_ds, config, config.seed)
+    ckpt, hist = _save_model(config, "", config.seed, *fit)
     print(f"trained on {len(train_ds)} samples for {config.training.epochs} epochs")
     print(f"checkpoint: {ckpt}")
     print(f"history: {hist}")
@@ -149,13 +153,11 @@ def cmd_train(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    _, _, (train_ds, val_ds, _) = _prepare(config)
+    train_ds, val_ds, _ = split_stage(resolve_dataset(config), config, config.seed, scored=False)
     norm = fit_split_normalization(train_ds, config.model.input_mode)
-    combined = concat([train_ds, val_ds])
-    db = build_database(combined, BinGrid.unit_square(config.bins_per_axis), norm)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = save_database(db, config.out_dir / "fingerprint_db.json")
-    print(f"built {len(db)} bins from {len(combined)} samples")
+    db = baseline_stage(train_ds, val_ds, norm, config)
+    path = save_database(db, _out_dir(config) / "fingerprint_db.json")
+    print(f"built {len(db)} bins from {len(train_ds) + len(val_ds)} samples")
     print(f"database: {path}")
     return EXIT_OK
 
@@ -170,71 +172,37 @@ def cmd_eval(args) -> int:
     params, spec, norm, meta = load_checkpoint(ckpt_path)
     dataset = parse_dataset(data_path)
     check_codebook_compatible(spec, dataset)
-
-    m_values = tuple(args.m_values or (1, 5, 9, 13))
-    if any(m > dataset.codebook_size for m in m_values):
-        raise ConfigError("m_values", f"must be <= codebook size {dataset.codebook_size}")
-    seed = args.seed if args.seed is not None else meta["seed"]
-    split_spec = SplitSpec(0.6, 0.2, 0.2, seed=seed)
-    train_ds, val_ds, test_ds = split(dataset, split_spec, mode=args.split_mode)
-    if not len(test_ds):
-        raise ConfigError(
-            "dataset",
-            f"{len(dataset)} rows leave no test rows in the {split_spec.train_frac}/"
-            f"{split_spec.val_frac}/{split_spec.test_frac} {args.split_mode} split",
-        )
-
-    m_max = max(m_values)
-    input_mode = meta.get("input_mode", "tx")
-    x_test = dataset_features(test_ds, norm, input_mode)
-    model_preds = predict_top_m_batch(params, spec, x_test, m_max)
-    db = build_database(
-        concat([train_ds, val_ds]), BinGrid.unit_square(args.bins_per_axis), norm
+    # the layer spec comes from the checkpoint; of the model options only the input mode is used
+    model = ModelOptions(input_mode=meta.get("input_mode", "tx"))
+    config = _apply_overrides(
+        ExperimentConfig(seed=meta["seed"], dataset_csv=data_path, model=model), args
     )
-    baseline_preds = evaluate_baseline(db, test_ds, norm, m_max)
+    train_ds, val_ds, test_ds = split_stage(dataset, config, config.seed)
+    database = baseline_stage(train_ds, val_ds, norm, config)
     # one deterministic pass; its stddev column reads 0.0, as for a one-repeat report
-    model, baseline = build_report(model_preds, baseline_preds, test_ds, m_values)
-    rows = aggregate_reports([model]) + aggregate_reports([baseline])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = report_rows([score_stage(spec, norm, params, database, test_ds, config)])
     meta_out = {
-        "seed": seed,
-        "m_values": list(m_values),
+        "seed": config.seed,
+        "m_values": list(config.m_values),
         "n_test": len(test_ds),
         "checkpoint": str(ckpt_path),
         "dataset": str(data_path),
     }
-    csv_path = write_report_csv(rows, out_dir / "report.csv")
-    json_path = write_report_json(rows, out_dir / "report.json", meta_out)
-    print(f"evaluated {len(test_ds)} test samples at M in {list(m_values)}")
-    for row in rows:
-        print(
-            f"  {row.predictor:8s} {row.metric}/{row.variant} M={row.m}: "
-            f"{row.mean:.4f} (std {row.stddev:.4f})"
-        )
-    print(f"report: {csv_path}")
-    print(f"report: {json_path}")
-    if args.emit_svg:
-        print(f"report: {write_report_svg(rows, out_dir / 'report.svg')}")
-    return EXIT_OK
+    headline = f"evaluated {len(test_ds)} test samples at M in {list(config.m_values)}"
+    return _write_report(rows, config, meta_out, headline)
 
 
 def cmd_report(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
     dataset = resolve_dataset(config)
     result = run_experiment(dataset, config)
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(config)
     if config.synthetic is not None:
         write_dataset(dataset, out_dir / "dataset.csv")
     for run in result.runs:
-        tag = f"r{run.run_seed - config.seed}"
-        save_checkpoint(
-            out_dir / f"checkpoint_{tag}.json", run.params, run.spec, run.norm,
-            run.run_seed, input_mode=config.model.input_mode,
-        )
-        write_history(run.history, out_dir / f"history_{tag}.csv")
-        save_database(run.database, out_dir / f"fingerprint_db_{tag}.json")
+        tag = f"_r{run.run_seed - config.seed}"
+        _save_model(config, tag, run.run_seed, run.spec, run.norm, run.params, run.history)
+        save_database(run.database, out_dir / f"fingerprint_db{tag}.json")
     meta = {
         "seed": config.seed,
         "repeats": config.repeats,
@@ -242,22 +210,11 @@ def cmd_report(args) -> int:
         "dataset_size": result.dataset_size,
         "n_test": result.runs[0].model_report.n_test,
     }
-    csv_path = write_report_csv(result.rows, out_dir / "report.csv")
-    json_path = write_report_json(result.rows, out_dir / "report.json", meta)
-    print(
+    headline = (
         f"experiment: {result.dataset_size} samples, {config.repeats} repeat(s), "
         f"M in {list(config.m_values)}"
     )
-    for row in result.rows:
-        print(
-            f"  {row.predictor:8s} {row.metric}/{row.variant} M={row.m}: "
-            f"{row.mean:.4f} (std {row.stddev:.4f})"
-        )
-    print(f"report: {csv_path}")
-    print(f"report: {json_path}")
-    if config.emit_svg:
-        print(f"report: {write_report_svg(result.rows, out_dir / 'report.svg')}")
-    return EXIT_OK
+    return _write_report(result.rows, config, meta, headline)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,28 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override channel seed")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="split, train, write checkpoint + history")
-    p.add_argument("--config", required=True, help="experiment JSON")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--split-mode", choices=("shuffle", "sequential"), default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("baseline", help="build and export the fingerprint database")
-    p.add_argument("--config", required=True, help="experiment JSON")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--split-mode", choices=("shuffle", "sequential"), default=None)
-    p.set_defaults(func=cmd_baseline)
+    for name, func, help_text in (
+        ("train", cmd_train, "split, train, write checkpoint + history"),
+        ("baseline", cmd_baseline, "build and export the fingerprint database"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="experiment JSON")
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--split-mode", choices=("shuffle", "sequential"), default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint against a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True, help="dataset CSV")
     p.add_argument("--m-values", dest="m_values", type=_parse_m_values, default=None)
     p.add_argument("--seed", type=int, default=None, help="split seed (default: checkpoint seed)")
-    p.add_argument("--split-mode", choices=("shuffle", "sequential"), default="shuffle")
-    p.add_argument("--bins-per-axis", type=int, default=32)
-    p.add_argument("--out", default="out")
+    p.add_argument("--split-mode", choices=("shuffle", "sequential"), default=None)
+    p.add_argument("--bins-per-axis", type=int, default=None)
+    p.add_argument("--out", default=None)
     p.add_argument("--emit-svg", action="store_true")
     p.set_defaults(func=cmd_eval)
 

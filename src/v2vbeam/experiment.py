@@ -1,10 +1,16 @@
 """End-to-end experiment pipeline shared by the CLI subcommands.
 
-One experiment: resolve a dataset (CSV or synthetic scenario), split it,
-fit normalization on the training part, train the classifier, build the
-fingerprint baseline on train+validation, and score both on the held-out
-test part. Repeats rerun the whole pipeline with derived seeds and are
-aggregated into mean/stddev rows.
+One experiment resolves a dataset (CSV or synthetic scenario) and runs its
+repeats, aggregated into mean/stddev rows. A repeat (``single_run``) is four
+stages, each defined only here:
+
+1. ``split_stage``: cut train/validation/test parts with the repeat's seed;
+2. ``fit_stage``: build the layer spec, fit normalization, train the model;
+3. ``baseline_stage``: build the fingerprint database on train+validation;
+4. ``score_stage``: score both predictors on the held-out test part.
+
+The CLI's ``train`` runs stages 1-2, ``baseline`` 1 and 3, and ``eval`` 1, 3
+and 4 with the model from a checkpoint.
 
 Repeats run in parallel on the usable CPUs through ``parallel.ordered_map``,
 one item per seed: the calling process runs every k-th seed itself and forked
@@ -109,6 +115,7 @@ def _expect(doc: dict, field: str, kind, default):
 
 def experiment_config_from_json(doc: dict) -> ExperimentConfig:
     """Parse and validate a config document; ConfigError names bad fields."""
+    defaults = ExperimentConfig  # a field left out takes the dataclass's default
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "expected a JSON object")
     dataset_doc = _expect(doc, "dataset", dict, {})
@@ -133,66 +140,69 @@ def experiment_config_from_json(doc: dict) -> ExperimentConfig:
     ):
         raise ConfigError("m_values", "expected a list of positive integers")
 
-    conv_channels = model_doc.get("conv_channels", [32, 64, 128])
-    dense_hidden = model_doc.get("dense_hidden", [256])
+    conv_channels = model_doc.get("conv_channels", list(ModelOptions.conv_channels))
+    dense_hidden = model_doc.get("dense_hidden", list(ModelOptions.dense_hidden))
     if not isinstance(conv_channels, list) or not conv_channels:
         raise ConfigError("model.conv_channels", "expected a non-empty list")
     if not isinstance(dense_hidden, list):
         raise ConfigError("model.dense_hidden", "expected a list")
-    input_mode = _expect(model_doc, "input_mode", str, "tx")
+    input_mode = _expect(model_doc, "input_mode", str, ModelOptions.input_mode)
     if input_mode not in ("tx", "both"):
         raise ConfigError("model.input_mode", "must be 'tx' or 'both'")
 
-    split_mode = _expect(split_doc, "mode", str, "shuffle")
+    split_mode = _expect(split_doc, "mode", str, defaults.split_mode)
     if split_mode not in ("shuffle", "sequential"):
         raise ConfigError("split.mode", "must be 'shuffle' or 'sequential'")
 
     try:
+        # every optimizer field, of the type and with the default TrainingConfig declares
         training = TrainingConfig(
-            learning_rate=_expect(training_doc, "learning_rate", float, 0.01),
-            weight_decay=_expect(training_doc, "weight_decay", float, 1e-4),
-            batch_size=_expect(training_doc, "batch_size", int, 128),
-            epochs=_expect(training_doc, "epochs", int, 30),
-            beta1=_expect(training_doc, "beta1", float, 0.9),
-            beta2=_expect(training_doc, "beta2", float, 0.999),
-            epsilon=_expect(training_doc, "epsilon", float, 1e-8),
-            seed=_expect(doc, "seed", int, 0),
+            **{
+                f.name: _expect(training_doc, f.name, type(f.default), f.default)
+                for f in dataclasses.fields(TrainingConfig)
+                if f.name != "seed"
+            },
+            seed=_expect(doc, "seed", int, defaults.seed),
         )
         return ExperimentConfig(
-            seed=_expect(doc, "seed", int, 0),
-            out_dir=Path(_expect(doc, "out_dir", str, "out")),
+            seed=training.seed,
+            out_dir=Path(_expect(doc, "out_dir", str, str(defaults.out_dir))),
             dataset_csv=dataset_csv,
             synthetic=synthetic,
-            train_frac=_expect(split_doc, "train_frac", float, 0.6),
-            val_frac=_expect(split_doc, "val_frac", float, 0.2),
-            test_frac=_expect(split_doc, "test_frac", float, 0.2),
+            train_frac=_expect(split_doc, "train_frac", float, defaults.train_frac),
+            val_frac=_expect(split_doc, "val_frac", float, defaults.val_frac),
+            test_frac=_expect(split_doc, "test_frac", float, defaults.test_frac),
             split_mode=split_mode,
             model=ModelOptions(
                 conv_channels=tuple(int(c) for c in conv_channels),
-                kernel=_expect(model_doc, "kernel", int, 3),
-                pool=_expect(model_doc, "pool", int, 2),
+                kernel=_expect(model_doc, "kernel", int, ModelOptions.kernel),
+                pool=_expect(model_doc, "pool", int, ModelOptions.pool),
                 dense_hidden=tuple(int(w) for w in dense_hidden),
                 input_mode=input_mode,
             ),
             training=training,
-            bins_per_axis=_expect(baseline_doc, "bins_per_axis", int, 32),
+            bins_per_axis=_expect(baseline_doc, "bins_per_axis", int, defaults.bins_per_axis),
             m_values=tuple(m_values),
-            repeats=_expect(doc, "repeats", int, 1),
-            emit_svg=_expect(doc, "emit_svg", bool, False),
+            repeats=_expect(doc, "repeats", int, defaults.repeats),
+            emit_svg=_expect(doc, "emit_svg", bool, defaults.emit_svg),
         )
     except ValueError as exc:
         raise ConfigError("<config>", str(exc)) from exc
 
 
-def load_experiment_config(path: str | Path) -> ExperimentConfig:
+def load_json(path: str | Path):
+    """The document in a JSON file; FileNotFoundError or ConfigError if there is none."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError("<json>", f"invalid JSON in {path}: {exc}") from exc
-    return experiment_config_from_json(doc)
+
+
+def load_experiment_config(path: str | Path) -> ExperimentConfig:
+    return experiment_config_from_json(load_json(path))
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
@@ -228,56 +238,88 @@ def fit_split_normalization(train_ds: Dataset, input_mode: str) -> Normalization
 
 @dataclass(frozen=True)
 class RunResult:
-    """Artifacts of one repeat."""
+    """Artifacts of one repeat, in the order its stages make them."""
 
     run_seed: int
-    params: ModelParams
     spec: LayerSpec
     norm: NormalizationParams
+    params: ModelParams
     history: list[EpochRecord]
     database: FingerprintDatabase
     model_report: EvaluationReport
     baseline_report: EvaluationReport
 
 
-def single_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
-    """Split, train, build the baseline, and evaluate both on the test part."""
-    if any(m > dataset.codebook_size for m in config.m_values):
+def split_stage(
+    dataset: Dataset, config: ExperimentConfig, run_seed: int, scored: bool = True
+) -> tuple[Dataset, Dataset, Dataset]:
+    """Stage 1: the train/val/test parts of one run, cut with ``run_seed``.
+
+    Every job fits on the training part, so an empty one is a ConfigError. A
+    ``scored`` job also needs a test part and every M within the codebook;
+    both are checked here, before anything is trained.
+    """
+    if scored and any(m > dataset.codebook_size for m in config.m_values):
         raise ConfigError("m_values", f"must be <= codebook size {dataset.codebook_size}")
-    spec = build_layer_spec(config.model, dataset.codebook_size)
-    split_spec = SplitSpec(
-        config.train_frac, config.val_frac, config.test_frac, seed=run_seed
-    )
-    train_ds, val_ds, test_ds = split(dataset, split_spec, mode=config.split_mode)
+    s = SplitSpec(config.train_frac, config.val_frac, config.test_frac, seed=run_seed)
+    train_ds, val_ds, test_ds = split(dataset, s, mode=config.split_mode)
+    empty = "test" if scored and not len(test_ds) else "training" if not len(train_ds) else ""
+    if empty:
+        raise ConfigError(
+            "dataset",
+            f"{len(dataset)} rows leave no {empty} rows in the {s.train_frac}/"
+            f"{s.val_frac}/{s.test_frac} {config.split_mode} split",
+        )
+    return train_ds, val_ds, test_ds
+
+
+def fit_stage(
+    train_ds: Dataset, val_ds: Dataset, config: ExperimentConfig, run_seed: int
+) -> tuple[LayerSpec, NormalizationParams, ModelParams, list[EpochRecord]]:
+    """Stage 2: the layer spec, the training part's normalization and the trained model."""
+    spec = build_layer_spec(config.model, train_ds.codebook_size)
     norm = fit_split_normalization(train_ds, config.model.input_mode)
     training = dataclasses.replace(config.training, seed=run_seed)
     params, history = train(
         train_ds, val_ds, spec, training, norm, input_mode=config.model.input_mode
     )
+    return spec, norm, params, history
 
-    # the baseline trains on train+val so both predictors see 80% of the data
-    # and share the identical held-out test part
-    database = build_database(
-        concat([train_ds, val_ds]), BinGrid.unit_square(config.bins_per_axis), norm
-    )
 
+def baseline_stage(
+    train_ds: Dataset, val_ds: Dataset, norm: NormalizationParams, config: ExperimentConfig
+) -> FingerprintDatabase:
+    """Stage 3: the fingerprint database, built on train+val so that both
+    predictors learn from every row outside the held-out test part."""
+    grid = BinGrid.unit_square(config.bins_per_axis)
+    return build_database(concat([train_ds, val_ds]), grid, norm)
+
+
+def score_stage(
+    spec: LayerSpec, norm: NormalizationParams, params: ModelParams,
+    database: FingerprintDatabase, test_ds: Dataset, config: ExperimentConfig,
+) -> tuple[EvaluationReport, EvaluationReport]:
+    """Stage 4: the model's and the baseline's reports on the test part."""
     m_max = max(config.m_values)
     x_test = dataset_features(test_ds, norm, config.model.input_mode)
     model_preds = predict_top_m_batch(params, spec, x_test, m_max)
     baseline_preds = evaluate_baseline(database, test_ds, norm, m_max)
-    model_report, baseline_report = build_report(
-        model_preds, baseline_preds, test_ds, config.m_values
-    )
-    return RunResult(
-        run_seed=run_seed,
-        params=params,
-        spec=spec,
-        norm=norm,
-        history=history,
-        database=database,
-        model_report=model_report,
-        baseline_report=baseline_report,
-    )
+    return build_report(model_preds, baseline_preds, test_ds, config.m_values)
+
+
+def report_rows(reports: list[tuple[EvaluationReport, ...]]) -> list[ReportRow]:
+    """Mean/stddev rows over runs' (model, baseline) reports, model rows first."""
+    models, baselines = zip(*reports)
+    return aggregate_reports(models) + aggregate_reports(baselines)
+
+
+def single_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
+    """One repeat: the four stages, all with ``run_seed``."""
+    train_ds, val_ds, test_ds = split_stage(dataset, config, run_seed)
+    spec, norm, params, history = fit_stage(train_ds, val_ds, config, run_seed)
+    database = baseline_stage(train_ds, val_ds, norm, config)
+    reports = score_stage(spec, norm, params, database, test_ds, config)
+    return RunResult(run_seed, spec, norm, params, history, database, *reports)
 
 
 @dataclass(frozen=True)
@@ -297,8 +339,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig) -> ExperimentResu
     """All repeats with derived seeds, aggregated to mean/stddev rows."""
     seeds = range(config.seed, config.seed + config.repeats)
     runs = list(ordered_map(functools.partial(_repeat, dataset, config), seeds))
-    rows = aggregate_reports([run.model_report for run in runs])
-    rows += aggregate_reports([run.baseline_report for run in runs])
+    rows = report_rows([(run.model_report, run.baseline_report) for run in runs])
     return ExperimentResult(dataset_size=len(dataset), runs=runs, rows=rows)
 
 

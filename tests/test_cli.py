@@ -337,6 +337,59 @@ class TestReport:
         assert code == 2
         assert "repeats" in capsys.readouterr().err
 
+    def test_no_test_rows_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        # the split is checked before training; the empty test part used to fail in scoring
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained without a test part")
+
+        monkeypatch.setattr(experiment, "train", no_training)
+        cfg = tmp_path / "experiment.json"
+        split = {"train_frac": 0.8, "val_frac": 0.2, "test_frac": 0}
+        cfg.write_text(json.dumps(experiment_doc(tmp_path / "out", split=split)))
+        assert main(["report", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "400 rows leave no test rows in the 0.8/0.2/0.0 shuffle split" in err
+        assert "reshape" not in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "baseline", "report"])
+def test_no_training_rows_exit_2(tmp_path, capsys, command):
+    # the normalization used to fail on the empty training part with exit 4
+    cfg = tmp_path / "experiment.json"
+    split = {"train_frac": 0, "val_frac": 0.8, "test_frac": 0.2}
+    cfg.write_text(json.dumps(experiment_doc(tmp_path / "out", split=split)))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "400 rows leave no training rows in the 0.0/0.8/0.2 shuffle split" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_baseline_and_eval_match_one_report_repeat(tmp_path):
+    # train, baseline and eval run the stages of one report repeat, so with the
+    # same config and seed they write the same bytes; eval's default split, M
+    # values and bins are those of a config that leaves them out
+    doc = experiment_doc(tmp_path / "report", model={"input_mode": "both"})
+    del doc["m_values"], doc["baseline"]
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(cfg)]) == 0
+    for command in ("train", "baseline"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    report = tmp_path / "report"
+    assert main([
+        "eval", "--checkpoint", str(report / "checkpoint_r0.json"),
+        "--dataset", str(report / "dataset.csv"), "--out", str(tmp_path / "eval"),
+    ]) == 0
+    pairs = [
+        ("train/checkpoint.json", "report/checkpoint_r0.json"),
+        ("train/history.csv", "report/history_r0.csv"),
+        ("baseline/fingerprint_db.json", "report/fingerprint_db_r0.json"),
+        ("eval/report.csv", "report/report.csv"),
+    ]
+    for ours, theirs in pairs:
+        assert (tmp_path / ours).read_bytes() == (tmp_path / theirs).read_bytes(), ours
+
 
 # runs the CLI with one write chunk raising, as a full disk would
 FAIL_IN_SECOND_CHUNK = """
