@@ -23,6 +23,7 @@ from .errors import (
     RowParseError,
     SchemaMismatchError,
     V2VBeamError,
+    read_object,
 )
 from .evalmetrics import write_report_csv, write_report_json, write_report_svg
 from .experiment import (
@@ -61,44 +62,40 @@ EXIT_NUMERIC = 4
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-        updates["training"] = dataclasses.replace(config.training, seed=args.seed)
-    if getattr(args, "out", None) is not None:
-        updates["out_dir"] = Path(args.out)
-    if getattr(args, "m_values", None) is not None:
-        updates["m_values"] = tuple(args.m_values)
-    if getattr(args, "split_mode", None) is not None:
-        updates["split_mode"] = args.split_mode
-    if getattr(args, "repeats", None) is not None:
-        updates["repeats"] = args.repeats
-    if getattr(args, "emit_svg", False):
-        updates["emit_svg"] = True
-    if getattr(args, "bins_per_axis", None) is not None:
-        updates["bins_per_axis"] = args.bins_per_axis
-    return dataclasses.replace(config, **updates) if updates else config
+    """``config`` with each field whose flag (of the same ``dest``) was given replaced."""
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(config)}
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _parse_m_values(text: str) -> list[int]:
+def _parse_m_values(text: str) -> tuple[int, ...]:
     try:
-        values = [int(x) for x in text.split(",") if x.strip()]
+        return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad m-values {text!r}") from None
-    if not values or any(m < 1 for m in values):
-        raise argparse.ArgumentTypeError("m-values must be positive integers")
-    return values
+
+
+# Options of the experiment subcommands. A flag whose dest names an
+# ExperimentConfig field overrides that field (``_apply_overrides``).
+_FLAGS = {
+    "--config": {"required": True, "help": "experiment JSON"},
+    "--checkpoint": {"required": True},
+    "--dataset": {"required": True, "help": "dataset CSV"},
+    "--out": {"dest": "out_dir", "type": Path, "help": "output directory"},
+    "--seed": {"type": int, "help": "run seed (eval: defaults to the checkpoint's)"},
+    "--split-mode": {"help": "shuffle or sequential"},
+    "--m-values": {"type": _parse_m_values, "help": "strictly increasing, such as 1,5,9,13"},
+    "--repeats": {"type": int},
+    "--bins-per-axis": {"type": int},
+    "--emit-svg": {"action": "store_true"},
+}
 
 
 def cmd_generate(args) -> int:
-    doc = _load_json(Path(args.config))
-    scenario_doc = doc.get("dataset", {}).get("synthetic", doc)
+    doc = read_object(_load_json(Path(args.config)), "")
+    dataset_doc = read_object(doc.get("dataset", {}), "dataset")
+    traj, arr, ch, codebook_size = scenario_from_json(dataset_doc.get("synthetic", doc))
     if args.seed is not None:
-        scenario_doc = dict(scenario_doc)
-        channel = dict(scenario_doc.get("channel", {}))
-        channel["seed"] = args.seed
-        scenario_doc["channel"] = channel
-    traj, arr, ch, codebook_size = scenario_from_json(scenario_doc)
+        ch = dataclasses.replace(ch, seed=args.seed)
     dataset = generate_scenario(traj, arr, ch, codebook_size)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -230,37 +227,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override channel seed")
     p.set_defaults(func=cmd_generate)
 
-    for name, func, help_text in (
-        ("train", cmd_train, "split, train, write checkpoint + history"),
-        ("baseline", cmd_baseline, "build and export the fingerprint database"),
+    for name, func, help_text, flags in (
+        ("train", cmd_train, "split, train, write checkpoint + history", ("--config",)),
+        ("baseline", cmd_baseline, "build and export the fingerprint database", ("--config",)),
+        ("eval", cmd_eval, "evaluate a checkpoint against a dataset",
+         ("--checkpoint", "--dataset", "--m-values", "--bins-per-axis", "--emit-svg")),
+        ("report", cmd_report, "run the full repeated experiment",
+         ("--config", "--m-values", "--repeats", "--emit-svg")),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="experiment JSON")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--split-mode", choices=("shuffle", "sequential"), default=None)
+        for flag in (*flags, "--out", "--seed", "--split-mode"):
+            p.add_argument(flag, default=None, **_FLAGS[flag])
         p.set_defaults(func=func)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint against a dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True, help="dataset CSV")
-    p.add_argument("--m-values", dest="m_values", type=_parse_m_values, default=None)
-    p.add_argument("--seed", type=int, default=None, help="split seed (default: checkpoint seed)")
-    p.add_argument("--split-mode", choices=("shuffle", "sequential"), default=None)
-    p.add_argument("--bins-per-axis", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--emit-svg", action="store_true")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="run the full repeated experiment")
-    p.add_argument("--config", required=True, help="experiment JSON")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--m-values", dest="m_values", type=_parse_m_values, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--split-mode", choices=("shuffle", "sequential"), default=None)
-    p.add_argument("--emit-svg", action="store_true")
-    p.set_defaults(func=cmd_report)
     return parser
 
 

@@ -1,6 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the typed reader of
+config documents, whose every error is a ConfigError."""
 
+import contextlib
 import copyreg
+import dataclasses
+import types
+import typing
+from pathlib import Path
 
 
 class V2VBeamError(Exception):
@@ -89,3 +95,73 @@ class ConfigError(V2VBeamError):
     def __init__(self, field: str, reason: str):
         self.field = field
         super().__init__(f"config field '{field}': {reason}")
+
+
+def read_value(value, kind, where: str):
+    """``value`` of a JSON document as type ``kind``, or a ConfigError naming ``where``.
+
+    A float takes any JSON number, an int only a JSON integer, a Path a string
+    and a tuple a list of its item type; ``X | None`` reads as ``X``.
+    """
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is tuple:
+        items = typing.get_args(kind)
+        size = None if items[-1] is Ellipsis else len(items)
+        if not isinstance(value, list) or size not in (None, len(value)):
+            length = f" of {size}" if size else ""
+            raise ConfigError(where, f"expected a list{length}, got {value!r}")
+        return tuple(read_value(item, items[0], where) for item in value)
+    if (kind, type(value)) in ((float, int), (Path, str)):
+        return kind(value)
+    if type(value) is not kind:
+        raise ConfigError(where, f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def read_object(doc, section: str) -> dict:
+    """``doc`` if it is a JSON object, else a ConfigError naming ``section``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(section or "<root>", f"expected an object, got {doc!r}")
+    return doc
+
+
+def read_fields(like, doc, section: str, *names: str, **keys: str) -> dict:
+    """Fields of the dataclass ``like`` (a class or an instance) read from the
+    JSON object ``doc``, the config's ``section``: each of ``names`` under its
+    own name and each of ``keys`` under the key given, as its declared type.
+    A field left out takes ``like``'s value, and is missing if it has none.
+    """
+    read_object(doc, section)
+    kinds = typing.get_type_hints(like if isinstance(like, type) else type(like))
+    values = {}
+    for name, key in [*zip(names, names), *keys.items()]:
+        where = f"{section}.{key}" if section else key
+        if key in doc:
+            values[name] = read_value(doc[key], kinds[name], where)
+        elif hasattr(like, name):
+            values[name] = getattr(like, name)
+        else:
+            raise ConfigError(where, "missing")
+    return values
+
+
+def read_config(cls, doc, section: str, **given):
+    """``cls(**given)`` with its other fields read from ``doc`` by ``read_fields``."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in given]
+    fields = read_fields(cls, doc, section, *names)
+    with config_section(section, cls):
+        return cls(**given, **fields)
+
+
+@contextlib.contextmanager
+def config_section(section: str, cls=None):
+    """Re-raise a ValueError as a ConfigError naming ``section``, or naming
+    ``section.field`` when a field of the dataclass ``cls`` begins its message."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(" ")
+        if cls is not None and name in {f.name for f in dataclasses.fields(cls)}:
+            raise ConfigError(f"{section}.{name}", reason) from exc
+        raise ConfigError(section, str(exc)) from exc

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CodebookMismatchError, ConfigError
+from .errors import CodebookMismatchError, ConfigError, config_section, read_config, read_fields
 from .evalmetrics import (
     EvaluationReport,
     ReportRow,
@@ -76,7 +76,11 @@ class ModelOptions:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; exactly one dataset source is set."""
+    """Everything one experiment needs; exactly one dataset source is set.
+
+    Every rule on the values is checked here, so a bad config, however it
+    is made, fails before any data is read. ``training.seed`` is ``seed``.
+    """
 
     seed: int = 0
     out_dir: Path = Path("out")
@@ -98,96 +102,42 @@ class ExperimentConfig:
             raise ConfigError("dataset", "exactly one of 'csv' or 'synthetic' required")
         if self.repeats < 1:
             raise ConfigError("repeats", "must be >= 1")
-        if not self.m_values:
-            raise ConfigError("m_values", "must be non-empty")
-
-
-def _expect(doc: dict, field: str, kind, default):
-    value = doc.get(field, default)
-    if isinstance(value, bool) and kind in (int, float):
-        raise ConfigError(field, f"expected {kind.__name__}, got a boolean")
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(field, f"expected {kind.__name__}, got {value!r}")
-    return value
+        m = self.m_values
+        if not m or m[0] < 1 or any(a >= b for a, b in zip(m, m[1:])):
+            raise ConfigError(
+                "m_values", f"must be positive and strictly increasing, got {list(m)}"
+            )
+        if self.split_mode not in ("shuffle", "sequential"):
+            raise ConfigError("split.mode", "must be 'shuffle' or 'sequential'")
+        with config_section("split"):
+            SplitSpec(self.train_frac, self.val_frac, self.test_frac)
+        with config_section("baseline", ExperimentConfig):
+            BinGrid.unit_square(self.bins_per_axis)
+        with config_section("model", ModelOptions):
+            build_layer_spec(self.model, 1)
+        if self.synthetic is not None:
+            scenario_from_json(self.synthetic)
+        object.__setattr__(self, "training", dataclasses.replace(self.training, seed=self.seed))
 
 
 def experiment_config_from_json(doc: dict) -> ExperimentConfig:
-    """Parse and validate a config document; ConfigError names bad fields."""
-    defaults = ExperimentConfig  # a field left out takes the dataclass's default
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "expected a JSON object")
-    dataset_doc = _expect(doc, "dataset", dict, {})
-    if ("csv" in dataset_doc) == ("synthetic" in dataset_doc):
-        raise ConfigError("dataset", "exactly one of 'csv' or 'synthetic' required")
-    dataset_csv = None
-    synthetic = None
-    if "csv" in dataset_doc:
-        dataset_csv = Path(_expect(dataset_doc, "csv", str, None))
-    else:
-        synthetic = _expect(dataset_doc, "synthetic", dict, None)
-        scenario_from_json(synthetic)  # validate eagerly for early errors
+    """Parse and validate a config document; ConfigError names bad fields.
 
-    split_doc = _expect(doc, "split", dict, {})
-    model_doc = _expect(doc, "model", dict, {})
-    training_doc = _expect(doc, "training", dict, {})
-    baseline_doc = _expect(doc, "baseline", dict, {})
-
-    m_values = doc.get("m_values", list(DEFAULT_M_VALUES))
-    if not isinstance(m_values, list) or not all(
-        isinstance(m, int) and not isinstance(m, bool) and m >= 1 for m in m_values
-    ):
-        raise ConfigError("m_values", "expected a list of positive integers")
-
-    conv_channels = model_doc.get("conv_channels", list(ModelOptions.conv_channels))
-    dense_hidden = model_doc.get("dense_hidden", list(ModelOptions.dense_hidden))
-    if not isinstance(conv_channels, list) or not conv_channels:
-        raise ConfigError("model.conv_channels", "expected a non-empty list")
-    if not isinstance(dense_hidden, list):
-        raise ConfigError("model.dense_hidden", "expected a list")
-    input_mode = _expect(model_doc, "input_mode", str, ModelOptions.input_mode)
-    if input_mode not in ("tx", "both"):
-        raise ConfigError("model.input_mode", "must be 'tx' or 'both'")
-
-    split_mode = _expect(split_doc, "mode", str, defaults.split_mode)
-    if split_mode not in ("shuffle", "sequential"):
-        raise ConfigError("split.mode", "must be 'shuffle' or 'sequential'")
-
-    try:
-        # every optimizer field, of the type and with the default TrainingConfig declares
-        training = TrainingConfig(
-            **{
-                f.name: _expect(training_doc, f.name, type(f.default), f.default)
-                for f in dataclasses.fields(TrainingConfig)
-                if f.name != "seed"
-            },
-            seed=_expect(doc, "seed", int, defaults.seed),
-        )
-        return ExperimentConfig(
-            seed=training.seed,
-            out_dir=Path(_expect(doc, "out_dir", str, str(defaults.out_dir))),
-            dataset_csv=dataset_csv,
-            synthetic=synthetic,
-            train_frac=_expect(split_doc, "train_frac", float, defaults.train_frac),
-            val_frac=_expect(split_doc, "val_frac", float, defaults.val_frac),
-            test_frac=_expect(split_doc, "test_frac", float, defaults.test_frac),
-            split_mode=split_mode,
-            model=ModelOptions(
-                conv_channels=tuple(int(c) for c in conv_channels),
-                kernel=_expect(model_doc, "kernel", int, ModelOptions.kernel),
-                pool=_expect(model_doc, "pool", int, ModelOptions.pool),
-                dense_hidden=tuple(int(w) for w in dense_hidden),
-                input_mode=input_mode,
-            ),
-            training=training,
-            bins_per_axis=_expect(baseline_doc, "bins_per_axis", int, defaults.bins_per_axis),
-            m_values=tuple(m_values),
-            repeats=_expect(doc, "repeats", int, defaults.repeats),
-            emit_svg=_expect(doc, "emit_svg", bool, defaults.emit_svg),
-        )
-    except ValueError as exc:
-        raise ConfigError("<config>", str(exc)) from exc
+    Each section's fields are read by ``errors.read_fields`` as their declared
+    types, and a field left out takes its dataclass default.
+    """
+    read = functools.partial(read_fields, ExperimentConfig)
+    fields = read(doc, "", "seed", "out_dir", "m_values", "repeats", "emit_svg")
+    fields |= read(doc.get("dataset", {}), "dataset", dataset_csv="csv", synthetic="synthetic")
+    fields |= read(
+        doc.get("split", {}), "split", "train_frac", "val_frac", "test_frac", split_mode="mode"
+    )
+    fields |= read(doc.get("baseline", {}), "baseline", "bins_per_axis")
+    return ExperimentConfig(
+        model=read_config(ModelOptions, doc.get("model", {}), "model"),
+        training=read_config(TrainingConfig, doc.get("training", {}), "training"),
+        **fields,
+    )
 
 
 def load_json(path: str | Path):

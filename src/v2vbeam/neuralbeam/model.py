@@ -37,8 +37,9 @@ class ConvBlockSpec:
     pool: int = 2
 
     def __post_init__(self):
-        if min(self.out_channels, self.kernel, self.pool) < 1:
-            raise ValueError("conv block counts must be >= 1")
+        for name in ("out_channels", "kernel", "pool"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def padding(self) -> int:

@@ -30,9 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     GeometryOutOfSectorError,
     InvalidGeometryError,
+    read_config,
+    read_fields,
+    read_object,
+    read_value,
 )
 from .geodata import GeoPosition
 from .ingest import _CHUNK_ROWS, Dataset
@@ -41,6 +44,8 @@ from .parallel import ordered_map
 # Local planar frame scale: meters per degree of latitude (and of longitude
 # at the equator). Scenario geometry only needs a consistent, monotone map.
 METERS_PER_DEGREE = 111_320.0
+
+DEFAULT_CODEBOOK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,11 @@ class TrajectoryConfig:
     """
 
     duration: float
+    tx_waypoints: tuple[tuple[float, float], ...]
+    rx_waypoints: tuple[tuple[float, float], ...]
     sample_period: float = 0.1
     rx_heading: float = 0.0
     origin: GeoPosition = GeoPosition(0.0, 0.0)
-    tx_waypoints: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
-    rx_waypoints: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
 
     def __post_init__(self):
         if not self.duration > 0:
@@ -143,7 +148,7 @@ def _array_responses(cfg: ArrayConfig, sin_theta: np.ndarray) -> np.ndarray:
     return np.exp(2j * math.pi * cfg.element_spacing * k * sin_theta[:, None])
 
 
-def dft_codebook(cfg: ArrayConfig, size: int = 64) -> Codebook:
+def dft_codebook(cfg: ArrayConfig, size: int = DEFAULT_CODEBOOK_SIZE) -> Codebook:
     """Oversampled DFT codebook on the uniform sin-space grid psi_i = -1 + 2i/size.
 
     Beam i has weights exp(-1j*pi*k*psi_i)/sqrt(n_elements); unit norm by
@@ -241,7 +246,7 @@ def generate_scenario(
     traj: TrajectoryConfig,
     arr: ArrayConfig,
     ch: SyntheticChannelConfig,
-    codebook_size: int = 64,
+    codebook_size: int = DEFAULT_CODEBOOK_SIZE,
 ) -> Dataset:
     """Simulate one drive: a sample per period with positions, powers, and label.
 
@@ -316,74 +321,19 @@ def _synthesize(
 def scenario_from_json(doc: dict) -> tuple[TrajectoryConfig, ArrayConfig, SyntheticChannelConfig, int]:
     """Build scenario configs from a JSON document.
 
-    Raises ConfigError naming the offending field on any malformed entry.
+    Each section's fields are read by ``errors.read_config`` as their declared
+    types, and a field left out takes its dataclass default. Raises
+    ConfigError naming the offending field on any malformed entry.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "expected a JSON object")
-
-    def section(name: str) -> dict:
-        value = doc.get(name)
-        if not isinstance(value, dict):
-            raise ConfigError(name, "expected an object")
-        return value
-
-    def number(obj: dict, section_name: str, key: str, default=None):
-        if key not in obj:
-            if default is None:
-                raise ConfigError(f"{section_name}.{key}", "missing")
-            return default
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section_name}.{key}", f"expected a number, got {value!r}")
-        return value
-
-    traj_doc = section("trajectory")
-    arr_doc = doc.get("array", {})
-    ch_doc = doc.get("channel", {})
-    if not isinstance(arr_doc, dict):
-        raise ConfigError("array", "expected an object")
-    if not isinstance(ch_doc, dict):
-        raise ConfigError("channel", "expected an object")
-
-    def waypoints(key: str) -> tuple[tuple[float, float], ...]:
-        raw = traj_doc.get(key)
-        if (
-            not isinstance(raw, list)
-            or not raw
-            or not all(isinstance(p, list) and len(p) == 2 for p in raw)
-        ):
-            raise ConfigError(f"trajectory.{key}", "expected a list of [east, north] pairs")
-        return tuple((float(x), float(y)) for x, y in raw)
-
-    origin_doc = traj_doc.get("origin", {})
-    if not isinstance(origin_doc, dict):
-        raise ConfigError("trajectory.origin", "expected an object")
-    origin = GeoPosition(
-        number(origin_doc, "trajectory.origin", "lat", 0.0),
-        number(origin_doc, "trajectory.origin", "lon", 0.0),
+    read_object(doc, "")
+    traj_doc = read_object(doc.get("trajectory", {}), "trajectory")
+    origin = read_fields(
+        TrajectoryConfig.origin, traj_doc.get("origin", {}), "trajectory.origin",
+        lat_deg="lat", lon_deg="lon",
     )
-    try:
-        traj = TrajectoryConfig(
-            duration=number(traj_doc, "trajectory", "duration"),
-            sample_period=number(traj_doc, "trajectory", "sample_period", 0.1),
-            rx_heading=number(traj_doc, "trajectory", "rx_heading", 0.0),
-            origin=origin,
-            tx_waypoints=waypoints("tx_waypoints"),
-            rx_waypoints=waypoints("rx_waypoints"),
-        )
-        arr = ArrayConfig(
-            n_elements=int(number(arr_doc, "array", "n_elements", 16)),
-            element_spacing=number(arr_doc, "array", "element_spacing", 0.5),
-        )
-        ch = SyntheticChannelConfig(
-            n_subcarriers=int(number(ch_doc, "channel", "n_subcarriers", 16)),
-            tx_power=number(ch_doc, "channel", "tx_power", 1.0),
-            noise_power=number(ch_doc, "channel", "noise_power", 0.0),
-            pathloss_exponent=number(ch_doc, "channel", "pathloss_exponent", 2.0),
-            reference_distance=number(ch_doc, "channel", "reference_distance", 1.0),
-            seed=int(number(ch_doc, "channel", "seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError("<scenario>", str(exc)) from exc
-    codebook_size = int(number(doc, "<root>", "codebook_size", 64))
-    return traj, arr, ch, codebook_size
+    return (
+        read_config(TrajectoryConfig, traj_doc, "trajectory", origin=GeoPosition(**origin)),
+        read_config(ArrayConfig, doc.get("array", {}), "array"),
+        read_config(SyntheticChannelConfig, doc.get("channel", {}), "channel"),
+        read_value(doc.get("codebook_size", DEFAULT_CODEBOOK_SIZE), int, "codebook_size"),
+    )

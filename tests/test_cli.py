@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import v2vbeam
-from v2vbeam import experiment, parallel
+from v2vbeam import cli, experiment, parallel
 from v2vbeam.cli import main
 from v2vbeam.errors import ConfigError
 
@@ -90,6 +90,39 @@ class TestGenerate:
         code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "trajectory.duration" in capsys.readouterr().err
+
+    def test_integer_literals_in_float_fields_same_csv(self, tmp_path):
+        # a float field reads a JSON integer as the float of the same value
+        outputs = []
+        for duration, tx_power in ((300, 2), (300.0, 2.0)):
+            cfg = tmp_path / "scenario.json"
+            cfg.write_text(json.dumps(dict(
+                SCENARIO,
+                trajectory=dict(SCENARIO["trajectory"], duration=duration),
+                channel=dict(SCENARIO["channel"], tx_power=tx_power),
+            )))
+            out = tmp_path / f"{type(duration).__name__}.csv"
+            assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 3001
+
+    def test_float_in_integer_field_exit_2_names_field(self, tmp_path, capsys):
+        # "n_elements": 16.7 used to run as 16 elements
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(dict(SCENARIO, array={"n_elements": 16.7})))
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "array.n_elements" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [[], {"dataset": "x.csv"}], ids=["list", "string-dataset"])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, doc):
+        # each used to end in an AttributeError traceback
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "expected an object" in capsys.readouterr().err
 
     def test_invalid_json_exit_2(self, tmp_path):
         cfg = tmp_path / "scenario.json"
@@ -234,6 +267,20 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(small_csv)])
         assert code == 2
 
+    @pytest.mark.parametrize("m_values", ["5,5,1", "5,1", "0"])
+    def test_bad_m_values_exit_2_names_field(self, experiment_config, tmp_path, capsys, m_values):
+        # "5,5,1" used to write every M=5 row twice, before the M=1 row
+        ckpt, data = self._train_and_generate(experiment_config, tmp_path)
+        out = tmp_path / "eval_out"
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+            "--m-values", m_values, "--out", str(out),
+        ])
+        assert code == 2
+        assert "config field 'm_values'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint_exit_3(self, tmp_path):
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "no.json"), "--dataset", str(tmp_path / "no.csv")]
@@ -351,6 +398,53 @@ class TestReport:
         assert "400 rows leave no test rows in the 0.8/0.2/0.0 shuffle split" in err
         assert "reshape" not in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"baseline": {"bins_per_axis": 0}}, "baseline.bins_per_axis"),
+        ({"split": {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.1}}, "split"),
+        ({"model": {"kernel": 0}}, "model.kernel"),
+        ({"model": {"conv_channels": [8.7]}}, "model.conv_channels"),
+        ({"m_values": [5, 1]}, "m_values"),
+        ({"dataset": {"synthetic": dict(SCENARIO, array={"n_elements": 16.7})}}, "array.n_elements"),
+    ],
+)
+def test_bad_config_exit_2_before_any_data(tmp_path, capsys, monkeypatch, overrides, field):
+    # each of these used to fail only after the dataset was made or the model trained
+    def never(*args, **kwargs):
+        raise AssertionError("a bad config got past loading")
+
+    monkeypatch.setattr(cli, "resolve_dataset", never)
+    monkeypatch.setattr(experiment, "train", never)
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps(experiment_doc(tmp_path / "out", **overrides)))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_flags_match_the_same_config_fields(tmp_path):
+    # each flag overrides the config field of the same name
+    values = {"seed": 7, "m_values": [1, 3], "repeats": 2, "split": {"mode": "sequential"}, "emit_svg": True}
+    from_json = tmp_path / "from_json.json"
+    from_json.write_text(json.dumps(experiment_doc(tmp_path / "from_json", **values)))
+    from_flags = tmp_path / "from_flags.json"
+    from_flags.write_text(json.dumps(experiment_doc(tmp_path / "unused")))
+    assert main(["report", "--config", str(from_json)]) == 0
+    assert main([
+        "report", "--config", str(from_flags), "--out", str(tmp_path / "from_flags"),
+        "--seed", "7", "--m-values", "1,3", "--repeats", "2",
+        "--split-mode", "sequential", "--emit-svg",
+    ]) == 0
+    outputs = [
+        {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        for name in ("from_json", "from_flags")
+    ]
+    assert {"report.svg", "checkpoint_r1.json"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
+    assert not (tmp_path / "unused").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "baseline", "report"])

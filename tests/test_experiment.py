@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from v2vbeam import experiment, parallel
@@ -11,6 +15,7 @@ from v2vbeam.experiment import (
     run_experiment,
     single_run,
 )
+from v2vbeam.synthchan import scenario_from_json
 
 TINY_SCENARIO = {
     "codebook_size": 64,
@@ -85,6 +90,44 @@ class TestConfigParsing:
     def test_exactly_one_source_invariant(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset_csv=None, synthetic=None)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"m_values": [5, 1]}, "m_values"),
+            ({"m_values": [1, 5, 5]}, "m_values"),
+            ({"model": {"conv_channels": [8.7]}}, "model.conv_channels"),
+            ({"model": {"conv_channels": [8.0]}}, "model.conv_channels"),
+            ({"model": {"kernel": 0}}, "model.kernel"),
+            ({"baseline": {"bins_per_axis": 0}}, "baseline.bins_per_axis"),
+            ({"split": {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.1}}, "split"),
+            ({"split": {"mode": "random"}}, "split.mode"),
+            ({"training": {"batch_size": 0}}, "training.batch_size"),
+            ({"repeats": 2.0}, "repeats"),
+            ({"seed": True}, "seed"),
+        ],
+    )
+    def test_bad_field_named_with_its_section(self, overrides, field):
+        with pytest.raises(ConfigError) as exc:
+            experiment_config_from_json(tiny_config(**overrides))
+        assert exc.value.field == field
+
+    def test_integer_literal_in_float_field_reads_as_float(self):
+        cfg = experiment_config_from_json(tiny_config(training={"learning_rate": 1, "epochs": 2}))
+        assert cfg.training.learning_rate == 1.0 and type(cfg.training.learning_rate) is float
+
+
+def test_readme_config_examples_load():
+    # the README's two documented configs must keep matching the reader's rules
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    experiment_doc, scenario_doc = (
+        json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)
+    )
+    cfg = experiment_config_from_json(experiment_doc)
+    assert cfg.dataset_csv == Path("data.csv") and cfg.repeats == 5 and cfg.emit_svg
+    traj, arr, ch, codebook_size = scenario_from_json(scenario_doc)
+    assert traj.duration == 2000.0 and arr.n_elements == 16 and ch.seed == 77
+    assert codebook_size == 64
 
 
 class TestResolveDataset:

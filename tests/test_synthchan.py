@@ -240,6 +240,42 @@ class TestScenarioJson:
             scenario_from_json(doc)
         assert "trajectory.duration" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("array", "n_elements", 16.7),
+            ("array", "n_elements", 16.0),
+            ("channel", "seed", 7.0),
+            ("channel", "tx_power", "1"),
+            ("trajectory", "duration", None),
+        ],
+    )
+    def test_wrong_type_named_with_its_section(self, section, key, value):
+        doc = dict(self.DOC, **{section: dict(self.DOC[section], **{key: value})})
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_json(doc)
+        assert exc.value.field == f"{section}.{key}"
+
+    def test_left_out_fields_take_dataclass_defaults(self):
+        required = ("duration", "tx_waypoints", "rx_waypoints")
+        doc = {"trajectory": {k: self.DOC["trajectory"][k] for k in required}}
+        traj, arr, ch, size = scenario_from_json(doc)
+        defaults = TrajectoryConfig(duration=1.0, tx_waypoints=traj.tx_waypoints, rx_waypoints=traj.rx_waypoints)
+        assert (traj, arr, ch, size) == (defaults, ArrayConfig(), SyntheticChannelConfig(), 64)
+
+    @pytest.mark.parametrize("key", ["duration", "tx_waypoints", "rx_waypoints"])
+    def test_missing_required_field_named(self, key):
+        trajectory = {k: v for k, v in self.DOC["trajectory"].items() if k != key}
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_json(dict(self.DOC, trajectory=trajectory))
+        assert str(exc.value) == f"config field 'trajectory.{key}': missing"
+
+    def test_bad_dataclass_value_named(self):
+        doc = dict(self.DOC, channel={"noise_power": -1.0})
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_json(doc)
+        assert exc.value.field == "channel.noise_power"
+
     def test_bad_waypoints_named(self):
         doc = dict(self.DOC)
         doc["trajectory"] = dict(self.DOC["trajectory"], tx_waypoints=[1, 2])
