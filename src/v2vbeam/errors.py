@@ -131,8 +131,13 @@ def read_fields(like, doc, section: str, *names: str, **keys: str) -> dict:
     JSON object ``doc``, the config's ``section``: each of ``names`` under its
     own name and each of ``keys`` under the key given, as its declared type.
     A field left out takes ``like``'s value, and is missing if it has none.
+    Any other key of ``doc`` is an error.
     """
     read_object(doc, section)
+    known = {*names, *keys.values()}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{section}.{key}" if section else key, "no such field")
     kinds = typing.get_type_hints(like if isinstance(like, type) else type(like))
     values = {}
     for name, key in [*zip(names, names), *keys.items()]:

@@ -31,7 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CodebookMismatchError, ConfigError, config_section, read_config, read_fields
+from .errors import (
+    CodebookMismatchError, ConfigError, config_section, read_config, read_fields, read_object,
+)
 from .evalmetrics import (
     EvaluationReport,
     ReportRow,
@@ -127,15 +129,17 @@ def experiment_config_from_json(doc: dict) -> ExperimentConfig:
     types, and a field left out takes its dataclass default.
     """
     read = functools.partial(read_fields, ExperimentConfig)
-    fields = read(doc, "", "seed", "out_dir", "m_values", "repeats", "emit_svg")
-    fields |= read(doc.get("dataset", {}), "dataset", dataset_csv="csv", synthetic="synthetic")
-    fields |= read(
-        doc.get("split", {}), "split", "train_frac", "val_frac", "test_frac", split_mode="mode"
+    doc = dict(read_object(doc, ""))
+    dataset, split, baseline, model, training = (
+        doc.pop(name, {}) for name in ("dataset", "split", "baseline", "model", "training")
     )
-    fields |= read(doc.get("baseline", {}), "baseline", "bins_per_axis")
+    fields = read(doc, "", "seed", "out_dir", "m_values", "repeats", "emit_svg")
+    fields |= read(dataset, "dataset", dataset_csv="csv", synthetic="synthetic")
+    fields |= read(split, "split", "train_frac", "val_frac", "test_frac", split_mode="mode")
+    fields |= read(baseline, "baseline", "bins_per_axis")
     return ExperimentConfig(
-        model=read_config(ModelOptions, doc.get("model", {}), "model"),
-        training=read_config(TrainingConfig, doc.get("training", {}), "training"),
+        model=read_config(ModelOptions, model, "model"),
+        training=read_config(TrainingConfig, training, "training", seed=fields["seed"]),
         **fields,
     )
 

@@ -15,11 +15,11 @@ A ``Dataset`` holds its rows as numpy columns (times, tx and rx fixes, the
 power matrix and the best-beam labels), so splitting is index slicing and
 callers work on whole arrays. The CSV is read and written in blocks of rows,
 never as one string, and on the usable CPUs (``parallel.ordered_map``). A
-block of plain rows is converted column by column. From the first block that
-fails a check on, the file is read in the calling process, and a failing
-block goes through ``csv.reader`` row by row, which reads quoted fields and
-CRLF line ends or raises the offending row's error with its line number. A
-file with any quote or carriage return is read that way from its first row.
+block of plain rows is converted by one ``np.loadtxt`` call. From the first
+block that fails a check on, the file is read in the calling process, and a
+failing block goes through ``csv.reader`` row by row, which reads quoted
+fields and CRLF line ends or raises the offending row's error with its line
+number. A file with any quote or CR is read that way from its first row.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ import collections
 import contextlib
 import csv
 import functools
-import io
 import math
 import mmap
 import os
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -280,10 +279,10 @@ def parse_dataset(path: str | Path) -> Dataset:
     row's line number, counting the header as line 1.
 
     The rows are parsed in blocks of _BLOCK_ROWS lines on the usable CPUs:
-    each block's bytes are read, decoded and converted column by column into
-    columns that the pool's processes share (``_shared_columns``). From
-    the first block that fails a check (or is not UTF-8) on, the file is read
-    here block by block, and a failing block is parsed again row by row with
+    each block's bytes are read, decoded and converted by ``_read_block`` into
+    columns that the pool's processes share (``_shared_columns``). From the
+    first block that fails a check (or is not UTF-8) on, the file is read here
+    block by block, and a failing block is parsed again row by row with
     ``csv.reader``, which either reads it correctly or raises the row's error.
     A file holding any quote or carriage return is read that way from its
     first row, since a quoted record may span blocks.
@@ -314,7 +313,7 @@ def parse_dataset(path: str | Path) -> Dataset:
                 # start, as a serial read does, so a decoding error reads the same
                 collections.deque(islice(fh, n), maxlen=0)
         while serial and (lines := list(islice(fh, _BLOCK_ROWS))):
-            block = _parse_block(lines, len(header), has_best_beam)
+            block = _read_block("".join(lines), len(header), has_best_beam)
             if block is None:
                 # a quoted record may run past the block; the reader goes on into it
                 source = chain(lines, fh)
@@ -378,7 +377,7 @@ def _parse_span(
 ) -> int | None:
     """Parse the lines in bytes [start, stop) of the file into ``columns`` from row
     ``first_row`` on; the number of rows, or None, leaving the columns as they
-    were, if the lines are not UTF-8 or any row fails a check of ``_parse_block``.
+    were, if the lines are not UTF-8 or any row fails a check of ``_read_block``.
     """
     first_row, start, stop = span
     with path.open("rb") as fh:
@@ -388,7 +387,7 @@ def _parse_span(
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    block = _parse_block(list(io.StringIO(text, newline="")), n_fields, has_best_beam)
+    block = _read_block(text, n_fields, has_best_beam)
     if block is None:
         return None
     return _fill(columns, first_row, block) - first_row
@@ -401,61 +400,50 @@ def _fill(columns: tuple[np.ndarray, ...], n: int, block: tuple[np.ndarray, ...]
     return n + len(block[0])
 
 
-def _floats(cells: list[str]) -> np.ndarray:
-    """Convert strings with ``float``; ValueError on a bad cell."""
-    return np.fromiter(map(float, cells), np.float64, count=len(cells))
+def _empty_as_nan(read):
+    """A ``np.loadtxt`` converter: ``read`` of a cell, or NaN for an empty cell."""
+    return lambda cell: read(cell) if cell else math.nan
 
 
-def _parse_block(
-    lines: list[str], n_fields: int, has_best_beam: bool
-) -> tuple[np.ndarray, ...] | None:
-    """Columns of a block of unquoted rows, or None if any row fails a check."""
-    if not all(map((n_fields - 1).__eq__, map(str.count, lines, repeat(",")))):
+def _read_block(text: str, n_fields: int, has_best_beam: bool) -> tuple[np.ndarray, ...] | None:
+    """Columns of a block of unquoted rows, or None if any row fails a check.
+
+    ``np.loadtxt`` converts the cells in C, to the values ``float`` gives; rx
+    cells are read with ``float`` and best_beam cells with ``int`` (so "5.0"
+    fails), an empty one as NaN. A block is left to the row-by-row reader if it
+    holds an n or N (such a cell is NaN, infinite or no number, so it fails
+    anyway, and any NaN read is an empty cell), an empty line (loadtxt skips
+    it, and warns if there is nothing else), a CR (loadtxt ends a line there)
+    or \\x1c-\\x1f (loadtxt reads them as space around a number; ``float`` fails).
+    """
+    lines = text.removesuffix("\n").split("\n")
+    if not all(lines) or any(map(text.__contains__, 'nN"\r\x1c\x1d\x1e\x1f')):
         return None
-    text = "".join(lines)
-    if '"' in text or "\r" in text:
-        return None
-    n = len(lines)
-    cells = text.removesuffix("\n").replace("\n", ",").split(",")
-    offset = 6 if has_best_beam else 5
-    t, tx_lat, tx_lon, rx_lat, rx_lon, *stored = (
-        cells[k::n_fields] for k in range(offset)
-    )
-    for width in range(n_fields, n_fields - offset, -1):
-        del cells[::width]  # drop each row's first fixed cell; the powers remain
-    rx_given = [cell != "" for cell in rx_lat]
-    if rx_given != [cell != "" for cell in rx_lon]:
-        return None
-    has_rx = np.array(rx_given)
-    rx = np.full((n, 2), np.nan)
+    converters = {3: _empty_as_nan(float), 4: _empty_as_nan(float)}
+    if has_best_beam:
+        converters[5] = _empty_as_nan(int)
     try:
-        t = _floats(t)
-        tx = np.column_stack([_floats(tx_lat), _floats(tx_lon)])
-        rx[has_rx, 0] = _floats(list(compress(rx_lat, has_rx)))
-        rx[has_rx, 1] = _floats(list(compress(rx_lon, has_rx)))
-        powers = _floats(cells).reshape(n, n_fields - offset)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, converters=converters)
     except ValueError:
         return None
-    fixes = np.concatenate([tx, rx[has_rx]])
+    if values.shape != (len(lines), n_fields):
+        return None
+    t, tx, rx = values[:, 0], values[:, 1:3], values[:, 3:5]
+    powers = values[:, 6 if has_best_beam else 5 :]
+    has_rx = ~np.isnan(rx)
+    fixes = np.concatenate([tx, rx[has_rx[:, 0]]])
+    best = powers.argmax(axis=1)
+    stored = values[:, 5] if has_best_beam else best
     if not (
-        np.isfinite(t).all()
-        and np.isfinite(fixes).all()
-        and np.isfinite(powers).all()
+        (has_rx[:, 0] == has_rx[:, 1]).all()
+        and all(np.isfinite(column).all() for column in (t, fixes, powers))
         and (np.abs(fixes[:, 0]) <= 90.0).all()
         and (np.abs(fixes[:, 1]) <= 180.0).all()
         and (powers >= 0).all()
         and (powers.max(axis=1) > 0).all()
+        and ((stored == best) | np.isnan(stored)).all()
     ):
         return None
-    best = powers.argmax(axis=1)
-    if stored:
-        given = np.array([cell != "" for cell in stored[0]])
-        try:
-            labels = [int(cell) for cell in compress(stored[0], given)]
-        except ValueError:
-            return None
-        if labels != best[given].tolist():
-            return None
     return t, tx, rx, powers, best
 
 

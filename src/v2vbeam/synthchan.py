@@ -326,9 +326,9 @@ def scenario_from_json(doc: dict) -> tuple[TrajectoryConfig, ArrayConfig, Synthe
     ConfigError naming the offending field on any malformed entry.
     """
     read_object(doc, "")
-    traj_doc = read_object(doc.get("trajectory", {}), "trajectory")
+    traj_doc = dict(read_object(doc.get("trajectory", {}), "trajectory"))
     origin = read_fields(
-        TrajectoryConfig.origin, traj_doc.get("origin", {}), "trajectory.origin",
+        TrajectoryConfig.origin, traj_doc.pop("origin", {}), "trajectory.origin",
         lat_deg="lat", lon_deg="lon",
     )
     return (

@@ -409,6 +409,8 @@ class TestReport:
         ({"model": {"conv_channels": [8.7]}}, "model.conv_channels"),
         ({"m_values": [5, 1]}, "m_values"),
         ({"dataset": {"synthetic": dict(SCENARIO, array={"n_elements": 16.7})}}, "array.n_elements"),
+        ({"training": {"epoch": 5}}, "training.epoch"),
+        ({"split": {"test_fraction": 0.5}}, "split.test_fraction"),
     ],
 )
 def test_bad_config_exit_2_before_any_data(tmp_path, capsys, monkeypatch, overrides, field):

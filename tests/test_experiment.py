@@ -105,6 +105,18 @@ class TestConfigParsing:
             ({"training": {"batch_size": 0}}, "training.batch_size"),
             ({"repeats": 2.0}, "repeats"),
             ({"seed": True}, "seed"),
+            # keys that name no field, which used to be ignored
+            ({"training": {"epoch": 5}}, "training.epoch"),
+            ({"split": {"test_fraction": 0.5}}, "split.test_fraction"),
+            ({"training": {"seed": 4}}, "training.seed"),
+            ({"epochs": 5}, "epochs"),
+            ({"dataset": {"synthetic": dict(TINY_SCENARIO, channel={"noise": 0.0})}}, "channel.noise"),
+            (
+                {"dataset": {"synthetic": dict(
+                    TINY_SCENARIO, trajectory=dict(TINY_SCENARIO["trajectory"], origin={"lng": 1.0})
+                )}},
+                "trajectory.origin.lng",
+            ),
         ],
     )
     def test_bad_field_named_with_its_section(self, overrides, field):

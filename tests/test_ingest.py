@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -582,6 +583,16 @@ BAD_ROWS = {
     "negative power": "0.0,33.0,-112.0,,,2,-0.5,1.5,2.0\n",
     "bad best_beam": "0.0,33.0,-112.0,,,two,0.5,1.5,2.0\n",
     "best_beam mismatch": "0.0,33.0,-112.0,,,0,0.5,1.5,2.0\n",
+    # the argmax written as a float: int() rejects it, a float column would not
+    "best_beam as a float": "0.0,33.0,-112.0,,,2.0,0.5,1.5,2.0\n",
+    # a comment-stripping reader would keep "2.0"
+    "# in a power": "0.0,33.0,-112.0,,,2,0.5,1.5,2.0#\n",
+    # an empty line between two rows, which a reader skipping empty lines would drop
+    "blank line before a row": "\n0.0,33.0,-112.0,,,2,0.5,1.5,2.0\n",
+    # float() rejects \x1c-\x1f where numpy's number reader strips them as space
+    "\\x1c after a power": "0.0,33.0,-112.0,,,2,0.5,1.5,2.0\x1c\n",
+    # NaN is also how an empty rx cell reads
+    "nan rx fix": "0.0,33.0,-112.0,nan,nan,2,0.5,1.5,2.0\n",
 }
 
 
@@ -705,3 +716,81 @@ class TestPooledParse:
             path = tmp_path / "d.csv"
             path.write_text(text)
             assert len(parse_dataset(path)) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [HEADER, HEADER.rstrip("\n"), HEADER + good_row(0), HEADER + good_row(0).rstrip("\n")]
+    + [HEADER + "".join(good_row(i) for i in range(9)).rstrip("\n")],
+    ids=["header-only", "header-only-no-newline", "one-row", "one-row-no-newline", "no-final-newline"],
+)
+def test_short_files_parse_without_warnings(tmp_path, block_rows, cpus, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = parse_dataset(path)
+    assert_same_bytes(got, oracle_parse(path))
+
+
+def test_trailing_blank_line_fails_without_warnings(tmp_path, blocks_of_4, cpus):
+    # 8 rows end the second block; the blank line is a block of its own
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER + "".join(good_row(i) for i in range(8)) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert isinstance(assert_same_error(path), SchemaMismatchError)
+
+
+# --- cells that float() and a C number reader may read differently ----------------------
+
+# cells that float() reads as a number or rejects, some of which a C number reader reads otherwise
+ODD_NUMBERS = [
+    "1_0", "\u0661\u0662", " 1.5", "1.5 ", "\xa01.5", "+1", ".5", "1e5", "-0.0",
+    "nan", "inf", "-inf", "1\x1c", "1#", "",
+]
+
+
+@st.composite
+def odd_row(draw, i):
+    """A row of three powers, often with one cell written oddly; its best_beam is
+    the argmax where the powers read as numbers, so most rows are good ones."""
+    rx = [["", ""]] * 3 + [["33.5", "-112.5"]] * 3 + [["nan", "nan"]]
+    cells = [f"{0.1 * i!r}", "33.0", "-112.0", *draw(st.sampled_from(rx))]
+    powers = draw(st.lists(st.sampled_from(["0.5", "1.5", "2.25", "3e-3"]), min_size=3, max_size=3))
+    column = draw(st.integers(0, 24))
+    if column < 5:
+        cells[column] = draw(st.sampled_from(ODD_NUMBERS))
+    elif column < 8:
+        powers[column - 5] = draw(st.sampled_from(ODD_NUMBERS))
+    try:
+        best = int(np.argmax([float(p) for p in powers]))
+    except ValueError:
+        best = 0
+    label = str(best)
+    if column == 8:
+        label = draw(st.sampled_from(
+            [f" {best}", f"{best} ", f"+{best}", f"{best}.0", "\u0660\u0661\u0662"[best], "", f"{best}_0"]
+        ))
+    return ",".join([*cells, label, *powers]) + "\n"
+
+
+class TestParseMatchesFloatReading:
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 11), final_newline=st.booleans())
+    def test_columns_or_error_of_the_oracle(self, tmp_path_factory, n_cpus, data, n, final_newline):
+        text = HEADER + "".join(data.draw(odd_row(i)) for i in range(n))
+        path = tmp_path_factory.mktemp("odd") / "d.csv"
+        path.write_text(text if final_newline else text.rstrip("\n"), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "_usable_cpus", lambda: n_cpus)
+            mp.setattr(ingest, "_BLOCK_ROWS", 4)
+            try:
+                want = oracle_parse(path)
+            except V2VBeamError as exc:
+                with pytest.raises(type(exc)) as got:
+                    parse_dataset(path)
+                assert str(got.value) == str(exc)
+            else:
+                assert_same_bytes(parse_dataset(path), want)
