@@ -43,7 +43,7 @@ from .experiment import (
 from .experiment import load_json as _load_json
 from .fingerprint import save_database
 from .ingest import parse_dataset, write_dataset
-from .neuralbeam import load_checkpoint, save_checkpoint, write_history
+from .neuralbeam import input_length_for_mode, load_checkpoint, save_checkpoint, write_history
 from .parallel import one_blas_thread
 from .synthchan import generate_scenario, scenario_from_json
 
@@ -167,13 +167,15 @@ def cmd_eval(args) -> int:
     if not data_path.exists():
         raise FileNotFoundError(f"dataset file not found: {data_path}")
     params, spec, norm, meta = load_checkpoint(ckpt_path)
-    dataset = parse_dataset(data_path)
-    check_codebook_compatible(spec, dataset)
     # the layer spec comes from the checkpoint; of the model options only the input mode is used
-    model = ModelOptions(input_mode=meta.get("input_mode", "tx"))
+    model = ModelOptions(input_mode=meta["input_mode"])
     config = _apply_overrides(
         ExperimentConfig(seed=meta["seed"], dataset_csv=data_path, model=model), args
     )
+    if input_length_for_mode(model.input_mode) != spec.in_length:
+        raise ConfigError("input_mode", f"{model.input_mode!r} does not fit spec.in_length")
+    dataset = parse_dataset(data_path)
+    check_codebook_compatible(spec, dataset)
     train_ds, val_ds, test_ds = split_stage(dataset, config, config.seed)
     database = baseline_stage(train_ds, val_ds, norm, config)
     # one deterministic pass; its stddev column reads 0.0, as for a one-repeat report

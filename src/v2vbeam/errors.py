@@ -100,11 +100,14 @@ class ConfigError(V2VBeamError):
 def read_value(value, kind, where: str):
     """``value`` of a JSON document as type ``kind``, or a ConfigError naming ``where``.
 
-    A float takes any JSON number, an int only a JSON integer, a Path a string
-    and a tuple a list of its item type; ``X | None`` reads as ``X``.
+    A float takes any JSON number, an int only a JSON integer, a Path a string,
+    a tuple a list of its item type and a dataclass an object, read as the
+    section ``where`` by ``read_config``; ``X | None`` reads as ``X``.
     """
     if typing.get_origin(kind) in (typing.Union, types.UnionType):
         kind = typing.get_args(kind)[0]
+    if dataclasses.is_dataclass(kind):
+        return read_config(kind, value, where)
     if typing.get_origin(kind) is tuple:
         items = typing.get_args(kind)
         size = None if items[-1] is Ellipsis else len(items)

@@ -22,7 +22,6 @@ synthesises a scenario and writes the dataset CSV in row chunks.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import logging
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    CodebookMismatchError, ConfigError, config_section, read_config, read_fields, read_object,
+    CodebookMismatchError, ConfigError, config_section, read_fields, read_object,
 )
 from .evalmetrics import (
     EvaluationReport,
@@ -81,7 +80,7 @@ class ExperimentConfig:
     """Everything one experiment needs; exactly one dataset source is set.
 
     Every rule on the values is checked here, so a bad config, however it
-    is made, fails before any data is read. ``training.seed`` is ``seed``.
+    is made, fails before any data is read.
     """
 
     seed: int = 0
@@ -119,29 +118,25 @@ class ExperimentConfig:
             build_layer_spec(self.model, 1)
         if self.synthetic is not None:
             scenario_from_json(self.synthetic)
-        object.__setattr__(self, "training", dataclasses.replace(self.training, seed=self.seed))
 
 
 def experiment_config_from_json(doc: dict) -> ExperimentConfig:
     """Parse and validate a config document; ConfigError names bad fields.
 
     Each section's fields are read by ``errors.read_fields`` as their declared
-    types, and a field left out takes its dataclass default.
+    types, and a field left out takes its dataclass default. ``model`` and
+    ``training`` are dataclass fields, read as nested sections.
     """
     read = functools.partial(read_fields, ExperimentConfig)
     doc = dict(read_object(doc, ""))
-    dataset, split, baseline, model, training = (
-        doc.pop(name, {}) for name in ("dataset", "split", "baseline", "model", "training")
+    dataset, split, baseline = (doc.pop(name, {}) for name in ("dataset", "split", "baseline"))
+    fields = read(
+        doc, "", "seed", "out_dir", "model", "training", "m_values", "repeats", "emit_svg"
     )
-    fields = read(doc, "", "seed", "out_dir", "m_values", "repeats", "emit_svg")
     fields |= read(dataset, "dataset", dataset_csv="csv", synthetic="synthetic")
     fields |= read(split, "split", "train_frac", "val_frac", "test_frac", split_mode="mode")
     fields |= read(baseline, "baseline", "bins_per_axis")
-    return ExperimentConfig(
-        model=read_config(ModelOptions, model, "model"),
-        training=read_config(TrainingConfig, training, "training", seed=fields["seed"]),
-        **fields,
-    )
+    return ExperimentConfig(**fields)
 
 
 def load_json(path: str | Path):
@@ -233,9 +228,8 @@ def fit_stage(
     """Stage 2: the layer spec, the training part's normalization and the trained model."""
     spec = build_layer_spec(config.model, train_ds.codebook_size)
     norm = fit_split_normalization(train_ds, config.model.input_mode)
-    training = dataclasses.replace(config.training, seed=run_seed)
     params, history = train(
-        train_ds, val_ds, spec, training, norm, input_mode=config.model.input_mode
+        train_ds, val_ds, spec, config.training, norm, run_seed, config.model.input_mode
     )
     return spec, norm, params, history
 

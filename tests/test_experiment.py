@@ -50,7 +50,6 @@ class TestConfigParsing:
         cfg = experiment_config_from_json(tiny_config())
         assert cfg.seed == 3
         assert cfg.training.epochs == 2
-        assert cfg.training.seed == 3
         assert cfg.m_values == (1, 5)
         assert cfg.model.conv_channels == (8, 16)
 
@@ -112,6 +111,12 @@ class TestConfigParsing:
             ({"epochs": 5}, "epochs"),
             ({"dataset": {"synthetic": dict(TINY_SCENARIO, channel={"noise": 0.0})}}, "channel.noise"),
             (
+                {"dataset": {"synthetic": {
+                    "chanel" if k == "channel" else k: v for k, v in TINY_SCENARIO.items()
+                }}},
+                "chanel",
+            ),
+            (
                 {"dataset": {"synthetic": dict(
                     TINY_SCENARIO, trajectory=dict(TINY_SCENARIO["trajectory"], origin={"lng": 1.0})
                 )}},
@@ -168,6 +173,18 @@ class TestSingleRun:
         assert run.model_report.m_values == (1, 5)
         for v in run.model_report.accuracy_inclusion:
             assert 0.0 <= v <= 1.0
+
+    def test_training_receives_the_run_seed(self, monkeypatch):
+        seeds, real_train = [], experiment.train
+
+        def train(*args):
+            seeds.append(args[5])
+            return real_train(*args)
+
+        monkeypatch.setattr(experiment, "train", train)
+        cfg = experiment_config_from_json(tiny_config())
+        single_run(resolve_dataset(cfg), cfg, run_seed=7)
+        assert cfg.seed == 3 and seeds == [7]
 
     def test_m_beyond_codebook_rejected(self):
         cfg = experiment_config_from_json(tiny_config(m_values=[1, 65]))

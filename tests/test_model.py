@@ -92,6 +92,26 @@ class TestModelParams:
         assert not any(np.shares_memory(a, rebuilt.flat) for a in arrays)
         assert rebuilt.flat.sum() == params.flat.size
 
+    def test_init_draws_each_weight_then_its_bias_in_tensor_shapes_order(self):
+        # the per-layer loop of bounds and draws that init_params has always made
+        rng = np.random.default_rng(38)
+        expected, fan_in = [], SMALL.in_channels
+        for block in SMALL.conv_blocks:
+            bound = 1.0 / np.sqrt(fan_in * block.kernel)
+            expected.append(rng.uniform(-bound, bound, (block.out_channels, fan_in, block.kernel)))
+            expected.append(rng.uniform(-bound, bound, block.out_channels))
+            fan_in = block.out_channels
+        fan_in = SMALL.flatten_size()
+        for width in SMALL.dense_widths:
+            bound = 1.0 / np.sqrt(fan_in)
+            expected.append(rng.uniform(-bound, bound, (width, fan_in)))
+            expected.append(rng.uniform(-bound, bound, width))
+            fan_in = width
+        params = init_params(SMALL, np.random.default_rng(38))
+        assert [a.tobytes() for a in params.arrays()] == [a.tobytes() for a in expected]
+        named = [(name, a.shape) for name, a in params.named_arrays()]
+        assert named == model.tensor_shapes(SMALL)
+
     def test_pickle_keeps_one_vector(self):
         params = init_params(SMALL, np.random.default_rng(34))
         data = pickle.dumps(params)

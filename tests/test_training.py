@@ -69,25 +69,25 @@ class TestDatasetFeatures:
 class TestTrain:
     def test_smoke_run_decreases_loss(self, synthetic_split):
         train_ds, val_ds, _, norm = synthetic_split
-        cfg = TrainingConfig(epochs=2, seed=0)
-        _, history = train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
+        cfg = TrainingConfig(epochs=2)
+        _, history = train(train_ds, val_ds, SMALL_SPEC, cfg, norm, 0)
         assert len(history) == 2
         assert history[-1].train_loss < history[0].train_loss
         assert history[0].epoch == 1 and history[-1].epoch == 2
 
     def test_deterministic_under_seed(self, synthetic_split):
         train_ds, val_ds, _, norm = synthetic_split
-        cfg = TrainingConfig(epochs=2, seed=11)
-        params_a, hist_a = train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
-        params_b, hist_b = train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
+        cfg = TrainingConfig(epochs=2)
+        params_a, hist_a = train(train_ds, val_ds, SMALL_SPEC, cfg, norm, 11)
+        params_b, hist_b = train(train_ds, val_ds, SMALL_SPEC, cfg, norm, 11)
         assert hist_a == hist_b
         for a, b in zip(params_a.arrays(), params_b.arrays()):
             assert np.array_equal(a, b)
 
     def test_zero_learning_rate_keeps_params_and_loss(self, synthetic_split):
         train_ds, val_ds, _, norm = synthetic_split
-        cfg = TrainingConfig(learning_rate=0.0, epochs=3, seed=2)
-        params, history = train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
+        cfg = TrainingConfig(learning_rate=0.0, epochs=3)
+        params, history = train(train_ds, val_ds, SMALL_SPEC, cfg, norm, 2)
         from v2vbeam.neuralbeam import init_params
 
         fresh = init_params(SMALL_SPEC, np.random.default_rng(2))
@@ -117,8 +117,8 @@ class TestTrain:
 
         monkeypatch.setattr(training, "backward", backward)
         monkeypatch.setattr(training, "adam_step", adam_step)
-        cfg = TrainingConfig(epochs=2, batch_size=50, seed=4)
-        train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
+        cfg = TrainingConfig(epochs=2, batch_size=50)
+        train(train_ds, val_ds, SMALL_SPEC, cfg, norm, 4)
         n = len(train_ds)
         sizes = [min(50, n - start) for start in range(0, n, 50)]
         per_epoch = []
@@ -129,15 +129,15 @@ class TestTrain:
     def test_initial_loss_near_log_classes(self, synthetic_split):
         # bounded init keeps the first epoch close to the uniform-guess loss
         train_ds, val_ds, _, norm = synthetic_split
-        cfg = TrainingConfig(epochs=1, seed=5)
-        _, history = train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
+        cfg = TrainingConfig(epochs=1)
+        _, history = train(train_ds, val_ds, SMALL_SPEC, cfg, norm, 5)
         assert abs(history[0].train_loss - math.log(64)) < 1.0
 
     def test_empty_train_set_rejected(self, synthetic_split):
         _, val_ds, _, norm = synthetic_split
         empty = Dataset(samples=(), codebook_size=64)
         with pytest.raises(EmptyDatasetError):
-            train(empty, val_ds, SMALL_SPEC, TrainingConfig(epochs=1), norm)
+            train(empty, val_ds, SMALL_SPEC, TrainingConfig(epochs=1), norm, 0)
 
     def test_loss_drops_below_tenth_on_separable_task(self):
         # noiseless LOS, beams cleanly determined by position, >= 1k samples:
@@ -162,23 +162,23 @@ class TestTrain:
         train_ds, val_ds, _ = split(ds, SplitSpec(seed=0))
         norm = fit_normalization(train_ds.tx)
         spec = LayerSpec()
-        cfg = TrainingConfig(epochs=30, seed=0)
+        cfg = TrainingConfig(epochs=30)
 
-        init = init_params(spec, np.random.default_rng(cfg.seed))
+        init = init_params(spec, np.random.default_rng(0))
         x = dataset_features(train_ds, norm)
         y = train_ds.best
         initial_loss = cross_entropy_batch(forward_batch(init, spec, x), y)
         assert initial_loss == pytest.approx(math.log(64), abs=0.5)
 
-        _, history = train(train_ds, val_ds, spec, cfg, norm)
+        _, history = train(train_ds, val_ds, spec, cfg, norm, 0)
         assert history[-1].train_loss < 0.1 * initial_loss
 
 
 class TestHistoryIO:
     def test_round_trip(self, tmp_path, synthetic_split):
         train_ds, val_ds, _, norm = synthetic_split
-        cfg = TrainingConfig(epochs=2, seed=0)
-        _, history = train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
+        cfg = TrainingConfig(epochs=2)
+        _, history = train(train_ds, val_ds, SMALL_SPEC, cfg, norm, 0)
         path = write_history(history, tmp_path / "history.csv")
         header, *lines = path.read_text().splitlines()
         assert header == "epoch,train_loss,val_top1"
@@ -190,9 +190,9 @@ class TestHistoryIO:
 
     def test_deterministic_bytes(self, tmp_path, synthetic_split):
         train_ds, val_ds, _, norm = synthetic_split
-        cfg = TrainingConfig(epochs=2, seed=4)
-        _, hist_a = train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
-        _, hist_b = train(train_ds, val_ds, SMALL_SPEC, cfg, norm)
+        cfg = TrainingConfig(epochs=2)
+        _, hist_a = train(train_ds, val_ds, SMALL_SPEC, cfg, norm, 4)
+        _, hist_b = train(train_ds, val_ds, SMALL_SPEC, cfg, norm, 4)
         a = write_history(hist_a, tmp_path / "a.csv").read_bytes()
         b = write_history(hist_b, tmp_path / "b.csv").read_bytes()
         assert a == b
