@@ -29,12 +29,14 @@ class OutOfRangeError(V2VBeamError):
         super().__init__(f"{field} out of range: {value!r}")
 
 
-class DegenerateRangeError(V2VBeamError):
-    """All latitudes (or longitudes) in a fitting set are equal."""
+class DegenerateRangeError(V2VBeamError, ValueError):
+    """All latitudes (or longitudes) in a fitting set are equal, or a given
+    range is empty or not finite (``reason`` says how). It is a ValueError too,
+    so ``config_section`` reports a checkpoint's range as a ConfigError."""
 
-    def __init__(self, field: str):
+    def __init__(self, field: str, reason: str | None = None):
         self.field = field
-        super().__init__(f"degenerate {field} range: min == max")
+        super().__init__(reason or f"degenerate {field} range: min == max")
 
 
 class SchemaMismatchError(V2VBeamError):

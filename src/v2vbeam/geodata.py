@@ -9,6 +9,7 @@ destroy monotonicity for unseen positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,16 @@ class NormalizationParams:
     lon_max: float
 
     def __post_init__(self):
-        if not self.lat_max > self.lat_min:
-            raise DegenerateRangeError("lat")
-        if not self.lon_max > self.lon_min:
-            raise DegenerateRangeError("lon")
+        # each message begins with a field's name, which config_section then names
+        for axis in ("lat", "lon"):
+            low, high = getattr(self, f"{axis}_min"), getattr(self, f"{axis}_max")
+            for name, value in ((f"{axis}_min", low), (f"{axis}_max", high)):
+                if not math.isfinite(value):
+                    raise DegenerateRangeError(axis, f"{name} must be finite, got {value!r}")
+            if not high > low:
+                raise DegenerateRangeError(
+                    axis, f"{axis}_max must be greater than {axis}_min {low!r}, got {high!r}"
+                )
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,17 @@ block of values at once.
 
 A ``Dataset`` holds its rows as numpy columns (times, tx and rx fixes, the
 power matrix and the best-beam labels), so splitting is index slicing and
-callers work on whole arrays. The CSV is read and written in blocks of rows,
-never as one string, and on the usable CPUs (``parallel.ordered_map``). A
-block of plain rows is converted by one ``np.loadtxt`` call. From the first
-block that fails a check on, the file is read in the calling process, and a
-failing block goes through ``csv.reader`` row by row, which reads quoted
-fields and CRLF line ends or raises the offending row's error with its line
-number. A file with any quote or CR is read that way from its first row.
+callers work on whole arrays. The CSV is written in blocks of rows, never as
+one string, on the usable CPUs (``parallel.ordered_map``). It is read by one
+of two readers. A file with no quote and no CR is parsed in spans of lines on
+the usable CPUs, each converted by one ``np.loadtxt`` call. A file with a
+quote or CR, or a span that fails a check, is read instead by ``csv.reader``
+one record at a time from line 2, which reads quoted fields and CRLF line
+ends or raises the offending row's error with its line number.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import csv
 import functools
@@ -32,18 +31,14 @@ import math
 import mmap
 import os
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, takewhile
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import floatrepr
-from .errors import (
-    IndexMismatchError,
-    RowParseError,
-    SchemaMismatchError,
-)
+from .errors import IndexMismatchError, RowParseError, SchemaMismatchError
 from .geodata import GeoPosition, validate_position
 from .parallel import ordered_map
 
@@ -273,19 +268,17 @@ def parse_dataset(path: str | Path) -> Dataset:
     """Load a dataset CSV, validating every row.
 
     Raises SchemaMismatchError for a bad header or a row whose field count
-    disagrees with the header, RowParseError for unparseable values and for
-    rows whose powers are all zero, and IndexMismatchError when a stored
+    disagrees with the header, RowParseError for unparseable values or records
+    and for rows whose powers are all zero, and IndexMismatchError when a stored
     best-beam disagrees with the argmax of that row's powers. Errors name the
     row's line number, counting the header as line 1.
 
-    The rows are parsed in blocks of _BLOCK_ROWS lines on the usable CPUs:
-    each block's bytes are read, decoded and converted by ``_read_block`` into
-    columns that the pool's processes share (``_shared_columns``). From the
-    first block that fails a check (or is not UTF-8) on, the file is read here
-    block by block, and a failing block is parsed again row by row with
-    ``csv.reader``, which either reads it correctly or raises the row's error.
-    A file holding any quote or carriage return is read that way from its
-    first row, since a quoted record may span blocks.
+    A file with no quote and no carriage return is parsed in spans of
+    _BLOCK_ROWS lines on the usable CPUs: ``_read_block`` converts each span's
+    lines into columns that the pool's processes share (``_shared_columns``).
+    Any other file, and a file with a span that fails a check (or is not
+    UTF-8), is read by ``_read_rows``: ``csv.reader`` from line 2 on, which
+    either reads every record or raises the first failing row's error.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -296,29 +289,17 @@ def parse_dataset(path: str | Path) -> Dataset:
         has_best_beam, codebook_size = _check_header(header)
         spans, capacity, plain = _scan(path, _BLOCK_ROWS)
         columns = _shared_columns(capacity, codebook_size)
-        n = 0
-        serial = not plain
+        n = None
         if plain:
             parse_span = functools.partial(
                 _parse_span, path, columns, len(header), has_best_beam
             )
-            with contextlib.closing(ordered_map(parse_span, spans)) as counts:
-                for count in counts:
-                    if count is None:
-                        serial = True
-                        break
-                    n += count
-            if serial:
-                # skip the rows parsed so far: the stream decodes the file from its
-                # start, as a serial read does, so a decoding error reads the same
-                collections.deque(islice(fh, n), maxlen=0)
-        while serial and (lines := list(islice(fh, _BLOCK_ROWS))):
-            block = _read_block("".join(lines), len(header), has_best_beam)
-            if block is None:
-                # a quoted record may run past the block; the reader goes on into it
-                source = chain(lines, fh)
-                block = _parse_rows(source, len(lines), n + 2, header, has_best_beam)
-            n = _fill(columns, n, block)
+            # the pool is shut down before _read_rows writes into the columns
+            with contextlib.closing(ordered_map(parse_span, spans)) as results:
+                counts = list(takewhile(lambda count: count is not None, results))
+            n = sum(counts) if len(counts) == len(spans) else None
+        if n is None:
+            n = _read_rows(fh, columns, len(header), has_best_beam)
     t, tx, rx, powers, best = (column[:n] for column in columns)
     return Dataset.from_columns(t, tx, rx, powers, best, _infer_sampling_period(t))
 
@@ -391,14 +372,9 @@ def _parse_span(
     block = _read_block(text, n_fields, has_best_beam)
     if block is None:
         return None
-    return _fill(columns, first_row, block) - first_row
-
-
-def _fill(columns: tuple[np.ndarray, ...], n: int, block: tuple[np.ndarray, ...]) -> int:
-    """Copy a block's columns into ``columns`` from row n; the row after them."""
     for column, values in zip(columns, block):
-        column[n : n + len(values)] = values
-    return n + len(block[0])
+        column[first_row : first_row + len(values)] = values
+    return len(block[0])
 
 
 def _empty_as_nan(read):
@@ -448,28 +424,25 @@ def _read_block(text: str, n_fields: int, has_best_beam: bool) -> tuple[np.ndarr
     return t, tx, rx, powers, best
 
 
-def _parse_rows(
-    source, n_lines: int, first_line_no: int, header: list[str], has_best_beam: bool
-) -> tuple[np.ndarray, ...]:
-    """Parse records of ``source`` with ``csv.reader`` until ``n_lines`` lines are read.
-
-    Raises the first row's error; records are numbered from ``first_line_no``.
+def _read_rows(fh, columns: tuple[np.ndarray, ...], n_fields: int, has_best_beam: bool) -> int:
+    """Parse the records left in ``fh`` with ``csv.reader`` into ``columns`` from
+    row 0; the number of rows. Raises the first failing row's error, numbering
+    the records after the header from line 2.
     """
-    reader = csv.reader(source)
-    rows = []
-    while reader.line_num < n_lines:
-        row = next(reader)
-        line_no = first_line_no + len(rows)
-        if len(row) != len(header):
-            raise SchemaMismatchError(
-                f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        rows.append(_parse_row(row, line_no, has_best_beam))
-    t, tx, rx, powers, best = zip(*rows)
-    return (
-        np.array(t), np.array(tx), np.array(rx), np.array(powers),
-        np.array(best, dtype=np.int64),
-    )
+    n = 0
+    try:
+        for row in csv.reader(fh):
+            if len(row) != n_fields:
+                raise SchemaMismatchError(
+                    f"line {n + 2}: expected {n_fields} fields, got {len(row)}"
+                )
+            for column, value in zip(columns, _parse_row(row, n + 2, has_best_beam)):
+                column[n] = value
+            n += 1
+    except csv.Error as exc:
+        # such as a stray quote that runs a field to the field size limit
+        raise RowParseError(n + 2, str(exc)) from None
+    return n
 
 
 def _check_header(header: list[str]) -> tuple[bool, int]:

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import operator
 import os
 import subprocess
@@ -498,6 +499,31 @@ def test_malformed_checkpoint_exit_2_before_the_dataset_is_read(
             section[last] = value
     else:
         doc = value
+    assert_eval_exit_2_naming(field, doc, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "name, value, field",
+    [
+        # each of these used to exit 4 with "degenerate lat (or lon) range: min == max"
+        ("lat_max", "lat_min", "normalization.lat_max"),
+        ("lat_max", math.nan, "normalization.lat_max"),
+        ("lat_min", math.nan, "normalization.lat_min"),
+        ("lon_max", -math.inf, "normalization.lon_max"),
+    ],
+    ids=["lat-max-equal-to-min", "nan-lat-max", "nan-lat-min", "infinite-lon-max"],
+)
+def test_degenerate_checkpoint_normalization_exit_2(
+    tmp_path, capsys, monkeypatch, checkpoint_doc, name, value, field
+):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    norm = doc["normalization"]
+    norm[name] = norm[value] if isinstance(value, str) else value
+    assert_eval_exit_2_naming(field, doc, tmp_path, capsys, monkeypatch)
+
+
+def assert_eval_exit_2_naming(field, doc, tmp_path, capsys, monkeypatch):
+    """``eval`` of the checkpoint ``doc`` exits 2 naming ``field``, before the dataset is read."""
     ckpt = tmp_path / "checkpoint.json"
     ckpt.write_text(json.dumps(doc))
     data = tmp_path / "data.csv"

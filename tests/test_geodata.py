@@ -79,6 +79,23 @@ class TestNormalize:
         with pytest.raises(DegenerateRangeError):
             NormalizationParams(33.0, 33.0, -112.0, -111.5)
 
+    @pytest.mark.parametrize(
+        "values, field, message",
+        [
+            ((33.0, 33.0, -112.0, -111.5), "lat", "lat_max must be greater than lat_min 33.0, got 33.0"),
+            ((33.0, 33.5, -111.5, -112.0), "lon", "lon_max must be greater than lon_min -111.5, got -112.0"),
+            ((math.nan, 33.5, -112.0, -111.5), "lat", "lat_min must be finite, got nan"),
+            ((33.0, 33.5, -112.0, math.inf), "lon", "lon_max must be finite, got inf"),
+        ],
+        ids=["equal-lat", "reversed-lon", "nan-lat-min", "infinite-lon-max"],
+    )
+    def test_degenerate_params_name_the_field(self, values, field, message):
+        # a NaN range used to read "min == max"
+        with pytest.raises(DegenerateRangeError) as exc:
+            NormalizationParams(*values)
+        assert exc.value.field == field
+        assert str(exc.value) == message
+
 
 finite_lat = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 finite_lon = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)

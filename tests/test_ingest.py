@@ -561,7 +561,7 @@ class TestBlockParse:
         def per_row(*args):
             raise AssertionError("a plain block went through csv.reader")
 
-        monkeypatch.setattr(ingest, "_parse_rows", per_row)
+        monkeypatch.setattr(ingest, "_parse_row", per_row)
         assert parse_dataset(path) == want
 
     def test_no_final_newline(self, tmp_path, block_rows):
@@ -652,6 +652,13 @@ class TestPooledParse:
     def test_columns_are_the_oracles_bytes(self, tmp_path, block_rows, cpus):
         path = write_dataset(mixed_rx_dataset(1101), tmp_path / "d.csv")
         assert_same_bytes(parse_dataset(path), oracle_parse(path))
+        # float reads 1_0 as 10 where loadtxt fails: the last span fails after the
+        # earlier spans have filled the columns, and csv.reader reads the file again
+        *lines, last = path.read_text().splitlines(keepends=True)
+        cells = last.split(",")
+        cells[5], cells[-1] = "5", "1_0\n"
+        path.write_text("".join(lines) + ",".join(cells))
+        assert_same_bytes(parse_dataset(path), oracle_parse(path))
 
     @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
     @pytest.mark.parametrize("index", [0, 6, 10], ids=["first-chunk", "middle-chunk", "last-chunk"])
@@ -681,6 +688,18 @@ class TestPooledParse:
 
         monkeypatch.setattr(ingest, "_parse_span", parse_span)
         assert_same_bytes(parse_dataset(path), oracle_parse(path))
+
+    @pytest.mark.parametrize("index", [0, 2999])
+    def test_stray_quote_fails_with_the_line_of_its_record(self, tmp_path, cpus, index):
+        # the quote runs its field on past csv's field size limit (128 KB)
+        rows = [good_row(i) for i in range(7000)]
+        rows[index] = '"' + rows[index]
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        with pytest.raises(RowParseError) as exc:
+            parse_dataset(path)
+        assert exc.value.line == index + 2
+        assert "field larger than field limit" in str(exc.value)
 
     @pytest.mark.parametrize("index", [5, 250, 399])
     def test_non_utf8_byte_in_a_later_chunk(self, tmp_path, blocks_of_4, cpus, index):
