@@ -173,5 +173,5 @@ def config_section(section: str, cls=None):
     except ValueError as exc:
         name, _, reason = str(exc).partition(" ")
         if cls is not None and name in {f.name for f in dataclasses.fields(cls)}:
-            raise ConfigError(f"{section}.{name}", reason) from exc
+            raise ConfigError(f"{section}.{name}" if section else name, reason) from exc
         raise ConfigError(section, str(exc)) from exc

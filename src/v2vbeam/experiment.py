@@ -101,6 +101,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.dataset_csv is None) == (self.synthetic is None):
             raise ConfigError("dataset", "exactly one of 'csv' or 'synthetic' required")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         if self.repeats < 1:
             raise ConfigError("repeats", "must be >= 1")
         m = self.m_values

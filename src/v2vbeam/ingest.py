@@ -19,7 +19,7 @@ of two readers. A file with no quote and no CR is parsed in spans of lines on
 the usable CPUs, each converted by one ``np.loadtxt`` call. A file with a
 quote or CR, or a span that fails a check, is read instead by ``csv.reader``
 one record at a time from line 2, which reads quoted fields and CRLF line
-ends or raises the offending row's error with its line number.
+ends or raises the offending row's error with the line its record starts on.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .parallel import ordered_map
 
 _FIXED_COLUMNS = ("t", "tx_lat", "tx_lon", "rx_lat", "rx_lon")
 _COLUMNS = ("t", "tx", "rx", "powers", "best")
-DEFAULT_SAMPLING_PERIOD = 0.1
 # rows per block read or written at once, and per work item of a parse: big
 # enough that per-block numpy calls are cheap, small enough that a block's text
 # and strings (about 1 MB) do not leave the heap larger than the columns themselves
@@ -90,26 +89,18 @@ class Sample:
 
 
 class Dataset:
-    """An ordered, immutable collection of samples sharing one codebook, as columns.
+    """An ordered, immutable collection of samples sharing one codebook, as five columns.
 
     ``t`` (n,) sample times, ``tx`` and ``rx`` (n, 2) [lat, lon] fixes in
     degrees (``rx`` is NaN where a row has no receiver fix), ``powers``
     (n, codebook_size) and ``best`` (n,) the argmax of each power row. Every
     column is read-only. Construct from ``Sample`` objects, or from columns
-    with :meth:`from_columns`; ``samples`` rebuilds the objects on demand.
+    with :meth:`from_columns`; ``samples`` rebuilds the objects on each access.
     """
 
-    __slots__ = (
-        "t", "tx", "rx", "powers", "best", "sampling_period", "_samples", "_span"
-    )
+    __slots__ = (*_COLUMNS, "_span")
 
-    def __init__(
-        self,
-        samples: Sequence[Sample],
-        codebook_size: int,
-        sampling_period: float = DEFAULT_SAMPLING_PERIOD,
-    ):
-        samples = tuple(samples)
+    def __init__(self, samples: Sequence[Sample], codebook_size: int):
         for s in samples:
             if s.powers.size != codebook_size:
                 raise ValueError(
@@ -128,8 +119,6 @@ class Dataset:
             fixes(s.rx_pos for s in samples),
             np.array([s.powers for s in samples]).reshape(n, codebook_size),
             np.array([s.optimal_index for s in samples], dtype=np.int64),
-            sampling_period,
-            samples,
         )
 
     @classmethod
@@ -140,21 +129,16 @@ class Dataset:
         rx: np.ndarray,
         powers: np.ndarray,
         best: np.ndarray,
-        sampling_period: float = DEFAULT_SAMPLING_PERIOD,
     ) -> "Dataset":
-        """Wrap columns without copying; ``best`` must be the argmax of ``powers``."""
+        """Wrap the five columns without copying; ``best`` must be the argmax of ``powers``."""
         d = cls.__new__(cls)
-        d._init(t, tx, rx, powers, best, sampling_period, None)
+        d._init(t, tx, rx, powers, best)
         return d
 
-    def _init(self, t, tx, rx, powers, best, sampling_period, samples) -> None:
-        if not sampling_period > 0:
-            raise ValueError("sampling_period must be > 0")
-        for name, column in zip(_COLUMNS, (t, tx, rx, powers, best)):
+    def _init(self, *columns: np.ndarray) -> None:
+        for name, column in zip(_COLUMNS, columns):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "sampling_period", sampling_period)
-        object.__setattr__(self, "_samples", samples)
         # (source, start, stop) when the columns are the row slice start:stop of
         # source's columns, so concat can rejoin adjacent slices without copying
         object.__setattr__(self, "_span", None)
@@ -168,24 +152,21 @@ class Dataset:
 
     @property
     def samples(self) -> tuple[Sample, ...]:
-        """The rows as ``Sample`` objects, built on first access."""
-        if self._samples is None:
-            rows = zip(
-                self.t.tolist(), self.tx.tolist(), self.rx.tolist(),
-                self.powers, self.best.tolist(),
+        """The rows as ``Sample`` objects, built anew on each access."""
+        rows = zip(
+            self.t.tolist(), self.tx.tolist(), self.rx.tolist(),
+            self.powers, self.best.tolist(),
+        )
+        return tuple(
+            Sample(
+                t=t,
+                tx_pos=GeoPosition(*tx),
+                rx_pos=None if math.isnan(rx[0]) else GeoPosition(*rx),
+                powers=powers,
+                optimal_index=best,
             )
-            samples = tuple(
-                Sample(
-                    t=t,
-                    tx_pos=GeoPosition(*tx),
-                    rx_pos=None if math.isnan(rx[0]) else GeoPosition(*rx),
-                    powers=powers,
-                    optimal_index=best,
-                )
-                for t, tx, rx, powers, best in rows
-            )
-            object.__setattr__(self, "_samples", samples)
-        return self._samples
+            for t, tx, rx, powers, best in rows
+        )
 
     def __len__(self) -> int:
         return len(self.t)
@@ -195,7 +176,6 @@ class Dataset:
             return NotImplemented
         return (
             self.codebook_size == other.codebook_size
-            and self.sampling_period == other.sampling_period
             and np.array_equal(self.t, other.t)
             and np.array_equal(self.tx, other.tx)
             and np.array_equal(self.rx, other.rx, equal_nan=True)
@@ -204,17 +184,11 @@ class Dataset:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"Dataset(<{len(self)} samples>, codebook_size={self.codebook_size}, "
-            f"sampling_period={self.sampling_period!r})"
-        )
+        return f"Dataset(<{len(self)} samples>, codebook_size={self.codebook_size})"
 
     def rows(self, indices: np.ndarray | slice) -> "Dataset":
         """The rows at ``indices`` (an index array, or a slice giving views)."""
-        part = Dataset.from_columns(
-            *(getattr(self, name)[indices] for name in _COLUMNS),
-            sampling_period=self.sampling_period,
-        )
+        part = Dataset.from_columns(*(getattr(self, name)[indices] for name in _COLUMNS))
         if isinstance(indices, slice):
             start, stop, step = indices.indices(len(self))
             if step == 1:
@@ -223,20 +197,17 @@ class Dataset:
 
 
 def concat(parts: Sequence[Dataset]) -> Dataset:
-    """The rows of ``parts`` one after another; the first part's sampling period.
+    """The rows of ``parts`` one after another, as a view of the dataset they were cut from.
 
-    Adjacent row slices of one dataset (such as the train and validation parts
-    of a ``split``) are joined as a view of that dataset instead of a copy.
+    ``parts`` must be adjacent row slices of one dataset, in order, such as the
+    train and validation parts of a ``split``; any other parts are a ValueError.
     """
     spans = [d._span for d in parts]
-    if None not in spans and all(
-        a[0] is b[0] and a[2] == b[1] for a, b in zip(spans, spans[1:])
+    if not parts or None in spans or any(
+        a[0] is not b[0] or a[2] != b[1] for a, b in zip(spans, spans[1:])
     ):
-        return spans[0][0].rows(slice(spans[0][1], spans[-1][2]))
-    return Dataset.from_columns(
-        *(np.concatenate([getattr(d, name) for d in parts]) for name in _COLUMNS),
-        sampling_period=parts[0].sampling_period,
-    )
+        raise ValueError("concat joins only adjacent row slices of one dataset")
+    return spans[0][0].rows(slice(spans[0][1], spans[-1][2]))
 
 
 @dataclass(frozen=True)
@@ -256,14 +227,6 @@ class SplitSpec:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
 
 
-def _infer_sampling_period(t: np.ndarray) -> float:
-    if len(t) >= 2:
-        delta = float(t[1]) - float(t[0])
-        if delta > 0:
-            return delta
-    return DEFAULT_SAMPLING_PERIOD
-
-
 def parse_dataset(path: str | Path) -> Dataset:
     """Load a dataset CSV, validating every row.
 
@@ -271,7 +234,7 @@ def parse_dataset(path: str | Path) -> Dataset:
     disagrees with the header, RowParseError for unparseable values or records
     and for rows whose powers are all zero, and IndexMismatchError when a stored
     best-beam disagrees with the argmax of that row's powers. Errors name the
-    row's line number, counting the header as line 1.
+    physical line on which the row's record starts, counting the header as line 1.
 
     A file with no quote and no carriage return is parsed in spans of
     _BLOCK_ROWS lines on the usable CPUs: ``_read_block`` converts each span's
@@ -300,8 +263,7 @@ def parse_dataset(path: str | Path) -> Dataset:
             n = sum(counts) if len(counts) == len(spans) else None
         if n is None:
             n = _read_rows(fh, columns, len(header), has_best_beam)
-    t, tx, rx, powers, best = (column[:n] for column in columns)
-    return Dataset.from_columns(t, tx, rx, powers, best, _infer_sampling_period(t))
+    return Dataset.from_columns(*(column[:n] for column in columns))
 
 
 def _scan(path: Path, block_rows: int) -> tuple[list[tuple[int, int, int]], int, bool]:
@@ -426,22 +388,25 @@ def _read_block(text: str, n_fields: int, has_best_beam: bool) -> tuple[np.ndarr
 
 def _read_rows(fh, columns: tuple[np.ndarray, ...], n_fields: int, has_best_beam: bool) -> int:
     """Parse the records left in ``fh`` with ``csv.reader`` into ``columns`` from
-    row 0; the number of rows. Raises the first failing row's error, numbering
-    the records after the header from line 2.
+    row 0; the number of rows. Raises the first failing row's error, naming the
+    physical line its record starts on, the one-line header being line 1.
     """
-    n = 0
+    reader = csv.reader(fh)
+    n, line = 0, 2
     try:
-        for row in csv.reader(fh):
+        for row in reader:
             if len(row) != n_fields:
                 raise SchemaMismatchError(
-                    f"line {n + 2}: expected {n_fields} fields, got {len(row)}"
+                    f"line {line}: expected {n_fields} fields, got {len(row)}"
                 )
-            for column, value in zip(columns, _parse_row(row, n + 2, has_best_beam)):
+            for column, value in zip(columns, _parse_row(row, line, has_best_beam)):
                 column[n] = value
             n += 1
+            # a quoted cell may hold line breaks, so a record can span lines
+            line = reader.line_num + 2
     except csv.Error as exc:
         # such as a stray quote that runs a field to the field size limit
-        raise RowParseError(n + 2, str(exc)) from None
+        raise RowParseError(line, str(exc)) from None
     return n
 
 

@@ -32,11 +32,12 @@ import numpy as np
 from .errors import (
     GeometryOutOfSectorError,
     InvalidGeometryError,
+    OutOfRangeError,
     read_config,
     read_fields,
     read_object,
 )
-from .geodata import GeoPosition
+from .geodata import GeoPosition, validate_position
 from .ingest import _CHUNK_ROWS, Dataset
 from .parallel import ordered_map
 
@@ -57,8 +58,10 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
-        if not self.element_spacing > 0:
-            raise ValueError("element_spacing must be > 0")
+        if not (math.isfinite(self.element_spacing) and self.element_spacing > 0):
+            raise ValueError(
+                f"element_spacing must be finite and > 0, got {self.element_spacing!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,21 @@ class SyntheticChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each message begins with a field's name, which config_section then names
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be >= 1")
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be >= 0")
+        for name in ("tx_power", "noise_power", "pathloss_exponent", "reference_distance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0 and name in ("tx_power", "noise_power"):
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        if self.tx_power == self.noise_power == 0:
+            raise ValueError("tx_power must be > 0 when noise_power is 0, or every power is 0")
         if not self.reference_distance > 0:
             raise ValueError("reference_distance must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +134,30 @@ class TrajectoryConfig:
     origin: GeoPosition = GeoPosition(0.0, 0.0)
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("duration must be > 0")
-        if not self.sample_period > 0:
-            raise ValueError("sample_period must be > 0")
-        if not self.tx_waypoints or not self.rx_waypoints:
-            raise ValueError("waypoint paths must be non-empty")
+        for name in ("duration", "sample_period"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.n_samples < 1:
+            raise ValueError(
+                f"sample_period {self.sample_period!r} gives no sample in "
+                f"duration {self.duration!r}"
+            )
+        if not math.isfinite(self.rx_heading):
+            raise ValueError(f"rx_heading must be finite, got {self.rx_heading!r}")
+        for name in ("tx_waypoints", "rx_waypoints"):
+            path = getattr(self, name)
+            if not path or not np.isfinite(path).all():
+                raise ValueError(f"{name} must be a non-empty path of finite points, got {path!r}")
+        try:
+            validate_position(self.origin)
+        except OutOfRangeError as exc:
+            raise ValueError(f"origin {exc}") from None
+
+    @property
+    def n_samples(self) -> int:
+        """One sample per period, the duration rounded to a whole number of periods."""
+        return int(round(self.duration / self.sample_period))
 
 
 @dataclass(frozen=True)
@@ -138,6 +168,13 @@ class ScenarioConfig:
     array: ArrayConfig = ArrayConfig()
     channel: SyntheticChannelConfig = SyntheticChannelConfig()
     codebook_size: int = DEFAULT_CODEBOOK_SIZE
+
+    def __post_init__(self):
+        if self.codebook_size < self.array.n_elements:
+            raise ValueError(
+                f"codebook_size {self.codebook_size} must be >= array.n_elements "
+                f"{self.array.n_elements}"
+            )
 
 
 def array_response(cfg: ArrayConfig, theta: float) -> np.ndarray:
@@ -266,7 +303,7 @@ def generate_scenario(
     order. Rows are synthesised in chunks on the usable CPUs.
     """
     cb = dft_codebook(arr, codebook_size)
-    n_samples = int(round(traj.duration / traj.sample_period))
+    n_samples = traj.n_samples
     columns = (
         np.empty(n_samples), np.empty((n_samples, 2)), np.empty((n_samples, 2)),
         np.empty((n_samples, codebook_size)),
@@ -277,9 +314,7 @@ def generate_scenario(
         for column, values in zip(columns, chunk):
             column[start : start + len(values)] = values
     t, tx_geo, rx_geo, powers = columns
-    return Dataset.from_columns(
-        t, tx_geo, rx_geo, powers, powers.argmax(axis=1), traj.sample_period
-    )
+    return Dataset.from_columns(t, tx_geo, rx_geo, powers, powers.argmax(axis=1))
 
 
 def _synthesize(

@@ -32,6 +32,46 @@ TYPO_SCENARIO = {"chanel" if k == "channel" else k: v for k, v in SCENARIO.items
 TYPO_SCENARIO["codebook"] = 32
 
 
+def scenario_with(section, **values):
+    """SCENARIO with ``values`` set in its ``section``."""
+    return dict(SCENARIO, **{section: dict(SCENARIO.get(section, {}), **values)})
+
+
+# each used to pass the config reader, then fail during generation or write a CSV
+# that parse_dataset rejects; the second item is the field the error names
+BAD_SCENARIOS = {
+    "negative-tx-power": (scenario_with("channel", tx_power=-1.0), "channel.tx_power"),
+    "no-tx-power-no-noise": (
+        scenario_with("channel", tx_power=0.0, noise_power=0.0), "channel.tx_power"
+    ),
+    "infinite-noise": (scenario_with("channel", noise_power=math.inf), "channel.noise_power"),
+    "infinite-reference-distance": (
+        scenario_with("channel", reference_distance=math.inf), "channel.reference_distance"
+    ),
+    "negative-channel-seed": (scenario_with("channel", seed=-5), "channel.seed"),
+    "origin-lat-100": (
+        scenario_with("trajectory", origin={"lat": 100.0, "lon": -111.93}), "trajectory.origin"
+    ),
+    "infinite-duration": (scenario_with("trajectory", duration=math.inf), "trajectory.duration"),
+    "infinite-sample-period": (
+        scenario_with("trajectory", sample_period=math.inf), "trajectory.sample_period"
+    ),
+    "no-sample-in-duration": (
+        scenario_with("trajectory", duration=0.04), "trajectory.sample_period"
+    ),
+    "more-elements-than-beams": (scenario_with("array", n_elements=128), "codebook_size"),
+    "infinite-element-spacing": (
+        scenario_with("array", element_spacing=math.inf), "array.element_spacing"
+    ),
+    "infinite-rx-heading": (
+        scenario_with("trajectory", rx_heading=math.inf), "trajectory.rx_heading"
+    ),
+    "infinite-waypoint": (
+        scenario_with("trajectory", tx_waypoints=[[math.inf, 20.0]]), "trajectory.tx_waypoints"
+    ),
+}
+
+
 def experiment_doc(out_dir, **overrides):
     doc = {
         "seed": 5,
@@ -98,8 +138,9 @@ class TestGenerate:
             ),
             # used to run with a noiseless channel of seed 0 and 64 beams
             (TYPO_SCENARIO, "chanel"),
+            *BAD_SCENARIOS.values(),
         ],
-        ids=["missing-duration", "root-key-typo"],
+        ids=["missing-duration", "root-key-typo", *BAD_SCENARIOS],
     )
     def test_malformed_config_exit_2_names_field(self, tmp_path, capsys, bad, field):
         cfg = tmp_path / "scenario.json"
@@ -108,6 +149,19 @@ class TestGenerate:
         code = main(["generate", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exit_2_before_generating(self, tmp_path, capsys, monkeypatch):
+        # used to fail in numpy's SeedSequence, naming no field, once generation ran
+        def never(*args):
+            raise AssertionError("a negative seed reached generation")
+
+        monkeypatch.setattr(cli, "generate_scenario", never)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(SCENARIO))
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integer_literals_in_float_fields_same_csv(self, tmp_path):
@@ -431,6 +485,7 @@ class TestReport:
         ({"training": {"epoch": 5}}, "training.epoch"),
         ({"split": {"test_fraction": 0.5}}, "split.test_fraction"),
         ({"dataset": {"synthetic": TYPO_SCENARIO}}, "chanel"),
+        *(({"dataset": {"synthetic": bad}}, field) for bad, field in BAD_SCENARIOS.values()),
     ],
 )
 def test_bad_config_exit_2_before_any_data(tmp_path, capsys, monkeypatch, overrides, field):
@@ -445,6 +500,21 @@ def test_bad_config_exit_2_before_any_data(tmp_path, capsys, monkeypatch, overri
     assert main(["report", "--config", str(cfg)]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_run_seed_exit_2_before_any_data(tmp_path, capsys, monkeypatch, where):
+    # used to fail in numpy's permutation, naming no field, once the dataset was made
+    def never(*args):
+        raise AssertionError("a negative seed got past loading")
+
+    monkeypatch.setattr(cli, "resolve_dataset", never)
+    cfg = tmp_path / "experiment.json"
+    seed = {"seed": -3} if where == "config" else {}
+    cfg.write_text(json.dumps(experiment_doc(tmp_path / "out", **seed)))
+    flag = ["--seed", "-3"] if where == "flag" else []
+    assert main(["train", "--config", str(cfg), *flag]) == 2
+    assert "config field 'seed': must be >= 0, got -3" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -49,7 +49,7 @@ def make_dataset(n, q=4, period=0.1, seed=0):
         )
         for i in range(n)
     )
-    return Dataset(samples=samples, codebook_size=q, sampling_period=period)
+    return Dataset(samples=samples, codebook_size=q)
 
 
 class TestSample:
@@ -75,6 +75,24 @@ class TestSample:
     def test_codebook_size_checked_by_dataset(self):
         with pytest.raises(ValueError):
             Dataset(samples=(make_sample(0.0, [1.0, 2.0]),), codebook_size=3)
+
+
+class TestDatasetSamples:
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            (),
+            (make_sample(3, [1.0, 2.0]),),
+            (make_sample(0, [2.0, 1.0], rx=GeoPosition(33.0, -112.0)), make_sample(1, [0.5, 1.5])),
+        ],
+        ids=["zero-rows", "one-row-int-t-no-rx", "two-rows-mixed-rx"],
+    )
+    def test_samples_are_rebuilt_equal(self, samples):
+        ds = Dataset(samples=samples, codebook_size=2)
+        assert ds.samples == samples
+        # the dataset keeps its columns, not the caller's objects
+        assert all(got is not given for got, given in zip(ds.samples, samples))
+        assert Dataset(samples=ds.samples, codebook_size=2) == ds
 
 
 class TestParseWrite:
@@ -266,13 +284,13 @@ class TestSplit:
             assert np.shares_memory(getattr(joined, name), getattr(tr, name))
             assert np.shares_memory(getattr(joined, name), getattr(va, name))
 
-    def test_concat_of_parts_not_adjacent_copies(self):
+    def test_concat_of_parts_not_adjacent_raises(self):
         ds = make_dataset(50, q=3)
         tr, va, te = split(ds, SplitSpec(seed=2))
-        for parts in ([tr, te], [va, tr], [tr, va, te, tr]):
-            joined = concat(parts)
-            assert joined == columns_concat(parts)
-            assert not np.shares_memory(joined.powers, tr.powers)
+        other = split(make_dataset(50, q=3), SplitSpec(seed=2))
+        for parts in ([tr, te], [va, tr], [tr, va, te, tr], [tr, other[1]], [ds], []):
+            with pytest.raises(ValueError, match="adjacent row slices"):
+                concat(parts)
 
     def test_split_and_train_val_peak_memory(self):
         # 20k rows of 64 powers, about 11 MB: the parts were three gathers and
@@ -300,8 +318,7 @@ def columns_concat(parts):
     """Reference concat: a copy of every column."""
     return Dataset.from_columns(
         *(np.concatenate([getattr(d, name) for d in parts])
-          for name in ("t", "tx", "rx", "powers", "best")),
-        sampling_period=parts[0].sampling_period,
+          for name in ("t", "tx", "rx", "powers", "best"))
     )
 
 
@@ -377,19 +394,17 @@ def oracle_parse(path):
         header = next(reader)
         has_best_beam = header[5] == "best_beam"
         samples = []
-        for line_no, row in enumerate(reader, start=2):
+        line_no = 2
+        for row in reader:
             if len(row) != len(header):
                 raise SchemaMismatchError(
                     f"line {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
             samples.append(oracle_row(row, line_no, has_best_beam))
-    period = 0.1
-    if len(samples) >= 2 and samples[1].t - samples[0].t > 0:
-        period = samples[1].t - samples[0].t
+            line_no = reader.line_num + 1
     return Dataset(
         samples=tuple(samples),
         codebook_size=len(header) - (6 if has_best_beam else 5),
-        sampling_period=period,
     )
 
 
@@ -611,6 +626,14 @@ class TestBlockParseErrors:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"line {index + 2}:")
 
+    def test_line_after_a_quoted_line_break_is_the_physical_line(self, tmp_path, block_rows):
+        rows = [good_row(i) for i in range(10)]
+        rows[3] = '0.3,33.0,-112.0,,,2,0.5,"1.5\n",9.0\n'  # lines 5 and 6
+        rows[5] = "0.5,33.0,east,,,2,0.5,1.5,2.0\n"
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        assert str(assert_same_error(path)) == "line 8: bad tx_lon: 'east'"
+
     @pytest.mark.parametrize("index", [0, 6, 10])
     def test_all_zero_powers_rejected_with_line(self, tmp_path, block_rows, index):
         rows = [good_row(i) for i in range(11)]
@@ -633,7 +656,6 @@ def blocks_of_4(monkeypatch):
 
 
 def assert_same_bytes(got, want):
-    assert got.sampling_period == want.sampling_period
     for name in ("t", "tx", "rx", "powers", "best"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())

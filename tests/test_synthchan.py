@@ -176,7 +176,7 @@ class TestGenerateScenario:
     def test_sample_count(self):
         ds = generate_scenario(self._traj(), ARR, SyntheticChannelConfig())
         assert len(ds) == 10
-        assert ds.sampling_period == 0.1
+        assert ds.t.tolist() == [i * 0.1 for i in range(10)]
 
     def test_stationary_broadside_always_beam_32(self):
         ds = generate_scenario(self._traj(), ARR, SyntheticChannelConfig(noise_power=0.0))
