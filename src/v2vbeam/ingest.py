@@ -15,11 +15,9 @@ A ``Dataset`` holds its rows as numpy columns (times, tx and rx fixes, the
 power matrix and the best-beam labels), so splitting is index slicing and
 callers work on whole arrays. The CSV is written in blocks of rows, never as
 one string, on the usable CPUs (``parallel.ordered_map``). It is read by one
-of two readers. A file with no quote and no CR is parsed in spans of lines on
-the usable CPUs, each converted by one ``np.loadtxt`` call. A file with a
-quote or CR, or a span that fails a check, is read instead by ``csv.reader``
-one record at a time from line 2, which reads quoted fields and CRLF line
-ends or raises the offending row's error with the line its record starts on.
+of two readers, ``np.loadtxt`` on spans of lines on the usable CPUs (LF or
+CRLF line ends) or ``csv.reader`` (quotes, bare CRs and failing rows), which
+check their rows against one table of rules (``_check_rows``).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import math
 import mmap
 import os
 from dataclasses import dataclass
-from itertools import chain, takewhile
+from itertools import chain, islice, takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +37,7 @@ import numpy as np
 
 from . import floatrepr
 from .errors import IndexMismatchError, RowParseError, SchemaMismatchError
-from .geodata import GeoPosition, validate_position
+from .geodata import GeoPosition
 from .parallel import ordered_map
 
 _FIXED_COLUMNS = ("t", "tx_lat", "tx_lon", "rx_lat", "rx_lon")
@@ -236,12 +234,13 @@ def parse_dataset(path: str | Path) -> Dataset:
     best-beam disagrees with the argmax of that row's powers. Errors name the
     physical line on which the row's record starts, counting the header as line 1.
 
-    A file with no quote and no carriage return is parsed in spans of
-    _BLOCK_ROWS lines on the usable CPUs: ``_read_block`` converts each span's
-    lines into columns that the pool's processes share (``_shared_columns``).
-    Any other file, and a file with a span that fails a check (or is not
-    UTF-8), is read by ``_read_rows``: ``csv.reader`` from line 2 on, which
-    either reads every record or raises the first failing row's error.
+    A file with no quote, and no CR but those directly before an LF, is parsed
+    in spans of _BLOCK_ROWS lines on the usable CPUs: ``_parse_span`` converts
+    each span's lines into columns that the pool's processes share
+    (``_shared_columns``). Any other file, and a file with a span that fails a
+    check (or is not UTF-8), is read by ``_read_rows``: ``csv.reader`` from
+    line 2 on, which either reads every record or raises the first failing
+    row's error.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -272,25 +271,27 @@ def _scan(path: Path, block_rows: int) -> tuple[list[tuple[int, int, int]], int,
     Returns (first row, start byte, stop byte) of each block of ``block_rows``
     data lines (the last one runs to the end of the file), an upper bound on
     the data rows (the line breaks, plus one) and whether the file holds no
-    quote and no carriage return.
+    quote and no carriage return but those directly before a line feed.
     """
     starts: list[int] = []
-    newlines = breaks = size = 0
+    newlines = bare = size = 0  # bare: CRs not directly followed by an LF
     plain = True
     with path.open("rb") as fh:
         for piece in iter(lambda: fh.read(1 << 16), b""):
+            if piece.endswith(b"\r"):  # so that no CRLF is split between two pieces
+                piece += fh.read(1)
             ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == ord("\n"))
             # data line i starts after newline i; newline 0 ends the header
             starts += (size + 1 + ends[-newlines % block_rows :: block_rows]).tolist()
             newlines += len(ends)
             # `in` scans with memchr, about 14x faster than count on a piece with no CR
-            returns = piece.count(b"\r") if b"\r" in piece else 0
-            breaks += len(ends) + returns
-            plain = plain and not returns and b'"' not in piece
+            if b"\r" in piece:
+                bare += piece.count(b"\r") - piece.count(b"\r\n")
+            plain = plain and b'"' not in piece
             size += len(piece)
     starts = [start for start in starts if start < size] + [size]
     first_rows = range(0, len(starts) * block_rows, block_rows)
-    return list(zip(first_rows, starts, starts[1:])), breaks + 1, plain
+    return list(zip(first_rows, starts, starts[1:])), newlines + bare + 1, plain and not bare
 
 
 def _shared_columns(capacity: int, codebook_size: int) -> tuple[np.ndarray, ...]:
@@ -319,95 +320,140 @@ def _parse_span(
     has_best_beam: bool,
     span: tuple[int, int, int],
 ) -> int | None:
-    """Parse the lines in bytes [start, stop) of the file into ``columns`` from row
-    ``first_row`` on; the number of rows, or None, leaving the columns as they
-    were, if the lines are not UTF-8 or any row fails a check of ``_read_block``.
+    """Parse the unquoted lines in bytes [start, stop) of the file into ``columns``
+    from row ``first_row`` on; the number of rows, or None, leaving the columns as
+    they were, if the lines are not UTF-8 or any row fails a check.
+
+    A CR before an LF is dropped. ``np.loadtxt`` converts the cells in C, to the
+    values ``float`` gives (the rx and best_beam cells by ``_converters``), and
+    ``_check_rows`` checks them. A span is left to the row-by-row reader if it
+    holds an n or N (such a cell is NaN, infinite or no number, so it fails
+    anyway, and any NaN read is an empty cell), an empty line (loadtxt skips
+    it, and warns if there is nothing else), any other CR (loadtxt ends a line
+    there) or \\x1c-\\x1f (loadtxt reads them as space around a number; ``float`` fails).
     """
     first_row, start, stop = span
     with path.open("rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
-    try:
+    try:  # a UnicodeDecodeError is a ValueError
         text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    block = _read_block(text, n_fields, has_best_beam)
-    if block is None:
-        return None
-    for column, values in zip(columns, block):
-        column[first_row : first_row + len(values)] = values
-    return len(block[0])
-
-
-def _empty_as_nan(read):
-    """A ``np.loadtxt`` converter: ``read`` of a cell, or NaN for an empty cell."""
-    return lambda cell: read(cell) if cell else math.nan
-
-
-def _read_block(text: str, n_fields: int, has_best_beam: bool) -> tuple[np.ndarray, ...] | None:
-    """Columns of a block of unquoted rows, or None if any row fails a check.
-
-    ``np.loadtxt`` converts the cells in C, to the values ``float`` gives; rx
-    cells are read with ``float`` and best_beam cells with ``int`` (so "5.0"
-    fails), an empty one as NaN. A block is left to the row-by-row reader if it
-    holds an n or N (such a cell is NaN, infinite or no number, so it fails
-    anyway, and any NaN read is an empty cell), an empty line (loadtxt skips
-    it, and warns if there is nothing else), a CR (loadtxt ends a line there)
-    or \\x1c-\\x1f (loadtxt reads them as space around a number; ``float`` fails).
-    """
-    lines = text.removesuffix("\n").split("\n")
-    if not all(lines) or any(map(text.__contains__, 'nN"\r\x1c\x1d\x1e\x1f')):
-        return None
-    converters = {3: _empty_as_nan(float), 4: _empty_as_nan(float)}
-    if has_best_beam:
-        converters[5] = _empty_as_nan(int)
-    try:
+        text = text.replace("\r\n", "\n") if "\r" in text else text  # `in` is the faster scan
+        lines = text.removesuffix("\n").split("\n")
+        if not all(lines) or any(map(text.__contains__, 'nN"\r\x1c\x1d\x1e\x1f')):
+            return None
+        converters = _converters(has_best_beam)
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, converters=converters)
     except ValueError:
         return None
     if values.shape != (len(lines), n_fields):
         return None
-    t, tx, rx = values[:, 0], values[:, 1:3], values[:, 3:5]
-    powers = values[:, 6 if has_best_beam else 5 :]
-    has_rx = ~np.isnan(rx)
-    fixes = np.concatenate([tx, rx[has_rx[:, 0]]])
+    block, failure = _check_rows(values, has_best_beam)
+    if failure:
+        return None
+    for column, part in zip(columns, block):
+        column[first_row : first_row + len(values)] = part
+    return len(values)
+
+
+def _converters(has_best_beam: bool) -> dict:
+    """``np.loadtxt`` converters of the cells that may be empty: ``_read_cell`` with
+    ``float`` for rx and with ``int`` for best_beam (so "5.0" fails)."""
+    reads = (float, float, int)[: 2 + has_best_beam]
+    return {column: functools.partial(_read_cell, read) for column, read in enumerate(reads, 3)}
+
+
+def _read_cell(read, cell: str) -> float:
+    """NaN for an empty cell, else ``read(cell)`` as a float, or inf if that fails or is
+    not finite (so an int too large for int64 makes no object array)."""
+    try:
+        value = float(read(cell)) if cell else math.nan
+        return value if math.isfinite(value) or not cell else math.inf
+    except (ValueError, OverflowError):
+        return math.inf
+
+
+def _check_rows(values: np.ndarray, has_best_beam: bool) -> tuple[tuple, tuple | None]:
+    """The t, tx, rx, powers and best columns of a block of cells read as
+    ``_read_cell`` reads them, and its first failing (row, cell, reason) or None:
+    ``reason`` is the message of a rule on all the powers (``cell`` is None), and
+    None for a rule on one cell, whose message quotes the cell's text.
+    """
+    offset = 6 if has_best_beam else 5
+    t, tx, rx, powers = values[:, 0], values[:, 1:3], values[:, 3:5], values[:, offset:]
     best = powers.argmax(axis=1)
     stored = values[:, 5] if has_best_beam else best
-    if not (
-        (has_rx[:, 0] == has_rx[:, 1]).all()
-        and all(np.isfinite(column).all() for column in (t, fixes, powers))
-        and (np.abs(fixes[:, 0]) <= 90.0).all()
-        and (np.abs(fixes[:, 1]) <= 180.0).all()
-        and (powers >= 0).all()
-        and (powers.max(axis=1) > 0).all()
-        and ((stored == best) | np.isnan(stored)).all()
-    ):
-        return None
-    return t, tx, rx, powers, best
+    bad, has_rx = ~np.isfinite(values), ~np.isnan(rx).all(axis=1, keepdims=True)
+    outside = np.abs(values[:, :5]) > (math.inf, 90.0, 180.0, 90.0, 180.0)
+    failed = np.column_stack([  # a column of failing rows per rule, in the order they are checked
+        bad[:, :3], outside[:, 1:3], bad[:, 3:5] & has_rx, outside[:, 3:5] & has_rx,
+        bad[:, offset:], (powers < 0).any(axis=1), powers.max(axis=1) <= 0,
+        (stored != best) & ~np.isnan(stored),
+    ])
+    if not failed.any():
+        return (t, tx, rx, powers, best), None
+    rules = [(cell, None) for cell in (0, 1, 2, 1, 2, 3, 4, 3, 4, *range(offset, values.shape[1]))]
+    rules += [(None, "negative power value")]
+    rules += [(None, "all powers are zero, so the row has no ground-truth beam"), (5, None)]
+    row, rule = divmod(int(failed.argmax()), len(rules))
+    return (t, tx, rx, powers, best), (row, *rules[rule])
 
 
 def _read_rows(fh, columns: tuple[np.ndarray, ...], n_fields: int, has_best_beam: bool) -> int:
     """Parse the records left in ``fh`` with ``csv.reader`` into ``columns`` from
-    row 0; the number of rows. Raises the first failing row's error, naming the
-    physical line its record starts on, the one-line header being line 1.
+    row 0, checking each _BLOCK_ROWS of them, and those before a record that fails
+    to read, with ``_check_rows``; the number of rows. Raises the first failing
+    row's error, naming the physical line its record starts on (the header is line 1).
     """
     reader = csv.reader(fh)
+    converters = _converters(has_best_beam)
+    reads = [converters.get(cell, converters[3]) for cell in range(n_fields)]
+    names = (*_FIXED_COLUMNS, "best_beam")[: 5 + has_best_beam] + ("power",) * n_fields
     n, line = 0, 2
+    while True:
+        lines, rows, error = [], [], None
+        try:
+            for row in islice(reader, _BLOCK_ROWS):
+                if len(row) != n_fields:
+                    error = SchemaMismatchError(
+                        f"line {line}: expected {n_fields} fields, got {len(row)}"
+                    )
+                    break
+                lines.append(line)
+                rows.append(row)
+                # a quoted cell may hold line breaks, so a record can span lines
+                line = reader.line_num + 2
+        except csv.Error as exc:
+            # such as a stray quote that runs a field to the field size limit
+            error = RowParseError(line, str(exc))
+        values = [[read(cell) for read, cell in zip(reads, row)] for row in rows]
+        block, failure = _check_rows(np.array(values).reshape(-1, n_fields), has_best_beam)
+        if failure:
+            row, cell, reason = failure
+            if reason:
+                raise RowParseError(lines[row], reason)
+            raise _cell_error(lines[row], rows[row][cell], names[cell], int(block[4][row]))
+        for column, value in zip(columns, block):
+            column[n : n + len(rows)] = value
+        n += len(rows)
+        if error is not None:
+            raise error
+        if len(rows) < _BLOCK_ROWS:
+            return n
+
+
+def _cell_error(line: int, text: str, what: str, best: int) -> Exception:
+    """The error of a cell in column ``what`` that breaks its rule: ``text`` is no
+    finite number, a fix out of bounds, or a best beam that is not the argmax ``best``."""
     try:
-        for row in reader:
-            if len(row) != n_fields:
-                raise SchemaMismatchError(
-                    f"line {line}: expected {n_fields} fields, got {len(row)}"
-                )
-            for column, value in zip(columns, _parse_row(row, line, has_best_beam)):
-                column[n] = value
-            n += 1
-            # a quoted cell may hold line breaks, so a record can span lines
-            line = reader.line_num + 2
-    except csv.Error as exc:
-        # such as a stray quote that runs a field to the field size limit
-        raise RowParseError(line, str(exc)) from None
-    return n
+        value = (int if what == "best_beam" else float)(text)
+    except ValueError:
+        return RowParseError(line, f"bad {what}: {text!r}")
+    if what == "best_beam":
+        return IndexMismatchError(line, value, best)
+    if not math.isfinite(value):
+        return RowParseError(line, f"non-finite {what}: {text!r}")
+    return RowParseError(line, f"{what[3:]} out of range: {value!r}")  # "lat" of tx_lat
 
 
 def _check_header(header: list[str]) -> tuple[bool, int]:
@@ -426,55 +472,6 @@ def _check_header(header: list[str]) -> tuple[bool, int]:
             f"power columns must be p0..p{len(power_cols) - 1}, got {power_cols}"
         )
     return has_best_beam, len(power_cols)
-
-
-def _parse_row(row: list[str], line_no: int, has_best_beam: bool) -> tuple:
-    """One validated row: t, tx (lat, lon), rx (lat, lon) or NaNs, powers, argmax."""
-
-    def as_float(text: str, what: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise RowParseError(line_no, f"bad {what}: {text!r}") from None
-        if not math.isfinite(value):
-            raise RowParseError(line_no, f"non-finite {what}: {text!r}")
-        return value
-
-    t = as_float(row[0], "t")
-    try:
-        tx_pos = validate_position(
-            GeoPosition(as_float(row[1], "tx_lat"), as_float(row[2], "tx_lon"))
-        )
-        rx_pos = None
-        if row[3] or row[4]:
-            rx_pos = validate_position(
-                GeoPosition(as_float(row[3], "rx_lat"), as_float(row[4], "rx_lon"))
-            )
-    except RowParseError:
-        raise
-    except Exception as exc:
-        raise RowParseError(line_no, str(exc)) from exc
-
-    offset = 6 if has_best_beam else 5
-    powers = np.array(
-        [as_float(cell, "power") for cell in row[offset:]], dtype=np.float64
-    )
-    if np.any(powers < 0):
-        raise RowParseError(line_no, "negative power value")
-    computed = int(np.argmax(powers))
-    if powers[computed] == 0:
-        raise RowParseError(
-            line_no, "all powers are zero, so the row has no ground-truth beam"
-        )
-    if has_best_beam and row[5]:
-        try:
-            stored = int(row[5])
-        except ValueError:
-            raise RowParseError(line_no, f"bad best_beam: {row[5]!r}") from None
-        if stored != computed:
-            raise IndexMismatchError(line_no, stored, computed)
-    rx = (math.nan, math.nan) if rx_pos is None else (rx_pos.lat_deg, rx_pos.lon_deg)
-    return t, (tx_pos.lat_deg, tx_pos.lon_deg), rx, powers, computed
 
 
 def write_dataset(d: Dataset, path: str | Path) -> Path:

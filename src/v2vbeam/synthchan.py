@@ -138,6 +138,11 @@ class TrajectoryConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not math.isfinite(self.duration / self.sample_period):
+            raise ValueError(
+                f"duration {self.duration!r} holds too many sample periods of "
+                f"{self.sample_period!r} to count"
+            )
         if self.n_samples < 1:
             raise ValueError(
                 f"sample_period {self.sample_period!r} gives no sample in "
@@ -153,6 +158,13 @@ class TrajectoryConfig:
             validate_position(self.origin)
         except OutOfRangeError as exc:
             raise ValueError(f"origin {exc}") from None
+        # local_to_geo is affine and the paths piecewise linear, so the extreme fixes are waypoints
+        for name in ("tx_waypoints", "rx_waypoints"):
+            for east, north in getattr(self, name):
+                try:
+                    validate_position(local_to_geo(self.origin, east, north))
+                except OutOfRangeError as exc:
+                    raise ValueError(f"{name} point {[east, north]} is at {exc}") from None
 
     @property
     def n_samples(self) -> int:

@@ -69,6 +69,22 @@ BAD_SCENARIOS = {
     "infinite-waypoint": (
         scenario_with("trajectory", tx_waypoints=[[math.inf, 20.0]]), "trajectory.tx_waypoints"
     ),
+    # a valid origin whose waypoints map to fixes out of bounds: 20 m north of lat 90,
+    # and 5 m east of lon 180
+    "waypoint-north-of-lat-90": (
+        scenario_with("trajectory", origin={"lat": 90.0, "lon": -111.93}), "trajectory.tx_waypoints"
+    ),
+    "waypoint-east-of-lon-180": (
+        scenario_with(
+            "trajectory", origin={"lat": 33.42, "lon": 180.0},
+            tx_waypoints=[[-60.0, 20.0], [-10.0, 50.0]], rx_waypoints=[[5.0, 0.0]],
+        ),
+        "trajectory.rx_waypoints",
+    ),
+    # the sample count overflows a float
+    "sample-count-overflow": (
+        scenario_with("trajectory", duration=1e308, sample_period=1e-10), "trajectory.duration"
+    ),
 }
 
 

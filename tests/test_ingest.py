@@ -573,10 +573,10 @@ class TestBlockParse:
         path.write_text(HEADER + "".join(rows))
         want = oracle_parse(path)
 
-        def per_row(*args):
+        def read_rows(*args):
             raise AssertionError("a plain block went through csv.reader")
 
-        monkeypatch.setattr(ingest, "_parse_row", per_row)
+        monkeypatch.setattr(ingest, "_read_rows", read_rows)
         assert parse_dataset(path) == want
 
     def test_no_final_newline(self, tmp_path, block_rows):
@@ -600,6 +600,8 @@ BAD_ROWS = {
     "best_beam mismatch": "0.0,33.0,-112.0,,,0,0.5,1.5,2.0\n",
     # the argmax written as a float: int() rejects it, a float column would not
     "best_beam as a float": "0.0,33.0,-112.0,,,2.0,0.5,1.5,2.0\n",
+    # an int past int64, which numpy would hold only in an object array
+    "best_beam past int64": "0.0,33.0,-112.0,,,18446744073709551616,0.5,1.5,2.0\n",
     # a comment-stripping reader would keep "2.0"
     "# in a power": "0.0,33.0,-112.0,,,2,0.5,1.5,2.0#\n",
     # an empty line between two rows, which a reader skipping empty lines would drop
@@ -701,7 +703,8 @@ class TestPooledParse:
             # a quoted cell with a line break, running from the second chunk into the third
             rows[7] = '0.7,33.0,-112.0,,,2,0.5,"1.5\n",9.0\n'
         else:
-            rows[9] = rows[9].replace("\n", "\r\n")
+            # a bare CR, which csv.reader reads as a line end and loadtxt would not
+            rows[9] = rows[9].replace("\n", "\r")
         path = tmp_path / "d.csv"
         path.write_text(HEADER + "".join(rows), newline="")
 
@@ -710,6 +713,37 @@ class TestPooledParse:
 
         monkeypatch.setattr(ingest, "_parse_span", parse_span)
         assert_same_bytes(parse_dataset(path), oracle_parse(path))
+
+    @pytest.mark.parametrize("crlf", [range(12), [10], [0]], ids=["every-line", "one-line", "header"])
+    def test_crlf_line_ends_parse_on_the_pool(self, tmp_path, blocks_of_4, cpus, monkeypatch, crlf):
+        lines = [HEADER] + [good_row(i) for i in range(11)]
+        for i in crlf:
+            lines[i] = lines[i].replace("\n", "\r\n")
+        path = tmp_path / "d.csv"
+        path.write_text("".join(lines), newline="")
+
+        def read_rows(*args):
+            raise AssertionError("a file whose every CR ends a line reached csv.reader")
+
+        monkeypatch.setattr(ingest, "_read_rows", read_rows)
+        assert_same_bytes(parse_dataset(path), oracle_parse(path))
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+    def test_cr_at_the_end_of_a_64kb_piece(self, tmp_path, cpus, monkeypatch, line_end):
+        # _scan reads 64 KB pieces: a CR that ends one is paired with an LF that starts
+        # the next, and a CR without its LF still sends the file to csv.reader
+        text = HEADER + "".join(good_row(i) for i in range(1400))
+        text = text[: text.rindex("\n", 0, 65000) + 1]
+        row = good_row(9999).rstrip("\n")
+        row = row.replace(",0.5,", ",0.5" + "0" * (65535 - len(text) - len(row)) + ",")
+        text += row + line_end + "".join(good_row(i) for i in range(9))
+        assert text.index("\r") == 65535
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        calls, read_rows = [], ingest._read_rows
+        monkeypatch.setattr(ingest, "_read_rows", lambda *args: calls.append(1) or read_rows(*args))
+        assert_same_bytes(parse_dataset(path), oracle_parse(path))
+        assert len(calls) == (line_end == "\r")
 
     @pytest.mark.parametrize("index", [0, 2999])
     def test_stray_quote_fails_with_the_line_of_its_record(self, tmp_path, cpus, index):
@@ -789,27 +823,31 @@ def test_trailing_blank_line_fails_without_warnings(tmp_path, blocks_of_4, cpus)
 ODD_NUMBERS = [
     "1_0", "\u0661\u0662", " 1.5", "1.5 ", "\xa01.5", "+1", ".5", "1e5", "-0.0",
     "nan", "inf", "-inf", "1\x1c", "1#", "",
+    # a number, but one that breaks a row rule: bounds, sign, or a finite value
+    "95.0", "-200.0", "-0.5", "0.0", "7", "1e999",
 ]
 
 
 @st.composite
 def odd_row(draw, i):
-    """A row of three powers, often with one cell written oddly; its best_beam is
-    the argmax where the powers read as numbers, so most rows are good ones."""
+    """A row of three powers, often with one or two cells written oddly; its
+    best_beam is the argmax where the powers read as numbers, so most rows are
+    good ones, and a row with two faults pins which of its errors comes first."""
     rx = [["", ""]] * 3 + [["33.5", "-112.5"]] * 3 + [["nan", "nan"]]
     cells = [f"{0.1 * i!r}", "33.0", "-112.0", *draw(st.sampled_from(rx))]
     powers = draw(st.lists(st.sampled_from(["0.5", "1.5", "2.25", "3e-3"]), min_size=3, max_size=3))
-    column = draw(st.integers(0, 24))
-    if column < 5:
-        cells[column] = draw(st.sampled_from(ODD_NUMBERS))
-    elif column < 8:
-        powers[column - 5] = draw(st.sampled_from(ODD_NUMBERS))
+    columns = draw(st.lists(st.integers(0, 24), min_size=2, max_size=2))
+    for column in columns:
+        if column < 5:
+            cells[column] = draw(st.sampled_from(ODD_NUMBERS))
+        elif column < 8:
+            powers[column - 5] = draw(st.sampled_from(ODD_NUMBERS))
     try:
         best = int(np.argmax([float(p) for p in powers]))
     except ValueError:
         best = 0
     label = str(best)
-    if column == 8:
+    if 8 in columns:
         label = draw(st.sampled_from(
             [f" {best}", f"{best} ", f"+{best}", f"{best}.0", "\u0660\u0661\u0662"[best], "", f"{best}_0"]
         ))
