@@ -25,6 +25,7 @@ from .errors import (
     V2VBeamError,
     read_object,
 )
+from .errors import load_json as _load_json
 from .evalmetrics import write_report_csv, write_report_json, write_report_svg
 from .experiment import (
     ExperimentConfig,
@@ -40,7 +41,6 @@ from .experiment import (
     score_stage,
     split_stage,
 )
-from .experiment import load_json as _load_json
 from .fingerprint import save_database
 from .ingest import parse_dataset, write_dataset
 from .neuralbeam import input_length_for_mode, load_checkpoint, save_checkpoint, write_history

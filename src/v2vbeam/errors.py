@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package, and the typed reader of
-config documents, whose every error is a ConfigError."""
+"""Exception hierarchy shared across the package, and the reader of JSON config
+and checkpoint files and their typed fields, whose every error but a missing
+file is a ConfigError."""
 
 import contextlib
 import copyreg
 import dataclasses
+import json
 import types
 import typing
 from pathlib import Path
@@ -124,6 +126,18 @@ def read_value(value, kind, where: str):
     return value
 
 
+def load_json(path: str | Path):
+    """The document in a JSON file (a config or a checkpoint); FileNotFoundError
+    if there is none, or a ConfigError naming the path if it is not UTF-8 JSON."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"config file not found: {path}")
+    try:  # a UnicodeDecodeError is a ValueError, but names no file
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError("<json>", f"invalid JSON in {path}: {exc}") from exc
+
+
 def read_object(doc, section: str) -> dict:
     """``doc`` if it is a JSON object, else a ConfigError naming ``section``."""
     if not isinstance(doc, dict):
@@ -167,11 +181,12 @@ def read_config(cls, doc, section: str, **given):
 @contextlib.contextmanager
 def config_section(section: str, cls=None):
     """Re-raise a ValueError as a ConfigError naming ``section``, or naming
-    ``section.field`` when a field of the dataclass ``cls`` begins its message."""
+    ``section.field`` when a field of the dataclass ``cls`` (or a dotted name
+    under one) begins its message."""
     try:
         yield
     except ValueError as exc:
         name, _, reason = str(exc).partition(" ")
-        if cls is not None and name in {f.name for f in dataclasses.fields(cls)}:
+        if cls is not None and name.split(".")[0] in {f.name for f in dataclasses.fields(cls)}:
             raise ConfigError(f"{section}.{name}" if section else name, reason) from exc
         raise ConfigError(section, str(exc)) from exc

@@ -23,7 +23,6 @@ synthesises a scenario and writes the dataset CSV in row chunks.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    CodebookMismatchError, ConfigError, config_section, read_fields, read_object,
+    CodebookMismatchError, ConfigError, config_section, load_json, read_fields, read_object,
 )
 from .evalmetrics import (
     EvaluationReport,
@@ -139,17 +138,6 @@ def experiment_config_from_json(doc: dict) -> ExperimentConfig:
     fields |= read(split, "split", "train_frac", "val_frac", "test_frac", split_mode="mode")
     fields |= read(baseline, "baseline", "bins_per_axis")
     return ExperimentConfig(**fields)
-
-
-def load_json(path: str | Path):
-    """The document in a JSON file; FileNotFoundError or ConfigError if there is none."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<json>", f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:

@@ -297,9 +297,10 @@ def _scan(path: Path, block_rows: int) -> tuple[list[tuple[int, int, int]], int,
 def _shared_columns(capacity: int, codebook_size: int) -> tuple[np.ndarray, ...]:
     """Empty t, tx, rx, powers and best columns of ``capacity`` rows.
 
-    They live in one anonymous shared mapping, so a forked pool worker writes
-    its rows straight into the caller's columns: no parsed rows are sent back
-    through the pool, and the caller holds no block but its own.
+    They live in one anonymous shared mapping, so a forked pool worker of the
+    parse or of synthesis (``synthchan.generate_scenario``) writes its rows
+    straight into the caller's columns: no rows are sent back through the pool,
+    and the caller holds no block but its own.
     """
     shapes = (
         (capacity,), (capacity, 2), (capacity, 2), (capacity, codebook_size), (capacity,)

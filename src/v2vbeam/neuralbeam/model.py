@@ -27,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .. import floatrepr
-from ..errors import ConfigError, ShapeMismatchError, config_section, read_config, read_object
+from ..errors import (
+    ConfigError, ShapeMismatchError, config_section, load_json, read_config, read_object,
+)
 from ..geodata import NormalizationParams
 from . import layers
 
@@ -363,7 +365,7 @@ def load_checkpoint(
     A version other than CHECKPOINT_VERSION is a ValueError; a malformed field,
     or a tensor whose name or shape the spec does not give, a ConfigError.
     """
-    doc = read_object(json.loads(Path(path).read_text(encoding="utf-8")), "")
+    doc = read_object(load_json(path), "")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     ckpt = read_config(_Checkpoint, doc, "")

@@ -5,8 +5,10 @@ With k = min(len(items), usable CPUs) > 1, ``fork`` available and numpy's
 BLAS an OpenBLAS whose thread count can be set, the calling process computes
 items 0, k, 2k, ... itself and k - 1 forked workers compute the rest. ``fn``
 and everything it refers to (a dataset, a config) reach the workers through
-fork, not by pickling; only the items go out and the results come back. At
-most ``2 * k`` items are handed out ahead of the one being yielded, so results
+fork, not by pickling; only the items go out and the results come back. The
+parse and synthesis send no rows back: their workers write them into dataset
+columns that the processes share (``ingest._shared_columns``). At most
+``2 * k`` items are handed out ahead of the one being yielded, so results
 never pile up in the caller. Every process runs one BLAS thread while the pool
 runs. Otherwise the items are mapped serially, here.
 

@@ -14,17 +14,19 @@ frequency psi ~= sin(theta) for half-wavelength spacing.
 Scenarios move a transmitter and receiver along planar waypoint paths anchored
 at a GPS origin, and record one sample per period in the ingest CSV schema.
 Samples are synthesised in chunks of rows on the usable CPUs
-(``parallel.ordered_map``). Within a chunk, each sample's geometry and path
-gain are Python floats, as for one sample alone, while the array responses,
-gains and noise are computed for the whole chunk. Sample i's noise comes from
-its own substream of the channel seed, so the output does not depend on the
-chunking or the CPU count.
+(``parallel.ordered_map``), each chunk straight into dataset columns that the
+pool's processes share (``ingest._shared_columns``). Within a chunk, each
+sample's geometry and path gain are Python floats, as for one sample alone,
+while the array responses, gains and noise are computed for the whole chunk.
+Sample i's noise comes from its own substream of the channel seed, so the
+output does not depend on the chunking or the CPU count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,7 @@ from .errors import (
     read_object,
 )
 from .geodata import GeoPosition, validate_position
-from .ingest import _CHUNK_ROWS, Dataset
+from .ingest import _CHUNK_ROWS, Dataset, _shared_columns
 from .parallel import ordered_map
 
 # Local planar frame scale: meters per degree of latitude (and of longitude
@@ -187,6 +189,17 @@ class ScenarioConfig:
                 f"codebook_size {self.codebook_size} must be >= array.n_elements "
                 f"{self.array.n_elements}"
             )
+        # checked before any column is allocated: a shared mapping this large may be granted
+        traj = self.trajectory
+        memory = math.inf  # no sysconf on Windows
+        if hasattr(os, "sysconf"):
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if traj.n_samples * (self.codebook_size + 6) * 8 > memory:
+            raise ValueError(
+                f"trajectory.duration {traj.duration!r} holds {traj.n_samples:.4g} samples of "
+                f"{traj.sample_period!r}, whose columns take more than the {memory:.4g} bytes "
+                "of physical memory"
+            )
 
 
 def array_response(cfg: ArrayConfig, theta: float) -> np.ndarray:
@@ -312,21 +325,14 @@ def generate_scenario(
     measured from the array boresight. Sample i draws its noise from
     ``SeedSequence(ch.seed, spawn_key=(i,))``, the i-th spawned substream of
     ``ch.seed``, so output is deterministic and independent of evaluation
-    order. Rows are synthesised in chunks on the usable CPUs.
+    order. Rows are synthesised in chunks on the usable CPUs, straight into
+    columns the pool's processes share, so no rows come back through the pool.
     """
     cb = dft_codebook(arr, codebook_size)
-    n_samples = traj.n_samples
-    columns = (
-        np.empty(n_samples), np.empty((n_samples, 2)), np.empty((n_samples, 2)),
-        np.empty((n_samples, codebook_size)),
-    )
-    starts = range(0, n_samples, _CHUNK_ROWS)
-    synthesize = functools.partial(_synthesize, traj, arr, cb, ch, n_samples)
-    for start, chunk in zip(starts, ordered_map(synthesize, starts)):
-        for column, values in zip(columns, chunk):
-            column[start : start + len(values)] = values
-    t, tx_geo, rx_geo, powers = columns
-    return Dataset.from_columns(t, tx_geo, rx_geo, powers, powers.argmax(axis=1))
+    columns = _shared_columns(traj.n_samples, codebook_size)
+    synthesize = functools.partial(_synthesize, traj, arr, cb, ch, columns)
+    list(ordered_map(synthesize, range(0, traj.n_samples, _CHUNK_ROWS)))
+    return Dataset.from_columns(*columns)
 
 
 def _synthesize(
@@ -334,17 +340,19 @@ def _synthesize(
     arr: ArrayConfig,
     cb: Codebook,
     ch: SyntheticChannelConfig,
-    n_samples: int,
+    columns: tuple[np.ndarray, ...],
     start: int,
-) -> tuple[np.ndarray, ...]:
-    """Columns t, tx, rx and powers of samples start .. start + _CHUNK_ROWS - 1.
+) -> None:
+    """Write samples start .. start + _CHUNK_ROWS - 1 (or to the last) into the t,
+    tx, rx, powers and best ``columns``, which a pool worker shares with its caller.
 
     Each sample's geometry, path gain and scale are Python floats, exactly as
     for one sample alone; only the array responses, gains and noise are
     computed for the whole chunk.
     """
+    t, tx_geo, rx_geo, powers, best = (column[start : start + _CHUNK_ROWS] for column in columns)
     rows = []  # t, tx lat, tx lon, rx lat, rx lon, sin(theta), power scale
-    for i in range(start, min(start + _CHUNK_ROWS, n_samples)):
+    for i in range(start, start + len(t)):
         time = i * traj.sample_period
         fraction = time / traj.duration
         tx = _path_position(traj.tx_waypoints, fraction)
@@ -363,7 +371,8 @@ def _synthesize(
             math.sin(theta), scale,
         ))
     values = np.array(rows)
-    powers = values[:, 6:] * _gains(cb, _array_responses(arr, values[:, 5]))
+    t[:], tx_geo[:], rx_geo[:] = values[:, 0], values[:, 1:3], values[:, 3:5]
+    powers[:] = values[:, 6:] * _gains(cb, _array_responses(arr, values[:, 5]))
     if ch.noise_power > 0.0:
         sigma = ch.noise_power * math.sqrt(math.pi / 2.0)
         noise = np.empty_like(powers)
@@ -371,7 +380,7 @@ def _synthesize(
             rng = np.random.default_rng(np.random.SeedSequence(ch.seed, spawn_key=(i,)))
             noise[row] = rng.normal(0.0, sigma, size=cb.size)
         powers += np.abs(noise)
-    return values[:, 0], values[:, 1:3], values[:, 3:5], powers
+    best[:] = powers.argmax(axis=1)
 
 
 def scenario_from_json(doc: dict) -> tuple[TrajectoryConfig, ArrayConfig, SyntheticChannelConfig, int]:

@@ -85,6 +85,14 @@ BAD_SCENARIOS = {
     "sample-count-overflow": (
         scenario_with("trajectory", duration=1e308, sample_period=1e-10), "trajectory.duration"
     ),
+    # columns past any machine's memory: these used to exit 1 with a MemoryError
+    # traceback, or exit 2 naming no field, when the columns were allocated
+    "columns-past-memory": (
+        scenario_with("trajectory", duration=1e9, sample_period=0.001), "trajectory.duration"
+    ),
+    "columns-past-memory-by-far": (
+        scenario_with("trajectory", duration=1e300, sample_period=1e-5), "trajectory.duration"
+    ),
 }
 
 
@@ -158,7 +166,9 @@ class TestGenerate:
         ],
         ids=["missing-duration", "root-key-typo", *BAD_SCENARIOS],
     )
-    def test_malformed_config_exit_2_names_field(self, tmp_path, capsys, bad, field):
+    def test_malformed_config_exit_2_names_field(self, tmp_path, capsys, monkeypatch, bad, field):
+        # each fails while the scenario loads, before any column is allocated
+        monkeypatch.setattr(cli, "generate_scenario", lambda *args: pytest.fail("generated"))
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(bad))
         out = tmp_path / "x.csv"
@@ -606,6 +616,34 @@ def test_degenerate_checkpoint_normalization_exit_2(
     norm = doc["normalization"]
     norm[name] = norm[value] if isinstance(value, str) else value
     assert_eval_exit_2_naming(field, doc, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "kind, damage",
+    [("checkpoint", "truncated"), ("checkpoint", "latin-1"), ("config", "latin-1")],
+    ids=["truncated-checkpoint", "latin-1-checkpoint", "latin-1-config"],
+)
+def test_unreadable_json_file_exit_2_names_its_path(
+    tmp_path, capsys, monkeypatch, checkpoint_doc, kind, damage
+):
+    # a truncated checkpoint's error named neither the file nor <json>, and a file
+    # that is not UTF-8 printed only the codec's error
+    doc = checkpoint_doc if kind == "checkpoint" else experiment_doc(tmp_path / "out")
+    text = json.dumps(doc).encode()
+    path = tmp_path / f"{kind}.json"
+    # truncated inside the document, or with a Latin-1 no-break space after the first key
+    path.write_bytes(text[:25] if damage == "truncated" else text.replace(b": ", b":\xa0", 1))
+    data = tmp_path / "data.csv"
+    data.write_text("never read")
+    monkeypatch.setattr(cli, "parse_dataset", lambda *args: pytest.fail("dataset parsed"))
+    monkeypatch.setattr(cli, "resolve_dataset", lambda *args: pytest.fail("dataset made"))
+    if kind == "checkpoint":
+        args = ["eval", "--checkpoint", str(path), "--dataset", str(data)]
+    else:
+        args = ["report", "--config", str(path)]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: config field '<json>': invalid JSON in {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def assert_eval_exit_2_naming(field, doc, tmp_path, capsys, monkeypatch):

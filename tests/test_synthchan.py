@@ -368,6 +368,24 @@ class TestChunkedSynthesis:
             columns.append(column_bytes(generate_scenario(traj, ARR, ch)))
         assert columns[0] == columns[1] == columns[2]
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_chunks_write_the_shared_columns_and_send_nothing_back(self, monkeypatch, k):
+        # the last chunk is a partial one
+        traj = weaving_drive(ingest._CHUNK_ROWS * 3 + 77)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+        serial = column_bytes(generate_scenario(traj, ARR, self.CH))
+        yielded = []
+
+        def recording_map(fn, items):
+            for value in parallel.ordered_map(fn, items):
+                yielded.append(value)
+                yield value
+
+        monkeypatch.setattr(synthchan, "ordered_map", recording_map)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: k)
+        assert column_bytes(generate_scenario(traj, ARR, self.CH)) == serial
+        assert yielded == [None] * 4
+
     def test_noise_rows_come_from_spawned_substreams(self, cpus):
         n = ingest._CHUNK_ROWS + 9
         noisy, clean = (
