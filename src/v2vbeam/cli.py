@@ -270,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except V2VBeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

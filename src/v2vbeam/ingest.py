@@ -16,20 +16,21 @@ power matrix and the best-beam labels), so splitting is index slicing and
 callers work on whole arrays. The CSV is written in blocks of rows, never as
 one string, on the usable CPUs (``parallel.ordered_map``). It is read by one
 of two readers, ``np.loadtxt`` on spans of lines on the usable CPUs (LF or
-CRLF line ends) or ``csv.reader`` (quotes, bare CRs and failing rows), which
-check their rows against one table of rules (``_check_rows``).
+CRLF line ends) or ``csv.reader`` (a file with quotes or bare CRs, or a span
+that loadtxt rejects, in the process that holds it), which check their rows
+against one table of rules (``_check_rows``). A byte that is not UTF-8 fails
+its cell, and the error names its line.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import math
 import mmap
 import os
 from dataclasses import dataclass
-from itertools import chain, islice, takewhile
+from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -237,13 +238,13 @@ def parse_dataset(path: str | Path) -> Dataset:
     A file with no quote, and no CR but those directly before an LF, is parsed
     in spans of _BLOCK_ROWS lines on the usable CPUs: ``_parse_span`` converts
     each span's lines into columns that the pool's processes share
-    (``_shared_columns``). Any other file, and a file with a span that fails a
-    check (or is not UTF-8), is read by ``_read_rows``: ``csv.reader`` from
-    line 2 on, which either reads every record or raises the first failing
-    row's error.
+    (``_shared_columns``), and reads a span that its fast path rejects with
+    ``_read_rows``. Any other file is read whole by ``_read_rows``:
+    ``csv.reader`` from line 2 on. Either reads every record or raises the
+    first failing row's error; a byte that is not UTF-8 fails its cell.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -251,17 +252,13 @@ def parse_dataset(path: str | Path) -> Dataset:
         has_best_beam, codebook_size = _check_header(header)
         spans, capacity, plain = _scan(path, _BLOCK_ROWS)
         columns = _shared_columns(capacity, codebook_size)
-        n = None
         if plain:
             parse_span = functools.partial(
                 _parse_span, path, columns, len(header), has_best_beam
             )
-            # the pool is shut down before _read_rows writes into the columns
-            with contextlib.closing(ordered_map(parse_span, spans)) as results:
-                counts = list(takewhile(lambda count: count is not None, results))
-            n = sum(counts) if len(counts) == len(spans) else None
-        if n is None:
-            n = _read_rows(fh, columns, len(header), has_best_beam)
+            n = sum(ordered_map(parse_span, spans))
+        else:
+            n = _read_rows(fh, columns, len(header), has_best_beam, 0)
     return Dataset.from_columns(*(column[:n] for column in columns))
 
 
@@ -320,41 +317,38 @@ def _parse_span(
     n_fields: int,
     has_best_beam: bool,
     span: tuple[int, int, int],
-) -> int | None:
+) -> int:
     """Parse the unquoted lines in bytes [start, stop) of the file into ``columns``
-    from row ``first_row`` on; the number of rows, or None, leaving the columns as
-    they were, if the lines are not UTF-8 or any row fails a check.
+    from row ``first_row`` on; the number of rows. Raises the first failing row's error.
 
     A CR before an LF is dropped. ``np.loadtxt`` converts the cells in C, to the
     values ``float`` gives (the rx and best_beam cells by ``_converters``), and
-    ``_check_rows`` checks them. A span is left to the row-by-row reader if it
-    holds an n or N (such a cell is NaN, infinite or no number, so it fails
-    anyway, and any NaN read is an empty cell), an empty line (loadtxt skips
-    it, and warns if there is nothing else), any other CR (loadtxt ends a line
-    there) or \\x1c-\\x1f (loadtxt reads them as space around a number; ``float`` fails).
+    ``_check_rows`` checks them. If loadtxt fails or a row fails a check,
+    ``_read_rows`` reads the span's lines instead, in this process. It also
+    reads a span that holds an n or N (such a cell is NaN, infinite or no
+    number, so it fails anyway, and any NaN read is an empty cell), an empty
+    line (loadtxt skips it, and warns if there is nothing else) or \\x1c-\\x1f
+    (loadtxt reads them as space around a number; ``float`` fails).
     """
     first_row, start, stop = span
     with path.open("rb") as fh:
         fh.seek(start)
-        data = fh.read(stop - start)
-    try:  # a UnicodeDecodeError is a ValueError
-        text = data.decode("utf-8")
-        text = text.replace("\r\n", "\n") if "\r" in text else text  # `in` is the faster scan
-        lines = text.removesuffix("\n").split("\n")
-        if not all(lines) or any(map(text.__contains__, 'nN"\r\x1c\x1d\x1e\x1f')):
-            return None
+        text = fh.read(stop - start).decode("utf-8", "surrogateescape")
+    text = text.replace("\r\n", "\n") if "\r" in text else text  # `in` is the faster scan
+    lines = text.removesuffix("\n").split("\n")
+    if all(lines) and not any(map(text.__contains__, "nN\x1c\x1d\x1e\x1f")):
         converters = _converters(has_best_beam)
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, converters=converters)
-    except ValueError:
-        return None
-    if values.shape != (len(lines), n_fields):
-        return None
-    block, failure = _check_rows(values, has_best_beam)
-    if failure:
-        return None
-    for column, part in zip(columns, block):
-        column[first_row : first_row + len(values)] = part
-    return len(values)
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, converters=converters)
+        except ValueError:  # such as a cell that is no number, or holds a byte that is not UTF-8
+            values = None
+        if values is not None and values.shape == (len(lines), n_fields):
+            block, failure = _check_rows(values, has_best_beam)
+            if not failure:
+                for column, part in zip(columns, block):
+                    column[first_row : first_row + len(values)] = part
+                return len(values)
+    return _read_rows(lines, columns, n_fields, has_best_beam, first_row)
 
 
 def _converters(has_best_beam: bool) -> dict:
@@ -400,17 +394,21 @@ def _check_rows(values: np.ndarray, has_best_beam: bool) -> tuple[tuple, tuple |
     return (t, tx, rx, powers, best), (row, *rules[rule])
 
 
-def _read_rows(fh, columns: tuple[np.ndarray, ...], n_fields: int, has_best_beam: bool) -> int:
-    """Parse the records left in ``fh`` with ``csv.reader`` into ``columns`` from
-    row 0, checking each _BLOCK_ROWS of them, and those before a record that fails
-    to read, with ``_check_rows``; the number of rows. Raises the first failing
-    row's error, naming the physical line its record starts on (the header is line 1).
+def _read_rows(
+    source, columns: tuple[np.ndarray, ...], n_fields: int, has_best_beam: bool, first_row: int
+) -> int:
+    """Parse the records of ``source`` (an open file or a list of lines) with
+    ``csv.reader`` into ``columns`` from row ``first_row`` on, checking each
+    _BLOCK_ROWS of them, and those before a record that fails to read, with
+    ``_check_rows``; the number of rows. Raises the first failing row's error,
+    naming the physical line its record starts on: ``first_row``'s record is on
+    line ``first_row + 2`` (the header is line 1).
     """
-    reader = csv.reader(fh)
+    reader = csv.reader(source)
     converters = _converters(has_best_beam)
     reads = [converters.get(cell, converters[3]) for cell in range(n_fields)]
     names = (*_FIXED_COLUMNS, "best_beam")[: 5 + has_best_beam] + ("power",) * n_fields
-    n, line = 0, 2
+    n, line = first_row, first_row + 2
     while True:
         lines, rows, error = [], [], None
         try:
@@ -423,7 +421,7 @@ def _read_rows(fh, columns: tuple[np.ndarray, ...], n_fields: int, has_best_beam
                 lines.append(line)
                 rows.append(row)
                 # a quoted cell may hold line breaks, so a record can span lines
-                line = reader.line_num + 2
+                line = first_row + reader.line_num + 2
         except csv.Error as exc:
             # such as a stray quote that runs a field to the field size limit
             error = RowParseError(line, str(exc))
@@ -440,7 +438,7 @@ def _read_rows(fh, columns: tuple[np.ndarray, ...], n_fields: int, has_best_beam
         if error is not None:
             raise error
         if len(rows) < _BLOCK_ROWS:
-            return n
+            return n - first_row
 
 
 def _cell_error(line: int, text: str, what: str, best: int) -> Exception:

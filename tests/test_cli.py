@@ -380,6 +380,18 @@ class TestEval:
         assert "config field 'm_values'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_byte_exit_2_names_line_and_cell(self, experiment_config, tmp_path, capsys):
+        ckpt, data = self._train_and_generate(experiment_config, tmp_path)
+        lines = data.read_bytes().split(b"\n")
+        fields = lines[150].split(b",")
+        fields[1] = b"\xff" + fields[1]
+        lines[150] = b",".join(fields)
+        data.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: line 151: bad tx_lat: '\\udcff")
+
     def test_missing_checkpoint_exit_3(self, tmp_path):
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "no.json"), "--dataset", str(tmp_path / "no.csv")]
@@ -658,6 +670,16 @@ def assert_eval_exit_2_naming(field, doc, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert f"config error: config field '{field}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_key_error_in_a_subcommand_is_no_config_error(experiment_config, monkeypatch):
+    # nothing raises a KeyError on purpose, so one is a fault of the program
+    def lookup_fault(config):
+        raise KeyError("a lookup fault")
+
+    monkeypatch.setattr(cli, "resolve_dataset", lookup_fault)
+    with pytest.raises(KeyError, match="a lookup fault"):
+        main(["train", "--config", str(experiment_config)])
 
 
 def test_report_flags_match_the_same_config_fields(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import tracemalloc
 import warnings
@@ -461,12 +462,6 @@ class TestBlockWrite:
         assert got == oracle_write(ds, tmp_path / "b.csv").read_bytes()
 
 
-@pytest.fixture(params=[1, 2, 3], ids=["1cpu", "2cpu", "3cpu"])
-def cpus(request, monkeypatch):
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: request.param)
-    return request.param
-
-
 def mixed_rx_dataset(n):
     rng = np.random.default_rng(5)
     samples = tuple(
@@ -657,6 +652,22 @@ def blocks_of_4(monkeypatch):
     monkeypatch.setattr(ingest, "_BLOCK_ROWS", 4)
 
 
+@pytest.fixture
+def read_rows_calls(tmp_path, monkeypatch):
+    """Record the first row and lines of each call of ``_read_rows`` on a span, in
+    whichever process of the pool makes it; returns a function that reads them."""
+    log, read_rows = tmp_path / "read_rows.jsonl", ingest._read_rows
+    log.touch()
+
+    def recorded(source, *args):
+        with log.open("a") as fh:
+            fh.write(json.dumps([args[-1], source]) + "\n")
+        return read_rows(source, *args)
+
+    monkeypatch.setattr(ingest, "_read_rows", recorded)
+    return lambda: [json.loads(line) for line in log.read_text().splitlines()]
+
+
 def assert_same_bytes(got, want):
     for name in ("t", "tx", "rx", "powers", "best"):
         a, b = getattr(got, name), getattr(want, name)
@@ -677,7 +688,7 @@ class TestPooledParse:
         path = write_dataset(mixed_rx_dataset(1101), tmp_path / "d.csv")
         assert_same_bytes(parse_dataset(path), oracle_parse(path))
         # float reads 1_0 as 10 where loadtxt fails: the last span fails after the
-        # earlier spans have filled the columns, and csv.reader reads the file again
+        # earlier spans have filled the columns, and csv.reader reads that span again
         *lines, last = path.read_text().splitlines(keepends=True)
         cells = last.split(",")
         cells[5], cells[-1] = "5", "1_0\n"
@@ -759,14 +770,50 @@ class TestPooledParse:
 
     @pytest.mark.parametrize("index", [5, 250, 399])
     def test_non_utf8_byte_in_a_later_chunk(self, tmp_path, blocks_of_4, cpus, index):
-        # 400 rows are about 18 KB; the text layer decodes 8 KB at a time, and the
-        # message holds the byte's position in the piece being decoded
+        # 400 rows are about 18 KB, more than a text file decodes at once (8 KB)
         rows = [good_row(i).encode() for i in range(400)]
         rows[index] = rows[index].replace(b"33.0", b"33.\xff")
         path = tmp_path / "d.csv"
         path.write_bytes(HEADER.encode() + b"".join(rows))
         assert path.stat().st_size > 16384
-        assert isinstance(assert_same_error(path), UnicodeDecodeError)
+        with pytest.raises(RowParseError) as exc:
+            parse_dataset(path)
+        assert str(exc.value) == f"line {index + 2}: bad tx_lat: '33.\\udcff'"
+
+    @pytest.mark.parametrize("index", [5, 250, 399])
+    def test_non_utf8_byte_in_a_quoted_file(self, tmp_path, blocks_of_4, cpus, index):
+        # a quoted cell sends the whole file to csv.reader
+        rows = [good_row(i).encode() for i in range(400)]
+        rows[index] = rows[index].replace(b"33.0", b"33.\xff")
+        rows[100] = rows[100].replace(b",33.0,", b',"33.0",')
+        path = tmp_path / "d.csv"
+        path.write_bytes(HEADER.encode() + b"".join(rows))
+        with pytest.raises(RowParseError) as exc:
+            parse_dataset(path)
+        assert str(exc.value) == f"line {index + 2}: bad tx_lat: '33.\\udcff'"
+
+    def test_bad_cell_in_the_last_span_rereads_that_span_alone(
+        self, tmp_path, blocks_of_4, cpus, read_rows_calls
+    ):
+        rows = [good_row(i) for i in range(11)]
+        rows[10] = rows[10].replace(",33.0,", ",east,")
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        assert str(assert_same_error(path)) == "line 12: bad tx_lat: 'east'"
+        assert read_rows_calls() == [[8, [row.rstrip("\n") for row in rows[8:]]]]
+
+    def test_cell_only_float_reads_in_a_middle_span(
+        self, tmp_path, blocks_of_4, cpus, read_rows_calls
+    ):
+        # float reads 1_999.9 as 1999.9 where loadtxt fails
+        rows = [good_row(i) for i in range(11)]
+        rows[6] = "1_999.9" + rows[6][rows[6].index(","):]
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        got = parse_dataset(path)
+        assert got.t[6] == 1999.9
+        assert_same_bytes(got, oracle_parse(path))
+        assert read_rows_calls() == [[4, [row.rstrip("\n") for row in rows[4:8]]]]
 
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("final_newline", [True, False])

@@ -11,12 +11,6 @@ needs_pool = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(params=[1, 2, 3], ids=["1cpu", "2cpu", "3cpu"])
-def cpus(request, monkeypatch):
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: request.param)
-    return request.param
-
-
 class Probe(Sequence):
     """Items 0 .. n - 1 that record which indices were read."""
 

@@ -287,12 +287,6 @@ class TestScenarioJson:
 # --- chunked synthesis on several CPUs -------------------------------------------------
 
 
-@pytest.fixture(params=[1, 2, 3], ids=["1cpu", "2cpu", "3cpu"])
-def cpus(request, monkeypatch):
-    monkeypatch.setattr(parallel, "_usable_cpus", lambda: request.param)
-    return request.param
-
-
 def per_sample_oracle(traj, arr, ch, codebook_size=64):
     """The per-sample loop: each sample's own response, gains and spawned substream."""
     cb = dft_codebook(arr, codebook_size)
