@@ -38,7 +38,6 @@ import numpy as np
 
 from . import floatrepr
 from .errors import IndexMismatchError, RowParseError, SchemaMismatchError
-from .geodata import GeoPosition
 from .parallel import ordered_map
 
 _FIXED_COLUMNS = ("t", "tx_lat", "tx_lon", "rx_lat", "rx_lon")
@@ -52,90 +51,22 @@ _BLOCK_ROWS = 256
 _CHUNK_ROWS = 2 * _BLOCK_ROWS
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One time instant: positions, per-beam received powers, ground-truth index."""
-
-    t: float
-    tx_pos: GeoPosition
-    rx_pos: GeoPosition | None
-    powers: np.ndarray
-    optimal_index: int
-
-    def __post_init__(self):
-        p = np.array(self.powers, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("powers must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(p)) or np.any(p < 0):
-            raise ValueError("powers must be finite and non-negative")
-        p.setflags(write=False)
-        object.__setattr__(self, "powers", p)
-        if self.optimal_index != int(np.argmax(p)):
-            raise ValueError(
-                f"optimal_index {self.optimal_index} is not the argmax of powers"
-            )
-
-    def __eq__(self, other):
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.t == other.t
-            and self.tx_pos == other.tx_pos
-            and self.rx_pos == other.rx_pos
-            and self.optimal_index == other.optimal_index
-            and np.array_equal(self.powers, other.powers)
-        )
-
-
 class Dataset:
     """An ordered, immutable collection of samples sharing one codebook, as five columns.
 
     ``t`` (n,) sample times, ``tx`` and ``rx`` (n, 2) [lat, lon] fixes in
     degrees (``rx`` is NaN where a row has no receiver fix), ``powers``
     (n, codebook_size) and ``best`` (n,) the argmax of each power row. Every
-    column is read-only. Construct from ``Sample`` objects, or from columns
-    with :meth:`from_columns`; ``samples`` rebuilds the objects on each access.
+    column is read-only. The constructor wraps the columns without copying;
+    ``best`` must be the argmax of ``powers``.
     """
 
     __slots__ = (*_COLUMNS, "_span")
 
-    def __init__(self, samples: Sequence[Sample], codebook_size: int):
-        for s in samples:
-            if s.powers.size != codebook_size:
-                raise ValueError(
-                    f"sample at t={s.t} has {s.powers.size} powers, "
-                    f"expected {codebook_size}"
-                )
-        n = len(samples)
-
-        def fixes(positions) -> np.ndarray:
-            rows = [(p.lat_deg, p.lon_deg) if p else (math.nan,) * 2 for p in positions]
-            return np.array(rows, dtype=np.float64).reshape(n, 2)
-
-        self._init(
-            np.array([s.t for s in samples], dtype=np.float64),
-            fixes(s.tx_pos for s in samples),
-            fixes(s.rx_pos for s in samples),
-            np.array([s.powers for s in samples]).reshape(n, codebook_size),
-            np.array([s.optimal_index for s in samples], dtype=np.int64),
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        t: np.ndarray,
-        tx: np.ndarray,
-        rx: np.ndarray,
-        powers: np.ndarray,
-        best: np.ndarray,
-    ) -> "Dataset":
-        """Wrap the five columns without copying; ``best`` must be the argmax of ``powers``."""
-        d = cls.__new__(cls)
-        d._init(t, tx, rx, powers, best)
-        return d
-
-    def _init(self, *columns: np.ndarray) -> None:
-        for name, column in zip(_COLUMNS, columns):
+    def __init__(
+        self, t: np.ndarray, tx: np.ndarray, rx: np.ndarray, powers: np.ndarray, best: np.ndarray
+    ):
+        for name, column in zip(_COLUMNS, (t, tx, rx, powers, best)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         # (source, start, stop) when the columns are the row slice start:stop of
@@ -148,24 +79,6 @@ class Dataset:
     @property
     def codebook_size(self) -> int:
         return self.powers.shape[1]
-
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        """The rows as ``Sample`` objects, built anew on each access."""
-        rows = zip(
-            self.t.tolist(), self.tx.tolist(), self.rx.tolist(),
-            self.powers, self.best.tolist(),
-        )
-        return tuple(
-            Sample(
-                t=t,
-                tx_pos=GeoPosition(*tx),
-                rx_pos=None if math.isnan(rx[0]) else GeoPosition(*rx),
-                powers=powers,
-                optimal_index=best,
-            )
-            for t, tx, rx, powers, best in rows
-        )
 
     def __len__(self) -> int:
         return len(self.t)
@@ -187,7 +100,7 @@ class Dataset:
 
     def rows(self, indices: np.ndarray | slice) -> "Dataset":
         """The rows at ``indices`` (an index array, or a slice giving views)."""
-        part = Dataset.from_columns(*(getattr(self, name)[indices] for name in _COLUMNS))
+        part = Dataset(*(getattr(self, name)[indices] for name in _COLUMNS))
         if isinstance(indices, slice):
             start, stop, step = indices.indices(len(self))
             if step == 1:
@@ -259,7 +172,7 @@ def parse_dataset(path: str | Path) -> Dataset:
             n = sum(ordered_map(parse_span, spans))
         else:
             n = _read_rows(fh, columns, len(header), has_best_beam, 0)
-    return Dataset.from_columns(*(column[:n] for column in columns))
+    return Dataset(*(column[:n] for column in columns))
 
 
 def _scan(path: Path, block_rows: int) -> tuple[list[tuple[int, int, int]], int, bool]:
@@ -327,8 +240,10 @@ def _parse_span(
     ``_read_rows`` reads the span's lines instead, in this process. It also
     reads a span that holds an n or N (such a cell is NaN, infinite or no
     number, so it fails anyway, and any NaN read is an empty cell), an empty
-    line (loadtxt skips it, and warns if there is nothing else) or \\x1c-\\x1f
-    (loadtxt reads them as space around a number; ``float`` fails).
+    line (loadtxt skips it, and warns if there is nothing else), \\x1c-\\x1f
+    (loadtxt reads them as space around a number; ``float`` fails) or a line
+    longer than csv's field size limit (loadtxt has none, so a cell that long
+    would pass here and fail ``csv.reader``).
     """
     first_row, start, stop = span
     with path.open("rb") as fh:
@@ -336,7 +251,8 @@ def _parse_span(
         text = fh.read(stop - start).decode("utf-8", "surrogateescape")
     text = text.replace("\r\n", "\n") if "\r" in text else text  # `in` is the faster scan
     lines = text.removesuffix("\n").split("\n")
-    if all(lines) and not any(map(text.__contains__, "nN\x1c\x1d\x1e\x1f")):
+    short = max(map(len, lines)) <= csv.field_size_limit()
+    if short and all(lines) and not any(map(text.__contains__, "nN\x1c\x1d\x1e\x1f")):
         converters = _converters(has_best_beam)
         try:
             values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, converters=converters)

@@ -332,7 +332,7 @@ def generate_scenario(
     columns = _shared_columns(traj.n_samples, codebook_size)
     synthesize = functools.partial(_synthesize, traj, arr, cb, ch, columns)
     list(ordered_map(synthesize, range(0, traj.n_samples, _CHUNK_ROWS)))
-    return Dataset.from_columns(*columns)
+    return Dataset(*columns)
 
 
 def _synthesize(

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_dataset
 
 from v2vbeam.cli import main
 from v2vbeam.evalmetrics import (
@@ -27,7 +28,7 @@ from v2vbeam.experiment import (
 )
 from v2vbeam.fingerprint import BinGrid, build_database, query_candidates
 from v2vbeam.geodata import GeoPosition, NormalizationParams, normalize
-from v2vbeam.ingest import Dataset, Sample, parse_dataset
+from v2vbeam.ingest import parse_dataset
 from v2vbeam.neuralbeam import (
     AdamState,
     ConvBlockSpec,
@@ -283,32 +284,22 @@ def test_criterion_6_baseline_sanity():
     """One-sample bins memorize training data; candidates are prefix-monotone."""
     rng = np.random.default_rng(42)
     norm = NormalizationParams(0.0, 1.0, 0.0, 1.0)
-    samples = []
     n_grid = 14
-    for i in range(n_grid):
-        for j in range(n_grid):
-            powers = rng.uniform(0.1, 1.0, 16)
-            samples.append(
-                Sample(
-                    t=(i * n_grid + j) * 0.1,
-                    tx_pos=GeoPosition((i + 0.5) / n_grid, (j + 0.5) / n_grid),
-                    rx_pos=None,
-                    powers=powers,
-                    optimal_index=int(np.argmax(powers)),
-                )
-            )
-    train_ds = Dataset(samples=tuple(samples), codebook_size=16)
+    i, j = np.divmod(np.arange(n_grid * n_grid), n_grid)
+    train_ds = make_dataset(
+        rng.uniform(0.1, 1.0, (n_grid * n_grid, 16)),
+        tx=np.column_stack([(i + 0.5) / n_grid, (j + 0.5) / n_grid]),
+    )
     db = build_database(train_ds, BinGrid.unit_square(n_grid), norm)
 
+    fixes = [normalize(GeoPosition(*tx), norm) for tx in train_ds.tx.tolist()]
     replay_hits = all(
-        query_candidates(db, normalize(s.tx_pos, norm), 1) == [s.optimal_index]
-        for s in train_ds.samples
+        query_candidates(db, pos, 1) == [best] for pos, best in zip(fixes, train_ds.best.tolist())
     )
-    one_per_bin = len(db) == len(train_ds.samples)
+    one_per_bin = len(db) == len(train_ds)
 
     prefix_ok = True
-    for s in train_ds.samples[:20]:
-        pos = normalize(s.tx_pos, norm)
+    for pos in fixes[:20]:
         for m in range(1, 16):
             a = query_candidates(db, pos, m)
             b = query_candidates(db, pos, m + 1)

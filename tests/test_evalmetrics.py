@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import make_dataset
 
 from v2vbeam.errors import LengthMismatchError, ZeroGroundTruthPowerError
 from v2vbeam.evalmetrics import (
@@ -13,8 +14,6 @@ from v2vbeam.evalmetrics import (
     write_report_json,
     write_report_svg,
 )
-from v2vbeam.geodata import GeoPosition
-from v2vbeam.ingest import Dataset, Sample
 
 
 def brute_force_inclusion(preds, truths):
@@ -146,58 +145,41 @@ class TestReceivedPowerRatio:
             received_power_ratio([[0]], powers, [0])
 
 
-def tiny_dataset(q=4, n=6, seed=0):
-    rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n):
-        p = rng.uniform(0.1, 1.0, q)
-        samples.append(
-            Sample(
-                t=i * 0.1,
-                tx_pos=GeoPosition(33.0 + 0.01 * i, -112.0 + 0.01 * i),
-                rx_pos=None,
-                powers=p,
-                optimal_index=int(np.argmax(p)),
-            )
-        )
-    return Dataset(samples=tuple(samples), codebook_size=q)
-
-
 class TestBuildReport:
     def test_identical_predictors_identical_columns(self):
-        ds = tiny_dataset()
-        preds = [[s.optimal_index, 0, 1] for s in ds.samples]
+        ds = make_dataset(np.random.default_rng(0).uniform(0.1, 1.0, (6, 4)))
+        preds = [[best, 0, 1] for best in ds.best.tolist()]
         model, baseline = build_report(preds, preds, ds, m_values=(1, 2, 3))
         assert model.accuracy_inclusion == baseline.accuracy_inclusion
         assert model.power_ratio == baseline.power_ratio
 
     def test_shape_four_m_values(self):
-        ds = tiny_dataset(q=16)
-        preds = [list(range(16)) for _ in ds.samples]
+        ds = make_dataset(np.random.default_rng(0).uniform(0.1, 1.0, (6, 16)))
+        preds = [list(range(16)) for _ in range(len(ds))]
         model, _ = build_report(preds, preds, ds, m_values=(1, 5, 9, 13))
         assert model.m_values == (1, 5, 9, 13)
         assert len(model.accuracy_inclusion) == 4
         assert len(model.power_ratio) == 4
 
     def test_oracle_predictor_all_ones(self):
-        ds = tiny_dataset()
-        oracle = [[s.optimal_index] + [i for i in range(4) if i != s.optimal_index] for s in ds.samples]
+        ds = make_dataset(np.random.default_rng(0).uniform(0.1, 1.0, (6, 4)))
+        oracle = [[best] + [i for i in range(4) if i != best] for best in ds.best.tolist()]
         model, _ = build_report(oracle, oracle, ds, m_values=(1, 2, 4))
         assert model.accuracy_inclusion == (1.0, 1.0, 1.0)
         assert model.power_ratio == (1.0, 1.0, 1.0)
 
     def test_m_value_bounds_checked(self):
-        ds = tiny_dataset()
-        preds = [[0] for _ in ds.samples]
+        ds = make_dataset(np.random.default_rng(0).uniform(0.1, 1.0, (6, 4)))
+        preds = [[0] for _ in range(len(ds))]
         with pytest.raises(ValueError):
             build_report(preds, preds, ds, m_values=(0,))
         with pytest.raises(ValueError):
             build_report(preds, preds, ds, m_values=(5,))
 
     def test_monotone_in_m_for_prefix_lists(self):
-        ds = tiny_dataset(q=8, n=30, seed=4)
+        ds = make_dataset(np.random.default_rng(4).uniform(0.1, 1.0, (30, 8)))
         rng = np.random.default_rng(5)
-        preds = [rng.permutation(8).tolist() for _ in ds.samples]
+        preds = [rng.permutation(8).tolist() for _ in range(len(ds))]
         report = evaluate_predictions("model", preds, ds, m_values=(1, 2, 4, 8))
         assert list(report.accuracy_inclusion) == sorted(report.accuracy_inclusion)
         assert list(report.power_ratio) == sorted(report.power_ratio)
@@ -205,7 +187,7 @@ class TestBuildReport:
         assert report.power_ratio[-1] == 1.0
 
     def test_narrow_candidate_array_rejected(self):
-        ds = tiny_dataset(q=8, n=5, seed=4)
+        ds = make_dataset(np.random.default_rng(4).uniform(0.1, 1.0, (5, 8)))
         preds = np.tile(np.arange(3), (5, 1))
         with pytest.raises(ValueError, match="need 4 ranked candidates"):
             evaluate_predictions("model", preds, ds, m_values=(1, 4))
@@ -213,26 +195,26 @@ class TestBuildReport:
         assert report.m_values == (1, 3)
 
     def test_literal_equals_inclusion_at_m1(self):
-        ds = tiny_dataset(q=8, n=25, seed=6)
+        ds = make_dataset(np.random.default_rng(6).uniform(0.1, 1.0, (25, 8)))
         rng = np.random.default_rng(7)
-        preds = [rng.permutation(8).tolist() for _ in ds.samples]
+        preds = [rng.permutation(8).tolist() for _ in range(len(ds))]
         report = evaluate_predictions("model", preds, ds, m_values=(1,))
         assert report.accuracy_inclusion[0] == report.accuracy_literal[0]
 
 
 class TestAggregationAndWriters:
     def _rows(self):
-        ds = tiny_dataset(q=4, n=10, seed=8)
+        ds = make_dataset(np.random.default_rng(8).uniform(0.1, 1.0, (10, 4)))
         rng = np.random.default_rng(9)
         reports = []
         for _ in range(3):
-            preds = [rng.permutation(4).tolist() for _ in ds.samples]
+            preds = [rng.permutation(4).tolist() for _ in range(len(ds))]
             reports.append(evaluate_predictions("model", preds, ds, m_values=(1, 2)))
         return aggregate_reports(reports)
 
     def test_aggregate_single_report_zero_stddev(self):
-        ds = tiny_dataset()
-        preds = [[s.optimal_index] for s in ds.samples]
+        ds = make_dataset(np.random.default_rng(0).uniform(0.1, 1.0, (6, 4)))
+        preds = [[best] for best in ds.best.tolist()]
         report = evaluate_predictions("model", preds, ds, m_values=(1,))
         rows = aggregate_reports([report])
         assert all(r.stddev == 0.0 for r in rows)
@@ -263,8 +245,8 @@ class TestAggregationAndWriters:
         assert a.startswith(b"<svg")
 
     def test_mixed_predictors_rejected(self):
-        ds = tiny_dataset()
-        preds = [[0] for _ in ds.samples]
+        ds = make_dataset(np.random.default_rng(0).uniform(0.1, 1.0, (6, 4)))
+        preds = [[0] for _ in range(len(ds))]
         a = evaluate_predictions("model", preds, ds, m_values=(1,))
         b = evaluate_predictions("baseline", preds, ds, m_values=(1,))
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import make_dataset
 
 from v2vbeam.errors import EmptyDatasetError
 from v2vbeam.fingerprint import (
@@ -19,29 +20,13 @@ from v2vbeam.geodata import (
     NormalizedPosition,
     normalize,
 )
-from v2vbeam.ingest import Dataset, Sample
 
 NORM = NormalizationParams(0.0, 1.0, 0.0, 1.0)
 
 
-def sample_at(lat, lon, powers, t=0.0):
-    powers = np.asarray(powers, dtype=float)
-    return Sample(
-        t=t,
-        tx_pos=GeoPosition(lat, lon),
-        rx_pos=None,
-        powers=powers,
-        optimal_index=int(np.argmax(powers)),
-    )
-
-
-def dataset_of(samples, q):
-    return Dataset(samples=tuple(samples), codebook_size=q)
-
-
 class TestBuildDatabase:
     def test_single_sample_single_bin(self):
-        ds = dataset_of([sample_at(0.1, 0.1, [1.0, 3.0, 2.0])], 3)
+        ds = make_dataset([[1.0, 3.0, 2.0]], tx=(0.1, 0.1))
         db = build_database(ds, BinGrid.unit_square(4), NORM)
         assert len(db) == 1
         ((key, stats),) = db.bins.items()
@@ -49,13 +34,7 @@ class TestBuildDatabase:
         assert np.array_equal(stats.mean_power, [1.0, 3.0, 2.0])
 
     def test_two_samples_one_bin_mean(self):
-        ds = dataset_of(
-            [
-                sample_at(0.1, 0.1, [1.0, 3.0, 2.0]),
-                sample_at(0.12, 0.12, [3.0, 1.0, 2.0], t=0.1),
-            ],
-            3,
-        )
+        ds = make_dataset([[1.0, 3.0, 2.0], [3.0, 1.0, 2.0]], tx=[(0.1, 0.1), (0.12, 0.12)])
         db = build_database(ds, BinGrid.unit_square(4), NORM)
         assert len(db) == 1
         ((_, stats),) = db.bins.items()
@@ -63,13 +42,7 @@ class TestBuildDatabase:
         assert np.allclose(stats.mean_power, [2.0, 2.0, 2.0])
 
     def test_distant_bins_independent(self):
-        ds = dataset_of(
-            [
-                sample_at(0.1, 0.1, [9.0, 1.0]),
-                sample_at(0.9, 0.9, [1.0, 9.0], t=0.1),
-            ],
-            2,
-        )
+        ds = make_dataset([[9.0, 1.0], [1.0, 9.0]], tx=[(0.1, 0.1), (0.9, 0.9)])
         db = build_database(ds, BinGrid.unit_square(4), NORM)
         assert len(db) == 2
         means = sorted(tuple(b.mean_power) for b in db.bins.values())
@@ -77,16 +50,13 @@ class TestBuildDatabase:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            build_database(dataset_of([], 2), BinGrid.unit_square(4), NORM)
+            build_database(make_dataset(np.empty((0, 2))), BinGrid.unit_square(4), NORM)
 
     def test_order_independent_means(self):
         rng = np.random.default_rng(11)
-        samples = [
-            sample_at(0.3 + 1e-4 * rng.random(), 0.3, rng.uniform(0, 1, 8), t=i * 0.1)
-            for i in range(500)
-        ]
-        ds_fwd = dataset_of(samples, 8)
-        ds_rev = dataset_of(samples[::-1], 8)
+        lats, powers = zip(*[(0.3 + 1e-4 * rng.random(), rng.uniform(0, 1, 8)) for _ in range(500)])
+        ds_fwd = make_dataset(powers, tx=[(lat, 0.3) for lat in lats])
+        ds_rev = ds_fwd.rows(slice(None, None, -1))
         fwd = build_database(ds_fwd, BinGrid.unit_square(4), NORM)
         rev = build_database(ds_rev, BinGrid.unit_square(4), NORM)
         assert fwd.bins.keys() == rev.bins.keys()
@@ -159,27 +129,23 @@ class TestQueryCandidates:
 class TestEvaluateBaseline:
     def test_memorization_limit(self):
         # one sample per bin, replayed as test -> perfect top-1
-        rng = np.random.default_rng(5)
-        samples = [
-            sample_at(i / 10 + 0.05, i / 10 + 0.05, rng.uniform(0, 1, 6), t=i * 0.1)
-            for i in range(10)
-        ]
-        ds = dataset_of(samples, 6)
+        powers = np.random.default_rng(5).uniform(0, 1, (10, 6))
+        ds = make_dataset(powers, tx=[(i / 10 + 0.05,) * 2 for i in range(10)])
         db = build_database(ds, BinGrid.unit_square(10), NORM)
         cands = evaluate_baseline(db, ds, NORM, 1)
         assert cands.shape == (10, 1) and cands.dtype.kind == "i"
-        assert cands[:, 0].tolist() == [s.optimal_index for s in samples]
+        assert cands[:, 0].tolist() == powers.argmax(axis=1).tolist()
 
     def test_m_full_is_permutation(self):
-        ds = dataset_of([sample_at(0.5, 0.5, [0.3, 0.1, 0.2, 0.9])], 4)
+        ds = make_dataset([[0.3, 0.1, 0.2, 0.9]], tx=(0.5, 0.5))
         db = build_database(ds, BinGrid.unit_square(4), NORM)
         (cands,) = evaluate_baseline(db, ds, NORM, 4)
         assert sorted(cands.tolist()) == [0, 1, 2, 3]
 
     def test_empty_test_set(self):
-        ds = dataset_of([sample_at(0.5, 0.5, [1.0, 2.0])], 2)
+        ds = make_dataset([[1.0, 2.0]], tx=(0.5, 0.5))
         db = build_database(ds, BinGrid.unit_square(4), NORM)
-        assert evaluate_baseline(db, dataset_of([], 2), NORM, 1).shape == (0, 1)
+        assert evaluate_baseline(db, make_dataset(np.empty((0, 2))), NORM, 1).shape == (0, 1)
 
 
 def oracle_query(db, pos, m):
@@ -202,13 +168,13 @@ def oracle_query(db, pos, m):
 def oracle_build(train, grid, norm):
     """Reference: one Kahan step per sample, in dataset order, into a dict of bins."""
     sums, comps, counts = {}, {}, {}
-    for s in train.samples:
-        key = grid.bin_of(normalize(s.tx_pos, norm))
+    for tx, powers in zip(train.tx.tolist(), train.powers):
+        key = grid.bin_of(normalize(GeoPosition(*tx), norm))
         if key not in sums:
             sums[key] = np.zeros(train.codebook_size)
             comps[key] = np.zeros(train.codebook_size)
             counts[key] = 0
-        y = s.powers - comps[key]
+        y = powers - comps[key]
         t = sums[key] + y
         comps[key] = (t - sums[key]) - y
         sums[key] = t
@@ -236,13 +202,10 @@ class TestVectorisedAgainstReference:
         jitter = rng.uniform(-0.4, 0.4, (300, 2)) * [0.13, 0.07] * rng.integers(0, 2, (300, 1))
         uv = np.array(centers) + jitter
         uv[:20] = rng.uniform(-1.0, 2.0, (20, 2))
-        test = dataset_of(
-            [sample_at(u, v, rng.uniform(0.1, 1.0, q), t=0.1 * i) for i, (u, v) in enumerate(uv)],
-            q,
-        )
+        test = make_dataset(rng.uniform(0.1, 1.0, (len(uv), q)), tx=uv)
         for m in (1, 3, q, q + 2):
             want = [
-                oracle_query(db, normalize(s.tx_pos, NORM), m) for s in test.samples
+                oracle_query(db, normalize(GeoPosition(*tx), NORM), m) for tx in test.tx.tolist()
             ]
             assert evaluate_baseline(db, test, NORM, m).tolist() == want
 
@@ -255,7 +218,7 @@ class TestVectorisedAgainstReference:
         )
         # u or v below 0, or at 1.0 and above (key 32), are outside the grid
         points = [(-0.2, 0.1), (0.1, -0.01), (1.0, 0.99), (0.99, 1.0), (1.5, 1.5), (-0.5, 1.2)]
-        test = dataset_of([sample_at(u, v, [1.0, 2.0]) for u, v in points], 2)
+        test = make_dataset([[1.0, 2.0]] * len(points), t=np.zeros(len(points)), tx=points)
         want = [oracle_query(db, NormalizedPosition(u, v), 1) for u, v in points]
         assert want == [[0], [0], [1], [1], [1], [0]]
         assert evaluate_baseline(db, test, NORM, 1).tolist() == want
@@ -271,10 +234,7 @@ class TestVectorisedAgainstReference:
             rng.normal(0.5, 0.03, (n, 2)),
             rng.uniform(-0.1, 1.1, (n, 2)),
         )
-        train = dataset_of(
-            [sample_at(u, v, rng.lognormal(0.0, 2.0, 7), t=0.1 * i) for i, (u, v) in enumerate(uv)],
-            7,
-        )
+        train = make_dataset(rng.lognormal(0.0, 2.0, (n, 7)), tx=uv)
         db = build_database(train, grid, NORM)
         want = oracle_build(train, grid, NORM)
         assert db.bins.keys() == want.keys()
@@ -286,11 +246,9 @@ class TestVectorisedAgainstReference:
 class TestPersistence:
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        samples = [
-            sample_at(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), rng.uniform(0, 1, 4), t=i * 0.1)
-            for i in range(20)
-        ]
-        db = build_database(dataset_of(samples, 4), BinGrid.unit_square(8), NORM)
+        rows = [(rng.uniform(0.1, 0.9, 2), rng.uniform(0, 1, 4)) for _ in range(20)]
+        tx, powers = zip(*rows)
+        db = build_database(make_dataset(powers, tx=tx), BinGrid.unit_square(8), NORM)
         doc = json.loads(save_database(db, tmp_path / "db.json").read_text())
         assert doc["codebook_size"] == db.codebook_size
         assert doc["grid"] == {
@@ -303,7 +261,7 @@ class TestPersistence:
             assert np.array_equal(b["mean_power"], stats.mean_power)
 
     def test_deterministic_bytes(self, tmp_path):
-        ds = dataset_of([sample_at(0.2, 0.7, [1.0, 2.0, 3.0])], 3)
+        ds = make_dataset([[1.0, 2.0, 3.0]], tx=(0.2, 0.7))
         db = build_database(ds, BinGrid.unit_square(4), NORM)
         a = save_database(db, tmp_path / "a.json").read_bytes()
         b = save_database(db, tmp_path / "b.json").read_bytes()

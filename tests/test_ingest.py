@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import make_dataset
 from hypothesis import given, settings, strategies as st
 
 from v2vbeam import ingest, parallel
@@ -18,7 +19,6 @@ from v2vbeam.errors import (
 from v2vbeam.geodata import GeoPosition, validate_position
 from v2vbeam.ingest import (
     Dataset,
-    Sample,
     SplitSpec,
     concat,
     parse_dataset,
@@ -27,96 +27,32 @@ from v2vbeam.ingest import (
 )
 
 
-def make_sample(t, powers, lat=33.0, lon=-112.0, rx=None):
-    powers = np.asarray(powers, dtype=float)
-    return Sample(
-        t=t,
-        tx_pos=GeoPosition(lat, lon),
-        rx_pos=rx,
-        powers=powers,
-        optimal_index=int(np.argmax(powers)),
-    )
-
-
-def make_dataset(n, q=4, period=0.1, seed=0):
-    rng = np.random.default_rng(seed)
-    samples = tuple(
-        make_sample(
-            i * period,
-            rng.uniform(0.1, 2.0, q),
-            lat=33.0 + 0.001 * i,
-            lon=-112.0 + 0.0005 * i,
-            rx=GeoPosition(33.0, -112.0),
-        )
-        for i in range(n)
-    )
-    return Dataset(samples=samples, codebook_size=q)
-
-
-class TestSample:
-    def test_argmax_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            Sample(
-                t=0.0,
-                tx_pos=GeoPosition(0.0, 1.0),
-                rx_pos=None,
-                powers=np.array([1.0, 2.0]),
-                optimal_index=0,
-            )
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            make_sample(0.0, [-1.0, 2.0])
-
-    def test_powers_frozen(self):
-        s = make_sample(0.0, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            s.powers[0] = 5.0
-
-    def test_codebook_size_checked_by_dataset(self):
-        with pytest.raises(ValueError):
-            Dataset(samples=(make_sample(0.0, [1.0, 2.0]),), codebook_size=3)
-
-
-class TestDatasetSamples:
-    @pytest.mark.parametrize(
-        "samples",
-        [
-            (),
-            (make_sample(3, [1.0, 2.0]),),
-            (make_sample(0, [2.0, 1.0], rx=GeoPosition(33.0, -112.0)), make_sample(1, [0.5, 1.5])),
-        ],
-        ids=["zero-rows", "one-row-int-t-no-rx", "two-rows-mixed-rx"],
-    )
-    def test_samples_are_rebuilt_equal(self, samples):
-        ds = Dataset(samples=samples, codebook_size=2)
-        assert ds.samples == samples
-        # the dataset keeps its columns, not the caller's objects
-        assert all(got is not given for got, given in zip(ds.samples, samples))
-        assert Dataset(samples=ds.samples, codebook_size=2) == ds
+def drive(n, q=4, seed=0):
+    """n rows of uniform powers, the transmitter moving away from a parked receiver."""
+    i = np.arange(n)
+    tx = np.column_stack([33.0 + 0.001 * i, -112.0 + 0.0005 * i])
+    powers = np.random.default_rng(seed).uniform(0.1, 2.0, (n, q))
+    return make_dataset(powers, tx=tx, rx=(33.0, -112.0))
 
 
 class TestParseWrite:
     def test_three_row_round_trip(self, tmp_path):
-        ds = make_dataset(3)
+        ds = drive(3)
         path = write_dataset(ds, tmp_path / "d.csv")
         assert parse_dataset(path) == ds
 
     def test_empty_dataset_round_trip(self, tmp_path):
-        ds = Dataset(samples=(), codebook_size=4)
+        ds = make_dataset(np.empty((0, 4)))
         path = write_dataset(ds, tmp_path / "d.csv")
         back = parse_dataset(path)
         assert back == ds
         assert len(back) == 0
 
     def test_missing_rx_columns_round_trip(self, tmp_path):
-        ds = Dataset(
-            samples=(make_sample(0.0, [1.0, 2.0, 0.5]), make_sample(0.1, [2.0, 1.0, 0.5])),
-            codebook_size=3,
-        )
+        ds = make_dataset([[1.0, 2.0, 0.5], [2.0, 1.0, 0.5]], tx=(33.0, -112.0))
         path = write_dataset(ds, tmp_path / "d.csv")
         back = parse_dataset(path)
-        assert back.samples[0].rx_pos is None
+        assert np.isnan(back.rx[0]).all()
         assert back == ds
 
     def test_header_without_best_beam_is_accepted(self, tmp_path):
@@ -125,7 +61,7 @@ class TestParseWrite:
             "t,tx_lat,tx_lon,rx_lat,rx_lon,p0,p1\n0.0,33.0,-112.0,,,1.0,2.0\n"
         )
         ds = parse_dataset(path)
-        assert ds.samples[0].optimal_index == 1
+        assert ds.best[0] == 1
         assert ds.codebook_size == 2
 
     def test_wrong_power_column_count_in_row(self, tmp_path):
@@ -180,7 +116,7 @@ class TestParseWrite:
             parse_dataset(path)
 
     def test_unwritable_path(self):
-        ds = make_dataset(1)
+        ds = drive(1)
         with pytest.raises(OSError):
             write_dataset(ds, "/nonexistent-dir/d.csv")
 
@@ -191,7 +127,7 @@ class TestParseWrite:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_round_trip_property(self, tmp_path_factory, n, q, seed):
-        ds = make_dataset(n, q=q, seed=seed)
+        ds = drive(n, q=q, seed=seed)
         path = tmp_path_factory.mktemp("rt") / "d.csv"
         assert parse_dataset(write_dataset(ds, path)) == ds
 
@@ -222,45 +158,45 @@ class TestParseWrite:
 
 class TestSplit:
     def test_sizes_1000(self):
-        ds = make_dataset(1000, q=2)
+        ds = drive(1000, q=2)
         tr, va, te = split(ds, SplitSpec(seed=1))
         assert (len(tr), len(va), len(te)) == (600, 200, 200)
 
     def test_sizes_10(self):
-        ds = make_dataset(10, q=2)
+        ds = drive(10, q=2)
         tr, va, te = split(ds, SplitSpec(seed=1))
         assert (len(tr), len(va), len(te)) == (6, 2, 2)
 
     def test_remainder_goes_to_train(self):
-        ds = make_dataset(7, q=2)
+        ds = drive(7, q=2)
         tr, va, te = split(ds, SplitSpec(seed=1))
         assert (len(tr), len(va), len(te)) == (5, 1, 1)
 
     def test_same_seed_same_partition(self):
-        ds = make_dataset(50, q=2)
+        ds = drive(50, q=2)
         a = split(ds, SplitSpec(seed=7))
         b = split(ds, SplitSpec(seed=7))
         for x, y in zip(a, b):
             assert x == y
 
     def test_different_seeds_differ(self):
-        ds = make_dataset(200, q=2)
+        ds = drive(200, q=2)
         a = split(ds, SplitSpec(seed=1))
         b = split(ds, SplitSpec(seed=2))
         assert a[0] != b[0]
 
     def test_partition_property(self):
-        ds = make_dataset(101, q=3)
+        ds = drive(101, q=3)
         tr, va, te = split(ds, SplitSpec(seed=3))
         assert len(tr) + len(va) + len(te) == len(ds)
-        seen = [s.t for part in (tr, va, te) for s in part.samples]
-        assert sorted(seen) == [s.t for s in ds.samples]
+        seen = np.concatenate([part.t for part in (tr, va, te)])
+        assert sorted(seen.tolist()) == ds.t.tolist()
 
     def test_sequential_mode_preserves_order(self):
-        ds = make_dataset(10, q=2)
+        ds = drive(10, q=2)
         tr, va, te = split(ds, SplitSpec(seed=9), mode="sequential")
-        assert [s.t for s in tr.samples] == [pytest.approx(0.1 * i) for i in range(6)]
-        assert [s.t for s in te.samples] == [pytest.approx(0.1 * i) for i in (8, 9)]
+        assert tr.t.tolist() == [pytest.approx(0.1 * i) for i in range(6)]
+        assert te.t.tolist() == [pytest.approx(0.1 * i) for i in (8, 9)]
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
@@ -269,7 +205,7 @@ class TestSplit:
             SplitSpec(-0.1, 0.6, 0.5, seed=0)
 
     def test_shuffle_parts_are_the_permuted_rows(self):
-        ds = make_dataset(103, q=3)
+        ds = drive(103, q=3)
         order = np.random.default_rng(4).permutation(103)
         parts = split(ds, SplitSpec(seed=4))
         for part, rows in zip(parts, (order[:63], order[63:83], order[83:])):
@@ -277,7 +213,7 @@ class TestSplit:
 
     @pytest.mark.parametrize("mode", ["shuffle", "sequential"])
     def test_train_val_concat_is_a_view(self, mode):
-        ds = make_dataset(50, q=3)
+        ds = drive(50, q=3)
         tr, va, te = split(ds, SplitSpec(seed=2), mode=mode)
         joined = concat([tr, va])
         assert joined == columns_concat([tr, va])
@@ -286,9 +222,9 @@ class TestSplit:
             assert np.shares_memory(getattr(joined, name), getattr(va, name))
 
     def test_concat_of_parts_not_adjacent_raises(self):
-        ds = make_dataset(50, q=3)
+        ds = drive(50, q=3)
         tr, va, te = split(ds, SplitSpec(seed=2))
-        other = split(make_dataset(50, q=3), SplitSpec(seed=2))
+        other = split(drive(50, q=3), SplitSpec(seed=2))
         for parts in ([tr, te], [va, tr], [tr, va, te, tr], [tr, other[1]], [ds], []):
             with pytest.raises(ValueError, match="adjacent row slices"):
                 concat(parts)
@@ -300,7 +236,7 @@ class TestSplit:
         n, q = 20_000, 64
         rng = np.random.default_rng(5)
         powers = rng.uniform(0.1, 2.0, (n, q))
-        ds = Dataset.from_columns(
+        ds = Dataset(
             np.arange(n) * 0.1, rng.uniform(33.0, 33.1, (n, 2)),
             np.full((n, 2), np.nan), powers, powers.argmax(axis=1),
         )
@@ -315,9 +251,37 @@ class TestSplit:
         assert peak < 1.2 * size
 
 
+class TestImmutable:
+    def test_every_way_of_making_a_dataset_is_read_only(self, tmp_path):
+        generated = scenario_dataset()
+        plain = write_dataset(generated, tmp_path / "plain.csv")
+        header, first, rest = plain.read_text().split("\n", 2)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(header + '\n"' + first.replace(",", '","') + '"\n' + rest)
+        train, val, test = split(parse_dataset(plain), SplitSpec(seed=1))
+        made = {
+            "parsed plain file": parse_dataset(plain),
+            "parsed quoted file": parse_dataset(quoted),
+            "generate_scenario": generated,
+            "rows of a slice": generated.rows(slice(2, 9)),
+            "rows of an index array": generated.rows(np.array([5, 1, 1])),
+            "train": train,
+            "val": val,
+            "test": test,
+            "concat([train, val])": concat([train, val]),
+        }
+        assert made["parsed quoted file"] == generated
+        for how, d in made.items():
+            for name in ("t", "tx", "rx", "powers", "best"):
+                assert not getattr(d, name).flags.writeable, (how, name)
+            for name in ("t", "tx", "rx", "powers", "best", "_span", "codebook_size", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(d, name, None)
+
+
 def columns_concat(parts):
     """Reference concat: a copy of every column."""
-    return Dataset.from_columns(
+    return Dataset(
         *(np.concatenate([getattr(d, name) for d in parts])
           for name in ("t", "tx", "rx", "powers", "best"))
     )
@@ -327,24 +291,21 @@ def columns_concat(parts):
 
 
 def oracle_write(d, path):
-    """Reference writer: one csv.writer row per Sample."""
+    """Reference writer: one csv.writer row per dataset row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["t", "tx_lat", "tx_lon", "rx_lat", "rx_lon", "best_beam"]
             + [f"p{i}" for i in range(d.codebook_size)]
         )
-        for s in d.samples:
+        rows = zip(d.t.tolist(), d.tx.tolist(), d.rx.tolist(), d.best.tolist(), d.powers.tolist())
+        for t, tx, rx, best, powers in rows:
+            rx = [] if math.isnan(rx[0]) else rx
             writer.writerow(
-                [
-                    repr(float(s.t)),
-                    repr(float(s.tx_pos.lat_deg)),
-                    repr(float(s.tx_pos.lon_deg)),
-                    repr(float(s.rx_pos.lat_deg)) if s.rx_pos else "",
-                    repr(float(s.rx_pos.lon_deg)) if s.rx_pos else "",
-                    str(s.optimal_index),
-                ]
-                + [repr(float(p)) for p in s.powers]
+                [repr(t), repr(tx[0]), repr(tx[1])]
+                + ([repr(rx[0]), repr(rx[1])] if rx else ["", ""])
+                + [str(best)]
+                + [repr(p) for p in powers]
             )
     return path
 
@@ -385,27 +346,37 @@ def oracle_row(row, line_no, has_best_beam):
             raise RowParseError(line_no, f"bad best_beam: {row[5]!r}") from None
         if stored != computed:
             raise IndexMismatchError(line_no, stored, computed)
-    return Sample(t=t, tx_pos=tx_pos, rx_pos=rx_pos, powers=powers, optimal_index=computed)
+    rx = (math.nan, math.nan) if rx_pos is None else (rx_pos.lat_deg, rx_pos.lon_deg)
+    return t, (tx_pos.lat_deg, tx_pos.lon_deg), rx, powers, computed
 
 
 def oracle_parse(path):
-    """Reference parser: csv.reader, one validated Sample per record."""
+    """Reference parser: csv.reader, one validated row per record; a record that
+    csv.reader cannot read fails as a RowParseError on the line it starts."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         has_best_beam = header[5] == "best_beam"
-        samples = []
+        rows = []
         line_no = 2
-        for row in reader:
-            if len(row) != len(header):
-                raise SchemaMismatchError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            samples.append(oracle_row(row, line_no, has_best_beam))
-            line_no = reader.line_num + 1
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    raise SchemaMismatchError(
+                        f"line {line_no}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append(oracle_row(row, line_no, has_best_beam))
+                line_no = reader.line_num + 1
+        except csv.Error as exc:
+            raise RowParseError(line_no, str(exc)) from None
+    q = len(header) - (6 if has_best_beam else 5)
+    t, tx, rx, powers, best = zip(*rows) if rows else ((),) * 5
     return Dataset(
-        samples=tuple(samples),
-        codebook_size=len(header) - (6 if has_best_beam else 5),
+        np.array(t, dtype=np.float64),
+        np.array(tx, dtype=np.float64).reshape(-1, 2),
+        np.array(rx, dtype=np.float64).reshape(-1, 2),
+        np.array(powers, dtype=np.float64).reshape(-1, q),
+        np.array(best, dtype=np.int64),
     )
 
 
@@ -446,35 +417,25 @@ class TestBlockWrite:
         assert got == oracle_write(ds, tmp_path / "b.csv").read_bytes()
 
     def test_rows_without_rx_match_csv_writer(self, tmp_path, block_rows):
-        rng = np.random.default_rng(4)
-        samples = tuple(
-            make_sample(
-                0.1 * i,
-                rng.uniform(0.0, 3.0, 5),
-                lat=-33.0 - 1e-3 * i,
-                lon=151.0 + 1e-3 * i,
-                rx=GeoPosition(-33.5, 151.5) if i % 3 == 0 else None,
-            )
-            for i in range(11)
+        i = np.arange(11)
+        ds = make_dataset(
+            np.random.default_rng(4).uniform(0.0, 3.0, (11, 5)),
+            tx=np.column_stack([-33.0 - 1e-3 * i, 151.0 + 1e-3 * i]),
+            rx=np.where((i % 3 == 0)[:, None], (-33.5, 151.5), np.nan),
         )
-        ds = Dataset(samples=samples, codebook_size=5)
         got = write_dataset(ds, tmp_path / "a.csv").read_bytes()
         assert got == oracle_write(ds, tmp_path / "b.csv").read_bytes()
 
 
 def mixed_rx_dataset(n):
-    rng = np.random.default_rng(5)
-    samples = tuple(
-        make_sample(
-            0.1 * i,
-            rng.uniform(0.0, 3.0, 6),
-            lat=47.0 + 1e-4 * i,
-            lon=-122.0 - 1e-4 * i,
-            rx=GeoPosition(47.5, -122.5 + 1e-5 * i) if i % 4 < 2 else None,
-        )
-        for i in range(n)
+    i = np.arange(n)
+    rx = np.column_stack([np.full(n, 47.5), -122.5 + 1e-5 * i])
+    rx[i % 4 >= 2] = np.nan
+    return make_dataset(
+        np.random.default_rng(5).uniform(0.0, 3.0, (n, 6)),
+        tx=np.column_stack([47.0 + 1e-4 * i, -122.0 - 1e-4 * i]),
+        rx=rx,
     )
-    return Dataset(samples=samples, codebook_size=6)
 
 
 class TestChunkedWrite:
@@ -518,7 +479,7 @@ class TestBlockParse:
         want = oracle_parse(path)
         got = parse_dataset(path)
         assert got == want
-        assert got.samples == want.samples
+        assert_same_bytes(got, want)
 
     def test_generated_drive(self, tmp_path, block_rows):
         self.check_same(write_dataset(scenario_dataset(), tmp_path / "d.csv"))
@@ -767,6 +728,21 @@ class TestPooledParse:
             parse_dataset(path)
         assert exc.value.line == index + 2
         assert "field larger than field limit" in str(exc.value)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("index", [0, 6, 10], ids=["first-span", "middle-span", "last-span"])
+    def test_cell_past_the_field_size_limit(self, tmp_path, blocks_of_4, cpus, quoted, index):
+        # csv.reader rejects a cell longer than its field size limit (131,072
+        # characters), which also stops a stray quote from reading the rest of the
+        # file into one cell; loadtxt has no such limit
+        rows = [good_row(i) for i in range(11)]
+        rows[index] = rows[index].replace(",0.5,", ",0." + "0" * 140_000 + "5,")
+        if quoted:
+            rows[3] = rows[3].replace(",33.0,", ',"33.0",')
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "".join(rows))
+        error = assert_same_error(path)
+        assert str(error) == f"line {index + 2}: field larger than field limit (131072)"
 
     @pytest.mark.parametrize("index", [5, 250, 399])
     def test_non_utf8_byte_in_a_later_chunk(self, tmp_path, blocks_of_4, cpus, index):

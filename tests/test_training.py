@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import make_dataset
 
 from v2vbeam.errors import EmptyDatasetError
 from v2vbeam.geodata import GeoPosition, fit_normalization
-from v2vbeam.ingest import Dataset, SplitSpec, split
+from v2vbeam.ingest import SplitSpec, split
 from v2vbeam.neuralbeam import (
     ConvBlockSpec,
     EpochRecord,
@@ -135,7 +136,7 @@ class TestTrain:
 
     def test_empty_train_set_rejected(self, synthetic_split):
         _, val_ds, _, norm = synthetic_split
-        empty = Dataset(samples=(), codebook_size=64)
+        empty = make_dataset(np.empty((0, 64)))
         with pytest.raises(EmptyDatasetError):
             train(empty, val_ds, SMALL_SPEC, TrainingConfig(epochs=1), norm, 0)
 
