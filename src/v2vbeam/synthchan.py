@@ -5,9 +5,11 @@ The channel is single-path line-of-sight: the per-subcarrier channel vector is
 a real path gain times the array response at the transmitter's angle, flat
 across subcarriers. Received power for beam i is then
 
-    P_i = n_subcarriers * g(d) * |a(theta)^T q_i|^2 * tx_power  (+ noise),
+    P_i = n_subcarriers * g(d) * |a(theta)^T q_i|^2 * tx_power,
 
-with the power-law path gain g(d) = (reference_distance / d) ** exponent.
+with the power-law path gain g(d) = (reference_distance / d) ** exponent, and
+a generated sample adds to each P_i the absolute value of a zero-mean normal
+draw whose mean is noise_power.
 The plain transpose product (no conjugation) keeps the matched beam at grid
 frequency psi ~= sin(theta) for half-wavelength spacing.
 
@@ -19,7 +21,11 @@ pool's processes share (``ingest._shared_columns``). Within a chunk, each
 sample's geometry and path gain are Python floats, as for one sample alone,
 while the array responses, gains and noise are computed for the whole chunk.
 Sample i's noise comes from its own substream of the channel seed, so the
-output does not depend on the chunking or the CPU count.
+output does not depend on the chunking or the CPU count. ``_pcg64_states``
+computes a chunk's substream states in one numpy pass, repeating the seeding of
+numpy's ``SeedSequence`` and ``PCG64`` instead of building a generator per
+sample; NEP 19 keeps that seeding stable, and a test compares the states with
+numpy's.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,29 +264,16 @@ def path_gain(ch: SyntheticChannelConfig, distance: float) -> float:
 
 
 def beam_power_vector(
-    cfg: ArrayConfig,
-    cb: Codebook,
-    ch: SyntheticChannelConfig,
-    theta: float,
-    distance: float,
-    rng: np.random.Generator | None = None,
+    cfg: ArrayConfig, cb: Codebook, ch: SyntheticChannelConfig, theta: float, distance: float
 ) -> np.ndarray:
-    """Received power per beam for a transmitter at (theta, distance).
+    """Noise-free received power per beam for a transmitter at (theta, distance).
 
     The channel is flat across subcarriers, so the subcarrier sum reduces to a
-    factor n_subcarriers. Noise is an additive non-negative perturbation per
-    beam: the absolute value of a zero-mean normal scaled so its mean equals
-    ``noise_power`` (zero noise_power means exactly zero noise). Draws come
-    from ``rng``, or from a generator seeded with ``ch.seed`` if not given.
+    factor n_subcarriers. ``ch.noise_power`` is not applied: only
+    ``generate_scenario`` adds noise, each sample from its own substream.
     """
     g = path_gain(ch, distance)
-    p = ch.n_subcarriers * g * ch.tx_power * beam_gains(cfg, cb, theta)
-    if ch.noise_power > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(ch.seed)
-        sigma = ch.noise_power * math.sqrt(math.pi / 2.0)
-        p = p + np.abs(rng.normal(0.0, sigma, size=cb.size))
-    return p
+    return ch.n_subcarriers * g * ch.tx_power * beam_gains(cfg, cb, theta)
 
 
 def local_to_geo(origin: GeoPosition, east_m: float, north_m: float) -> GeoPosition:
@@ -325,8 +319,11 @@ def generate_scenario(
     measured from the array boresight. Sample i draws its noise from
     ``SeedSequence(ch.seed, spawn_key=(i,))``, the i-th spawned substream of
     ``ch.seed``, so output is deterministic and independent of evaluation
-    order. Rows are synthesised in chunks on the usable CPUs, straight into
-    columns the pool's processes share, so no rows come back through the pool.
+    order. A chunk computes its samples' PCG64 states at once with numpy's
+    seeding algorithms, which NEP 19 keeps stable and a test checks against
+    numpy, and one reused generator draws from each state. Rows are
+    synthesised in chunks on the usable CPUs, straight into columns the pool's
+    processes share, so no rows come back through the pool.
     """
     cb = dft_codebook(arr, codebook_size)
     columns = _shared_columns(traj.n_samples, codebook_size)
@@ -347,7 +344,7 @@ def _synthesize(
     tx, rx, powers and best ``columns``, which a pool worker shares with its caller.
 
     Each sample's geometry, path gain and scale are Python floats, exactly as
-    for one sample alone; only the array responses, gains and noise are
+    for one sample alone; only the array responses, gains and noise states are
     computed for the whole chunk.
     """
     t, tx_geo, rx_geo, powers, best = (column[start : start + _CHUNK_ROWS] for column in columns)
@@ -375,12 +372,71 @@ def _synthesize(
     powers[:] = values[:, 6:] * _gains(cb, _array_responses(arr, values[:, 5]))
     if ch.noise_power > 0.0:
         sigma = ch.noise_power * math.sqrt(math.pi / 2.0)
+        bitgen = np.random.PCG64(0)  # every row sets its own state
+        rng = np.random.Generator(bitgen)
         noise = np.empty_like(powers)
-        for row, i in enumerate(range(start, start + len(rows))):
-            rng = np.random.default_rng(np.random.SeedSequence(ch.seed, spawn_key=(i,)))
+        keys = np.arange(start, start + len(rows), dtype=np.uint64)
+        for row, state in enumerate(_pcg64_states(ch.seed, keys)):
+            bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0,
+                            "uinteger": 0}
             noise[row] = rng.normal(0.0, sigma, size=cb.size)
         powers += np.abs(noise)
     best[:] = powers.argmax(axis=1)
+
+
+# numpy's SeedSequence hash constants and PCG64 multiplier, which NEP 19 keeps stable
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix of uint32 words, with its hash constant running on from ``h``."""
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words."""
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _pcg64_states(seed: int, keys: np.ndarray) -> Iterator[dict[str, int]]:
+    """Yield PCG64's {"state", "inc"} as seeded by ``SeedSequence(seed, spawn_key=(k,))``,
+    for each k of the uint64 ``keys``.
+
+    SeedSequence's entropy is the seed's uint32 words, zero-padded to its pool size of 4,
+    then the key's one or two words; ``mix_entropy`` hashes it into the pool and
+    ``generate_state(4, np.uint64)`` hashes the pool into 4 words. The seed's words are
+    mixed once as Python ints and the keys' words for all keys at once, as uint32 words
+    in uint64 columns. Each key's 4 words then seed PCG64 as ``pcg64_set_seed`` does.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:] + [keys & _MASK32]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    high = keys >> 32  # a key of 2**32 or more has a second word
+    pool = [np.where(high > 0, _mix(p, hashmix(high)), p) for p in pool]
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    s0, s1, s2, s3 = ((out[i] | out[i + 1] << 32).tolist() for i in range(0, 8, 2))
+    for a, b, c, d in zip(s0, s1, s2, s3):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        yield {"state": ((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, "inc": inc}
 
 
 def scenario_from_json(doc: dict) -> tuple[TrajectoryConfig, ArrayConfig, SyntheticChannelConfig, int]:

@@ -1,8 +1,11 @@
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from v2vbeam import ingest, parallel, synthchan
 from v2vbeam.errors import (
@@ -108,27 +111,6 @@ class TestBeamPower:
         with pytest.raises(InvalidGeometryError):
             beam_power_vector(ARR, cb, self.CH, 0.0, distance=0.5)
 
-    def test_noise_is_seeded_and_non_negative(self):
-        cb = dft_codebook(ARR, 64)
-        noisy = SyntheticChannelConfig(n_subcarriers=1, noise_power=0.01, seed=42)
-        p_a = beam_power_vector(ARR, cb, noisy, 0.0, 10.0)
-        p_b = beam_power_vector(ARR, cb, noisy, 0.0, 10.0)
-        assert np.array_equal(p_a, p_b)
-        clean = beam_power_vector(ARR, cb, self.CH, 0.0, 10.0)
-        assert np.all(p_a >= clean)  # noise is additive and non-negative
-
-    def test_noise_mean_matches_noise_power(self):
-        cb = dft_codebook(ARR, 64)
-        noisy = SyntheticChannelConfig(
-            n_subcarriers=1, tx_power=0.0, noise_power=0.5, seed=3
-        )
-        rng = np.random.default_rng(3)
-        draws = [
-            beam_power_vector(ARR, cb, noisy, 0.0, 10.0, rng=rng).mean()
-            for _ in range(200)
-        ]
-        assert np.mean(draws) == pytest.approx(0.5, rel=0.05)
-
 
 class TestInvariants:
     def test_matched_beam_tracks_steering_angle(self):
@@ -188,6 +170,11 @@ class TestGenerateScenario:
         a = generate_scenario(traj, ARR, ch)
         b = generate_scenario(traj, ARR, ch)
         assert a == b
+
+    def test_noise_mean_matches_noise_power(self):
+        noisy = SyntheticChannelConfig(n_subcarriers=1, tx_power=0.0, noise_power=0.5, seed=3)
+        ds = generate_scenario(self._traj(duration=20.0), ARR, noisy)
+        assert ds.powers.mean() == pytest.approx(0.5, rel=0.05)
 
     def test_out_of_sector_rejected(self):
         traj = self._traj(tx_waypoints=((0.0, -30.0),))  # behind the array
@@ -335,25 +322,32 @@ def column_bytes(ds):
     return [np.ascontiguousarray(c).tobytes() for c in columns]
 
 
+# one-word seeds, and seeds of two and three uint32 words
+SEEDS = [0, 11, 2**32 + 3, 2**70]
+
+
 class TestChunkedSynthesis:
     CH = SyntheticChannelConfig(
         n_subcarriers=3, tx_power=2.5, noise_power=0.3, pathloss_exponent=2.7,
         reference_distance=0.7, seed=11,
     )
 
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("n", [ingest._CHUNK_ROWS * 2 + 77, ingest._CHUNK_ROWS - 5])
-    def test_columns_equal_the_per_sample_loop(self, n, cpus):
+    def test_columns_equal_the_per_sample_loop(self, n, seed, cpus):
         arr = ArrayConfig(8, 0.4)
-        ds = generate_scenario(weaving_drive(n), arr, self.CH, 32)
+        ch = dataclasses.replace(self.CH, seed=seed)
+        ds = generate_scenario(weaving_drive(n), arr, ch, 32)
         assert len(ds) == n
-        oracle = per_sample_oracle(weaving_drive(n), arr, self.CH, 32)
+        oracle = per_sample_oracle(weaving_drive(n), arr, ch, 32)
         for got, want in zip((ds.t, ds.tx, ds.rx, ds.powers), oracle):
             assert got.tobytes() == want.tobytes()
         assert ds.best.tolist() == oracle[3].argmax(axis=1).tolist()
 
-    def test_same_bytes_for_any_cpu_count(self, monkeypatch):
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_bytes_for_any_cpu_count(self, monkeypatch, seed):
         traj = weaving_drive(ingest._CHUNK_ROWS * 3 + 1)
-        ch = SyntheticChannelConfig(noise_power=1e-4, seed=3)
+        ch = SyntheticChannelConfig(noise_power=1e-4, seed=seed)
         columns = []
         for k in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda k=k: k)
@@ -417,3 +411,32 @@ class TestChunkedSynthesis:
         columns = sum(c.nbytes for c in (ds.t, ds.tx, ds.rx, ds.powers, ds.best))
         # the per-sample loop held every spawned SeedSequence: 1.7x the columns
         assert peak < 1.3 * columns
+
+
+class TestSubstreamStates:
+    """``_pcg64_states`` repeats numpy's seeding: if numpy's changes, these fail."""
+
+    @staticmethod
+    def numpy_state(seed, key):
+        return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))).state["state"]
+
+    @pytest.mark.parametrize(
+        "seed, key",
+        itertools.product(
+            [0, 77, 2**32 - 1, 2**32 + 3, 2**70, 2**128 + 5],
+            [0, 1, 12_345, 2**32 - 1, 2**32, 2**40 + 7],
+        ),
+    )
+    def test_pinned_seeds_and_keys(self, seed, key):
+        keys = np.array([key], dtype=np.uint64)
+        assert list(synthchan._pcg64_states(seed, keys)) == [self.numpy_state(seed, key)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**200),
+        keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+    )
+    @example(seed=2**70, keys=[2**32 - 1, 2**32, 0, 2**64 - 1])  # one- and two-word keys mixed
+    def test_states_equal_numpy_seeding(self, seed, keys):
+        got = list(synthchan._pcg64_states(seed, np.array(keys, dtype=np.uint64)))
+        assert got == [self.numpy_state(seed, key) for key in keys]
