@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    CodebookMismatchError, ConfigError, config_section, load_json, read_fields, read_object,
+    CodebookMismatchError, ConfigError, DegenerateRangeError, config_section, load_json,
+    read_fields, read_object,
 )
 from .evalmetrics import (
     EvaluationReport,
@@ -167,12 +168,25 @@ def build_layer_spec(options: ModelOptions, classes: int) -> LayerSpec:
 
 
 def fit_split_normalization(train_ds: Dataset, input_mode: str) -> NormalizationParams:
-    """Fit scaling on the training split; 'both' mode pools tx and rx fixes."""
+    """Fit scaling on the training split; 'both' mode pools tx and rx fixes.
+
+    A training part whose positions share one latitude (or longitude), such as
+    a drive due east, cannot be scaled: that is the data's fault, a ConfigError
+    naming ``dataset`` and the axis.
+    """
     points = train_ds.tx
     if input_mode == "both":
         rx = train_ds.rx
         points = np.concatenate([points, rx[~np.isnan(rx[:, 0])]])
-    return fit_normalization(points)
+    try:
+        return fit_normalization(points)
+    except DegenerateRangeError as exc:
+        value = float(points[0, ("lat", "lon").index(exc.field)])
+        raise ConfigError(
+            "dataset",
+            f"all {len(points)} positions of the training part have {exc.field} "
+            f"{value!r}; normalization needs a range on both axes",
+        ) from exc
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ picks the same digits as ``repr``: the fewest that read back as the value, the
 nearest to it when several do. Every step is a numpy operation over a block of
 values: a lookup of 5^i in a table, 64x128-bit products in 28-bit limbs, and
 integer divisions by powers of ten. The digits are then laid out as ``repr``
-lays them out, through a table of every layout.
+lays them out, through a table of every layout, one character column at a time.
+
+A block is large, so that the cost of each numpy call is spread over many
+values, and its arrays are few: each is dropped as soon as it is used, and the
+block holds about 80 bytes per value at its peak.
 
 ``repr`` itself writes the values the fast path leaves out, one at a time:
 zeros, subnormals, magnitudes from 2^54 up, non-finite values, and values
@@ -28,7 +32,7 @@ _LIMB_MASK = (1 << _LIMB) - 1
 # 4 * m2; a field below it is a magnitude below 2^54, the only case the fast path takes
 _E2_BIAS = 1023 + 52 + 2
 _POW5_BITS = 125  # Ryū's DOUBLE_POW5_BITCOUNT: each 5^i is held as its top 125 bits
-BLOCK = 2048  # values formatted at once: a few hundred KB of temporaries
+BLOCK = 8192  # values formatted at once: about 660 KB of temporaries
 _MAX_DIGITS = 17  # a shortest round-trip double has at most 17 significant digits
 # 10^0 .. 10^19, and 2^64 - 1 in place of 10^20, which leaves every uint64 below it
 _POW10 = np.array([10**k for k in range(20)] + [2**64 - 1], dtype=_U)
@@ -102,15 +106,15 @@ def _exponent_tables() -> tuple[np.ndarray, ...]:
 def _templates() -> tuple[np.ndarray, np.ndarray]:
     """The layout of every (sign, digit count, class) as alphabet rows.
 
-    Returns (templates, lengths): row ``(negative * 18 + digit count) * 22 +
-    class`` of ``templates`` lists the alphabet rows that a text of that
-    layout and its separator take their characters from, padded with NULs,
-    and the same row of ``lengths`` its length. These are ``repr``'s rules:
-    positional when the decimal point falls after digit -3 .. 16, else a
-    mantissa and ``e-05`` or ``e+16``.
+    Returns (templates, lengths): column ``(negative * 18 + digit count) * 22
+    + class`` of ``templates`` lists the alphabet rows that a text of that
+    layout and its separator take their characters from, one row per
+    character, padded with NULs, and the same entry of ``lengths`` its length.
+    These are ``repr``'s rules: positional when the decimal point falls after
+    digit -3 .. 16, else a mantissa and ``e-05`` or ``e+16``.
     """
-    templates = np.full((2 * (_MAX_DIGITS + 1) * _CLASSES, _WIDTH), _PAD, np.intp)
-    lengths = np.zeros(len(templates), np.int64)
+    templates = np.full((_WIDTH, 2 * (_MAX_DIGITS + 1) * _CLASSES), _PAD, np.intp)
+    lengths = np.zeros(templates.shape[1], np.int64)
     for negative in (0, 1):
         for n_digits in range(1, _MAX_DIGITS + 1):
             # row of the k-th most significant digit
@@ -129,37 +133,54 @@ def _templates() -> tuple[np.ndarray, np.ndarray]:
                 else:
                     text = digits + [_ZERO] * (decpt - n_digits) + [_POINT, _ZERO]
                 text = [_MINUS] * negative + text + [_SEP]
-                row = (negative * (_MAX_DIGITS + 1) + n_digits) * _CLASSES + cls
-                templates[row, : len(text)] = text
-                lengths[row] = len(text)
+                layout = (negative * (_MAX_DIGITS + 1) + n_digits) * _CLASSES + cls
+                templates[: len(text), layout] = text
+                lengths[layout] = len(text)
     templates.setflags(write=False)
     lengths.setflags(write=False)
     return templates, lengths
 
 
-def _mul_shift(m: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """floor(m * t / 2^(112 + s)) for m below 2^55, t the five 28-bit limbs of a
-    125-bit number and 6 <= s <= 10, which keep the quotient below 2^63.
+def _mul_shift(
+    m: np.ndarray, limbs: np.ndarray, field: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """floor(m * t / 2^(112 + s)) for m below 2^55, t = limbs[:, field] the five
+    28-bit limbs of a 125-bit number and 6 <= s <= 10, which keep the quotient
+    below 2^63. ``m`` is overwritten.
 
     With 28-bit limbs every product of two limbs and every sum of two such
     products fits in 64 bits (32-bit limbs would need each product split into
-    halves), so each column is summed whole and only its carry moves on.
+    halves), so each column is summed whole and only its carry moves on. The
+    limbs are gathered one at a time into one buffer.
     """
-    m0, m1 = m & _U(_LIMB_MASK), m >> _U(_LIMB)
-    c = m0 * t[0]
+    m1 = m >> _U(_LIMB)
+    m0 = np.bitwise_and(m, _U(_LIMB_MASK), out=m)
+    t = limbs[0].take(field)
+    c = m0 * t
+    product = np.empty_like(c)
     for k in range(1, 5):
-        c = (c >> _U(_LIMB)) + m0 * t[k] + m1 * t[k - 1]
-    return (c >> s) + ((m1 * t[4]) << (_U(_LIMB) - s))
+        c >>= _U(_LIMB)
+        c += np.multiply(m1, t, out=product)
+        c += np.multiply(m0, limbs[k].take(field, out=t, mode="clip"), out=product)
+    c >>= s
+    np.multiply(m1, t, out=product)
+    product <<= _U(_LIMB) - s
+    c += product
+    return c
 
 
 def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
     bits = x.view(_U)
-    digits, n_digits, decpt, slow = _shortest(bits)
+    slow, digits, n_digits, decpt = _shortest(bits)
     texts = [
         repr(v).encode("ascii") + bytes([sep])
         for v, sep in zip(x[slow].tolist(), seps[slow].tolist())
     ]
-    chars = _layout(bits, seps, digits, n_digits, decpt, max(map(len, texts), default=0))
+    alphabet = _alphabet(digits, decpt, seps)
+    layout = _layout_index(bits, n_digits, decpt)
+    del digits, n_digits, decpt
+    chars = _layout(alphabet, layout, max(map(len, texts), default=0))
+    del alphabet, layout
     if texts:
         padded = b"".join([text.ljust(chars.shape[1], b"\0") for text in texts])
         chars[slow] = np.frombuffer(padded, np.uint8).reshape(len(texts), -1)
@@ -167,19 +188,23 @@ def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
 
 
 def _shortest(bits: np.ndarray):
-    """Ryū's d2d for the float64 values with these bits: the shortest digits
-    (an integer), their count, the position of the decimal point relative to
-    them (1 for 1.5, -4 for 1e-05) and the indices of the values that
-    ``repr`` must write instead."""
-    n = len(bits)
-    field = ((bits >> _U(52)) & _U(0x7FF)).astype(np.intp)
-    mantissa = bits & _U((1 << 52) - 1)
+    """Ryū's d2d for the float64 values with these bits: the indices of the
+    values that ``repr`` must write instead, then the shortest digits (an
+    integer), their count and the position of the decimal point relative to
+    them (1 for 1.5, -4 for 1e-05)."""
+    field = (bits >> _U(52)).view(np.intp)
+    field &= 0x7FF
     limbs, shift, e10, zero_mask = _exponent_tables()
-    mv = (mantissa | _U(1 << 52)) << _U(2)
-    slow = (mv & zero_mask[field]) == 0
-    mm_shift = ((mantissa != 0) | (field <= 1)).astype(_U)
-    factors = np.stack([mv, mv + _U(2), mv - _U(1) - mm_shift])
-    vr, vp, vm = _mul_shift(factors, limbs[:, field], shift[field])
+    mv = bits & _U((1 << 52) - 1)
+    mm_shift = (mv != 0) | (field <= 1)
+    mv |= _U(1 << 52)
+    mv <<= _U(2)
+    slow = np.flatnonzero((mv & zero_mask[field]) == 0)
+    s = shift[field]
+    vm = _mul_shift(mv - _U(1) - mm_shift, limbs, field, s)
+    vp = _mul_shift(mv + _U(2), limbs, field, s)
+    vr = _mul_shift(mv, limbs, field, s)
+    del mv, s
 
     # Ryū drops digits while the interval's ends still differ above them: the
     # most digits r with vp // 10^r > vm // 10^r. A difference of at least 10^r
@@ -187,39 +212,44 @@ def _shortest(bits: np.ndarray):
     # going, and the few left (most with short digits, such as 0.1) are tried
     # against every power of ten at once
     removed = np.searchsorted(_POW10, vp - vm, side="right") - 1
-    more = np.arange(n)
-    for _ in range(2):
-        scale = _POW10[removed[more] + 1]
-        more = more[vp[more] // scale > vm[more] // scale]
-        removed[more] += 1
+    scale = _POW10[removed + 1]
+    more = np.flatnonzero(vp // scale > vm // scale)
+    removed[more] += 1
+    scale = _POW10[removed[more] + 1]
+    more = more[vp[more] // scale > vm[more] // scale]
+    removed[more] += 1
     if more.size:
         differ = vp[more, None] // _POW10 > vm[more, None] // _POW10
         removed[more] = differ.sum(axis=1) - 1
+    del vp, more
     scale = _POW10[removed]
     kept = vr // scale
     last = vr // _POW10[np.maximum(removed - 1, 0)] - kept * _U(10)
     # Ryū takes the next number up when vr is the excluded lower end or rounds up
     up = (kept == vm // scale) | ((removed > 0) & (last >= _U(5)))
-    digits = kept + up.astype(_U)
-    n_digits = np.searchsorted(_POW10, digits, side="right")
-    decpt = e10[field] + removed + n_digits
-    return digits, n_digits, decpt, np.flatnonzero(slow)
+    kept += up
+    n_digits = np.searchsorted(_POW10, kept, side="right")
+    decpt = e10.take(field)
+    decpt += removed
+    decpt += n_digits
+    return slow, kept, n_digits, decpt
 
 
-def _layout(bits, seps, digits, n_digits, decpt, min_width: int) -> np.ndarray:
-    """(n, width) uint8: each value's text and separator, padded with NULs."""
-    n = len(bits)
-    exponent = decpt - 1
-    magnitude = np.abs(exponent)
+def _alphabet(digits, decpt, seps) -> np.ndarray:
+    """(_PAD + 1, n) uint8: the rows every layout takes its characters from."""
+    n = len(digits)
     alphabet = np.empty((_PAD + 1, n), np.uint8)
-    high = digits // _U(10**9)
     halves = np.empty((2, n), np.uint32)  # the last 9 digits and the ones above
-    halves[0] = digits - high * _U(10**9)
-    halves[1] = high
+    np.remainder(digits, _U(10**9), out=halves[0])
+    np.floor_divide(digits, _U(10**9), out=halves[1])
+    tens = np.empty_like(halves)
     for k in range(9):
-        tens = halves // np.uint32(10)
-        alphabet[k : 18 : 9] = halves - tens * np.uint32(10)
-        halves = tens
+        np.floor_divide(halves, np.uint32(10), out=tens)
+        halves -= tens * np.uint32(10)
+        alphabet[k : 18 : 9] = halves
+        halves, tens = tens, halves
+    del halves, tens
+    magnitude = np.abs(decpt - 1)
     alphabet[_EXP_DIGITS] = magnitude // 100
     alphabet[_EXP_DIGITS + 1] = magnitude // 10 % 10
     alphabet[_EXP_DIGITS + 2] = magnitude % 10
@@ -228,18 +258,43 @@ def _layout(bits, seps, digits, n_digits, decpt, min_width: int) -> np.ndarray:
     alphabet[_ZERO] = ord("0")
     alphabet[_POINT] = ord(".")
     alphabet[_E] = ord("e")
-    alphabet[_EXP_SIGN] = np.where(exponent < 0, ord("-"), ord("+"))
+    alphabet[_EXP_SIGN] = np.where(decpt < 1, ord("-"), ord("+"))
     alphabet[_SEP] = seps
     alphabet[_MINUS] = ord("-")
     alphabet[_PAD] = 0
+    return alphabet
 
-    positional = (decpt > -4) & (decpt <= 16)
-    cls = np.where(positional, decpt + 3, np.where(magnitude < 100, 20, 21))
-    negative = (bits >> _U(63)).astype(np.int64)
-    row = (negative * (_MAX_DIGITS + 1) + n_digits) * _CLASSES + cls
+
+def _layout_index(bits, n_digits, decpt) -> np.ndarray:
+    """Each value's layout: its column of ``_templates``."""
+    cls = decpt + 3
+    scientific = np.flatnonzero((decpt <= -4) | (decpt > 16))
+    cls[scientific] = 20 + (np.abs(decpt[scientific] - 1) >= 100)
+    layout = (bits >> _U(63)).view(np.intp)  # the sign
+    layout *= _MAX_DIGITS + 1
+    layout += n_digits
+    layout *= _CLASSES
+    layout += cls
+    return layout
+
+
+def _layout(alphabet, layout, min_width: int) -> np.ndarray:
+    """(n, width) uint8: each value's text and separator, padded with NULs.
+
+    The text is built one character column at a time, each gathered from the
+    alphabet through one reused vector of flat indices.
+    """
+    n = len(layout)
     templates, lengths = _templates()
-    width = max(int(lengths[row].max()), min_width)
-    where = templates[row, :width]  # a copy: alphabet rows, then flat indices
-    where *= n
-    where += np.arange(n)[:, None]
-    return np.take(alphabet, where)
+    width = max(int(lengths.take(layout).max()), min_width)
+    chars = np.empty((n, width), np.uint8)
+    flat = alphabet.ravel()
+    offsets = np.arange(n)
+    where = np.empty(n, np.intp)
+    for col in range(width):
+        # the alphabet rows of this column, then their flat indices
+        templates[col].take(layout, out=where, mode="clip")
+        where *= n
+        where += offsets
+        flat.take(where, out=chars[:, col], mode="clip")
+    return chars

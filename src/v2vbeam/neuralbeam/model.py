@@ -347,14 +347,19 @@ def _write_tensor(out, arr: np.ndarray) -> None:
     joins = [b", "] + [b"]" * k + b", " + b"[" * k for k in range(1, arr.ndim)] + [b""]
     out.write(b"[" * arr.ndim)
     for start in range(0, len(values), floatrepr.BLOCK):
-        block = values[start : start + floatrepr.BLOCK]
-        ends = np.arange(start + 1, start + len(block) + 1)
-        seps = 1 + (ends[:, None] % sizes == 0).sum(axis=1)
-        text = floatrepr.format_floats(block, seps)
-        for k, join in enumerate(joins):
-            text = text.replace(bytes([k + 1]), join)
-        out.write(text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity"))
+        out.write(_tensor_text(values[start : start + floatrepr.BLOCK], start, sizes, joins))
     out.write(b"]" * arr.ndim)
+
+
+def _tensor_text(block: np.ndarray, start: int, sizes: np.ndarray, joins: list) -> bytes:
+    """The text ``_write_tensor`` writes for values start .. start + len(block) - 1."""
+    seps = np.ones(len(block), np.uint8)
+    for size in sizes:
+        seps += np.arange(start + 1, start + len(block) + 1) % size == 0
+    text = floatrepr.format_floats(block, seps)
+    for k, join in enumerate(joins):
+        text = text.replace(bytes([k + 1]), join)
+    return text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
 
 
 def load_checkpoint(

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import math
@@ -7,12 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import v2vbeam
 from v2vbeam import cli, experiment, parallel
 from v2vbeam.cli import main
 from v2vbeam.errors import ConfigError
+from v2vbeam.ingest import write_dataset
+
+from conftest import make_dataset
 
 SCENARIO = {
     "codebook_size": 64,
@@ -670,6 +675,63 @@ def assert_eval_exit_2_naming(field, doc, tmp_path, capsys, monkeypatch):
     assert code == 2
     assert f"config error: config field '{field}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a road due east keeps one latitude, and one due north one longitude: generate
+# accepts both, and report used to exit 4 with "degenerate lat (or lon) range"
+@pytest.mark.parametrize(
+    "tx_waypoints, input_mode, axis",
+    [
+        ([[-60.0, 20.0], [60.0, 20.0]], "tx", "lat"),
+        ([[20.0, 10.0], [20.0, 100.0]], "tx", "lon"),
+        # the parked receiver's fixes give the axis a range, so the drive trains
+        ([[-60.0, 20.0], [60.0, 20.0]], "both", None),
+    ],
+    ids=["due-east", "due-north", "due-east-with-rx-fixes"],
+)
+def test_drive_along_one_axis_generates_and_exits_2_before_training(
+    tmp_path, capsys, monkeypatch, tx_waypoints, input_mode, axis
+):
+    scenario = scenario_with("trajectory", tx_waypoints=tx_waypoints)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(scenario))
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert len(set(csv_column(data, f"tx_{axis or 'lat'}"))) == 1
+    if axis:
+        monkeypatch.setattr(experiment, "train", lambda *args: pytest.fail("trained"))
+    doc = experiment_doc(tmp_path / "out", dataset={"synthetic": scenario})
+    doc["model"] = dict(doc["model"], input_mode=input_mode)
+    cfg.write_text(json.dumps(doc))
+    code = main(["report", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    if axis is None:
+        assert code == 0, err
+    else:
+        assert code == 2
+        assert "config error: config field 'dataset': all " in err
+        assert f" positions of the training part have {axis} " in err
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+@pytest.mark.parametrize("axis", [0, 1], ids=["lat", "lon"])
+def test_csv_with_a_constant_axis_exits_2(tmp_path, capsys, command, axis):
+    rng = np.random.default_rng(3)
+    tx = np.column_stack([33.0 + 0.01 * np.arange(200), -112.0 + 0.01 * np.arange(200)])
+    tx[:, axis] = tx[0, axis]
+    data = write_dataset(make_dataset(rng.random((200, 64)), tx=tx), tmp_path / "data.csv")
+    doc = experiment_doc(tmp_path / "out", dataset={"csv": str(data)})
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 2
+    name, value = ("lat", "lon")[axis], float(tx[0, axis])
+    err = capsys.readouterr().err
+    assert f"'dataset': all 120 positions of the training part have {name} {value!r};" in err
+
+
+def csv_column(path, name):
+    with open(path, newline="") as fh:
+        return [row[name] for row in csv.DictReader(fh)]
 
 
 def test_key_error_in_a_subcommand_is_no_config_error(experiment_config, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vbeam.floatrepr import format_floats
+from v2vbeam.floatrepr import BLOCK, format_floats
 
 
 def reference(values, seps) -> bytes:
@@ -99,6 +99,16 @@ def test_boundaries():
     check([math.inf, -math.inf, math.nan, -0.0])
 
 
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_block_edges(n):
+    rng = np.random.default_rng(n)
+    values = rng.random(n) * 10.0 ** rng.integers(-8, 18, n) * rng.choice([-1.0, 1.0], n)
+    values[::97] = 0.5  # repr writes these, in every block
+    values[-1] = -1.7976931348623157e308  # the longest text, in the last block
+    seps = rng.integers(1, 256, n).astype(np.uint8)
+    assert format_floats(values, seps) == reference(values, seps)
+
+
 def test_separators_and_empty_input():
     values = np.array([0.1, -2.5e-7, 1e300])
     seps = np.frombuffer(b",\n;", np.uint8)
@@ -139,3 +149,19 @@ def test_chunk_memory_below_the_repr_path():
             tracemalloc.stop()
         assert text == repr_path()
     assert peaks[1] <= peaks[0]
+
+
+def test_block_memory_per_value():
+    # a block held 335 B per value at its peak when its arrays were all kept to
+    # the end; they are now dropped once used, which holds it near 81 B
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=BLOCK) * 0.05
+    seps = np.full(BLOCK, ord(","), np.uint8)
+    format_floats(values[:1], seps[:1])  # the tables are built on first use
+    tracemalloc.start()
+    try:
+        format_floats(values, seps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * BLOCK

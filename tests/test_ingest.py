@@ -9,7 +9,7 @@ import pytest
 from conftest import make_dataset
 from hypothesis import given, settings, strategies as st
 
-from v2vbeam import ingest, parallel
+from v2vbeam import floatrepr, ingest, parallel
 from v2vbeam.errors import (
     IndexMismatchError,
     RowParseError,
@@ -422,6 +422,24 @@ class TestBlockWrite:
             np.random.default_rng(4).uniform(0.0, 3.0, (11, 5)),
             tx=np.column_stack([-33.0 - 1e-3 * i, 151.0 + 1e-3 * i]),
             rx=np.where((i % 3 == 0)[:, None], (-33.5, 151.5), np.nan),
+        )
+        got = write_dataset(ds, tmp_path / "a.csv").read_bytes()
+        assert got == oracle_write(ds, tmp_path / "b.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("block", [None, 50], ids=["default-block", "block50"])
+    def test_rows_across_format_blocks_match_csv_writer(self, tmp_path, monkeypatch, block):
+        # 64 beams: a format_floats call takes BLOCK // 69 rows, so one chunk of
+        # 300 rows takes three calls; with a BLOCK of 50, each row's 69 values (67
+        # without an rx fix) straddle two blocks of one call
+        if block is not None:
+            monkeypatch.setattr(floatrepr, "BLOCK", block)
+        n = 300
+        i = np.arange(n)
+        ds = make_dataset(
+            np.random.default_rng(6).uniform(0.0, 1e-3, (n, 64)),
+            tx=np.column_stack([33.42 + 1e-5 * i, -111.93 - 1e-5 * i]),
+            rx=np.where((i % 5 < 2)[:, None], (33.4, -111.9), np.nan),
         )
         got = write_dataset(ds, tmp_path / "a.csv").read_bytes()
         assert got == oracle_write(ds, tmp_path / "b.csv").read_bytes()

@@ -344,6 +344,23 @@ class TestChunkedSynthesis:
             assert got.tobytes() == want.tobytes()
         assert ds.best.tolist() == oracle[3].argmax(axis=1).tolist()
 
+    def test_noise_free_rows_are_beam_power_vector(self, cpus):
+        # criterion 3 checks beam_power_vector's formula; this ties it to the rows
+        # that generate writes
+        traj = weaving_drive(ingest._CHUNK_ROWS + 77)
+        arr = ArrayConfig(8, 0.4)
+        ch = dataclasses.replace(self.CH, noise_power=0.0)
+        ds = generate_scenario(traj, arr, ch, 32)
+        cb = dft_codebook(arr, 32)
+        for i, powers in enumerate(ds.powers):
+            fraction = i * traj.sample_period / traj.duration
+            tx = synthchan._path_position(traj.tx_waypoints, fraction)
+            rx = synthchan._path_position(traj.rx_waypoints, fraction)
+            dx, dy = tx[0] - rx[0], tx[1] - rx[1]
+            theta = synthchan._wrap_angle(math.atan2(dy, dx) - traj.rx_heading)
+            want = beam_power_vector(arr, cb, ch, theta, math.hypot(dx, dy))
+            assert powers.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_same_bytes_for_any_cpu_count(self, monkeypatch, seed):
         traj = weaving_drive(ingest._CHUNK_ROWS * 3 + 1)
