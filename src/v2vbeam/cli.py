@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -198,10 +199,12 @@ def cmd_report(args) -> int:
     out_dir = _out_dir(config)
     if config.synthetic is not None:
         write_dataset(dataset, out_dir / "dataset.csv")
+    written = set()
     for run in result.runs:
         tag = f"_r{run.run_seed - config.seed}"
-        _save_model(config, tag, run.run_seed, run.spec, run.norm, run.params, run.history)
-        save_database(run.database, out_dir / f"fingerprint_db{tag}.json")
+        paths = _save_model(config, tag, run.run_seed, run.spec, run.norm, run.params, run.history)
+        paths += (save_database(run.database, out_dir / f"fingerprint_db{tag}.json"),)
+        written.update(paths)
     meta = {
         "seed": config.seed,
         "repeats": config.repeats,
@@ -213,7 +216,14 @@ def cmd_report(args) -> int:
         f"experiment: {result.dataset_size} samples, {config.repeats} repeat(s), "
         f"M in {list(config.m_values)}"
     )
-    return _write_report(result.rows, config, meta, headline)
+    status = _write_report(result.rows, config, meta, headline)
+    # an earlier report with more repeats must not leave its per-repeat files beside this
+    # one; train and baseline write other names
+    stale = re.compile(r"(checkpoint|fingerprint_db)_r[0-9]+\.json|history_r[0-9]+\.csv")
+    for path in set(out_dir.iterdir()) - written:
+        if stale.fullmatch(path.name):
+            path.unlink()
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

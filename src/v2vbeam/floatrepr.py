@@ -208,19 +208,16 @@ def _shortest(bits: np.ndarray):
 
     # Ryū drops digits while the interval's ends still differ above them: the
     # most digits r with vp // 10^r > vm // 10^r. A difference of at least 10^r
-    # guarantees it for r. The next two powers are tried on the values still
-    # going, and the few left (most with short digits, such as 0.1) are tried
-    # against every power of ten at once
+    # guarantees it for r, and the values still going try the next power up
+    # until their ends agree (few go far: most with short digits, such as 0.1).
+    # The 2^64 - 1 that ends _POW10 stops every value
     removed = np.searchsorted(_POW10, vp - vm, side="right") - 1
     scale = _POW10[removed + 1]
     more = np.flatnonzero(vp // scale > vm // scale)
-    removed[more] += 1
-    scale = _POW10[removed[more] + 1]
-    more = more[vp[more] // scale > vm[more] // scale]
-    removed[more] += 1
-    if more.size:
-        differ = vp[more, None] // _POW10 > vm[more, None] // _POW10
-        removed[more] = differ.sum(axis=1) - 1
+    while more.size:
+        removed[more] += 1
+        scale = _POW10[removed[more] + 1]
+        more = more[vp[more] // scale > vm[more] // scale]
     del vp, more
     scale = _POW10[removed]
     kept = vr // scale

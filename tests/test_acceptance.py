@@ -123,13 +123,13 @@ def test_criterion_1_gradient_oracle():
 
 def test_criterion_2_optimizer_oracle():
     """First Adam step equals -0.01 in closed form; uniform CE equals ln 64."""
-    params = ModelParams(
-        conv_weights=[np.zeros((1, 1, 1))],
-        conv_biases=[np.zeros(1)],
-        dense_weights=[np.zeros((1, 1))],
-        dense_biases=[np.zeros(1)],
+    # one tensor of each kind, each a single scalar: (1, 1, 1), (1,), (1, 1) and (1,)
+    spec = LayerSpec(
+        in_length=1, conv_blocks=(ConvBlockSpec(1, kernel=1, pool=1),), dense_widths=(1,),
+        classes=1,
     )
-    grads = params.with_arrays([np.full_like(a, 0.5) for a in params.arrays()])
+    params = ModelParams(spec)
+    grads = ModelParams(spec, np.full_like(params.flat, 0.5))
     cfg = TrainingConfig(learning_rate=0.01, weight_decay=0.0)
     stepped, _ = adam_step(params, grads, AdamState.zeros(params), cfg)
     delta_err = max(abs(float(a.ravel()[0]) + 0.01) for a in stepped.arrays())

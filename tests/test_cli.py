@@ -431,6 +431,33 @@ class TestReport:
         doc = json.loads((out / "report.json").read_text())
         assert doc["meta"]["repeats"] == 2
 
+    def test_rerun_with_fewer_repeats_leaves_no_stale_repeat_files(self, tmp_path):
+        cfg = tmp_path / "experiment.json"
+        cfg.write_text(json.dumps(experiment_doc(tmp_path / "out", repeats=2)))
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert (out / "checkpoint_r1.json").exists()
+        # files of other names stay, even when they look like a repeat's
+        others = ["checkpoint_r1.csv", "history_r1.json", "notes_r1.json", "checkpoint_rx.json"]
+        for name in others:
+            (out / name).write_text("kept")
+        assert main(["report", "--config", str(cfg), "--repeats", "1"]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert not names & {"checkpoint_r1.json", "history_r1.csv", "fingerprint_db_r1.json"}
+        assert {"checkpoint_r0.json", "history_r0.csv", "fingerprint_db_r0.json"} <= names
+        assert set(others) <= names
+        assert json.loads((out / "report.json").read_text())["meta"]["repeats"] == 1
+
+    def test_train_baseline_and_report_share_an_output_directory(self, experiment_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(experiment_config)]) == 0
+        assert main(["baseline", "--config", str(experiment_config)]) == 0
+        kept = {name: (out / name).read_bytes() for name in (
+            "checkpoint.json", "history.csv", "fingerprint_db.json"
+        )}
+        assert main(["report", "--config", str(experiment_config)]) == 0
+        assert {name: (out / name).read_bytes() for name in kept} == kept
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = tmp_path / "experiment.json"
         cfg.write_text(json.dumps(experiment_doc(tmp_path / "out")))

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from v2vbeam.neuralbeam.model import LayerSpec, ModelParams, init_params
+from v2vbeam.neuralbeam.model import ConvBlockSpec, LayerSpec, ModelParams, init_params
 from v2vbeam.neuralbeam.optim import AdamState, TrainingConfig, adam_step
+
+# one tensor of each kind, each a single scalar: (1, 1, 1), (1,), (1, 1) and (1,)
+SCALAR_SPEC = LayerSpec(
+    in_length=1, conv_blocks=(ConvBlockSpec(1, kernel=1, pool=1),), dense_widths=(1,), classes=1
+)
 
 
 def scalar_params(value=0.0):
-    return ModelParams(
-        conv_weights=[np.full((1, 1, 1), value)],
-        conv_biases=[np.full(1, value)],
-        dense_weights=[np.full((1, 1), value)],
-        dense_biases=[np.full(1, value)],
-    )
+    return ModelParams(SCALAR_SPEC, np.full(4, value))
 
 
 class TestTrainingConfig:
@@ -73,18 +73,13 @@ class TestAdamStep:
             assert np.array_equal(a, b)
 
     def test_equal_gradients_update_identically(self):
-        params = ModelParams(
-            conv_weights=[np.array([[[1.0, 1.0]]])],
-            conv_biases=[np.zeros(1)],
-            dense_weights=[np.zeros((1, 1))],
-            dense_biases=[np.zeros(1)],
+        # a (1, 1, 2) conv weight, then its bias, the dense weight and its bias
+        spec = LayerSpec(
+            in_length=1, conv_blocks=(ConvBlockSpec(1, kernel=2, pool=2),), dense_widths=(1,),
+            classes=1,
         )
-        grads = ModelParams(
-            conv_weights=[np.array([[[0.3, 0.3]]])],
-            conv_biases=[np.zeros(1)],
-            dense_weights=[np.zeros((1, 1))],
-            dense_biases=[np.zeros(1)],
-        )
+        params = ModelParams(spec, np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
+        grads = ModelParams(spec, np.array([0.3, 0.3, 0.0, 0.0, 0.0]))
         cfg = TrainingConfig(weight_decay=0.0)
         new_params, _ = adam_step(params, grads, AdamState.zeros(params), cfg)
         w = new_params.conv_weights[0].ravel()
@@ -145,7 +140,7 @@ def list_form_adam_step(arrays, gradients, m, v, t, config):
 class TestInPlaceAdam:
     def test_updates_the_flat_vectors_in_place(self):
         params = init_params(LayerSpec(), np.random.default_rng(0))
-        grads = params.with_arrays([np.full_like(a, 0.5) for a in params.arrays()])
+        grads = ModelParams(LayerSpec(), np.full_like(params.flat, 0.5))
         state = AdamState.zeros(params)
         buffers = [params.flat, state.m, state.v, *state.scratch]
         stepped, new_state = adam_step(params, grads, state, TrainingConfig())
@@ -170,7 +165,8 @@ class TestInPlaceAdam:
             # the dead conv taps get exact zeros; signed zeros must survive too
             grads[2][:, :, 0] = 0.0
             grads[2][:, :, 2] = -0.0
-            params, state = adam_step(params, params.with_arrays(grads), state, cfg)
+            flat = np.concatenate([g.ravel() for g in grads])
+            params, state = adam_step(params, ModelParams(LayerSpec(), flat), state, cfg)
             ref, ref_m, ref_v = list_form_adam_step(ref, grads, ref_m, ref_v, t, cfg)
         assert state.step == 50
         for got, want in zip(params.arrays(), ref):
