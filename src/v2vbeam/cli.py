@@ -140,10 +140,11 @@ def _write_report(rows, config: ExperimentConfig, meta: dict, headline: str) -> 
 
 def cmd_train(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    train_ds, val_ds, _ = split_stage(resolve_dataset(config), config, config.seed, scored=False)
-    fit = fit_stage(train_ds, val_ds, config, config.seed)
+    dataset = resolve_dataset(config)
+    train_rows, val_rows, _ = split_stage(dataset, config, config.seed, scored=False)
+    fit = fit_stage(dataset, train_rows, val_rows, config, config.seed)
     ckpt, hist = _save_model(config, "", config.seed, *fit)
-    print(f"trained on {len(train_ds)} samples for {config.training.epochs} epochs")
+    print(f"trained on {len(dataset.t[train_rows])} samples for {config.training.epochs} epochs")
     print(f"checkpoint: {ckpt}")
     print(f"history: {hist}")
     return EXIT_OK
@@ -151,11 +152,13 @@ def cmd_train(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    train_ds, val_ds, _ = split_stage(resolve_dataset(config), config, config.seed, scored=False)
-    norm = fit_split_normalization(train_ds, config.model.input_mode)
-    db = baseline_stage(train_ds, val_ds, norm, config)
+    dataset = resolve_dataset(config)
+    train_rows, val_rows, _ = split_stage(dataset, config, config.seed, scored=False)
+    norm = fit_split_normalization(dataset, train_rows, config.model.input_mode)
+    db = baseline_stage(dataset, train_rows, val_rows, norm, config)
     path = save_database(db, _out_dir(config) / "fingerprint_db.json")
-    print(f"built {len(db)} bins from {len(train_ds) + len(val_ds)} samples")
+    n_rows = sum(stats.count for stats in db.bins.values())
+    print(f"built {len(db)} bins from {n_rows} samples")
     print(f"database: {path}")
     return EXIT_OK
 
@@ -177,18 +180,19 @@ def cmd_eval(args) -> int:
         raise ConfigError("input_mode", f"{model.input_mode!r} does not fit spec.in_length")
     dataset = parse_dataset(data_path)
     check_codebook_compatible(spec, dataset)
-    train_ds, val_ds, test_ds = split_stage(dataset, config, config.seed)
-    database = baseline_stage(train_ds, val_ds, norm, config)
+    train_rows, val_rows, test_rows = split_stage(dataset, config, config.seed)
+    database = baseline_stage(dataset, train_rows, val_rows, norm, config)
     # one deterministic pass; its stddev column reads 0.0, as for a one-repeat report
-    rows = report_rows([score_stage(spec, norm, params, database, test_ds, config)])
+    rows = report_rows([score_stage(spec, norm, params, database, dataset, test_rows, config)])
+    n_test = len(dataset.t[test_rows])
     meta_out = {
         "seed": config.seed,
         "m_values": list(config.m_values),
-        "n_test": len(test_ds),
+        "n_test": n_test,
         "checkpoint": str(ckpt_path),
         "dataset": str(data_path),
     }
-    headline = f"evaluated {len(test_ds)} test samples at M in {list(config.m_values)}"
+    headline = f"evaluated {n_test} test samples at M in {list(config.m_values)}"
     return _write_report(rows, config, meta_out, headline)
 
 

@@ -4,10 +4,13 @@ One experiment resolves a dataset (CSV or synthetic scenario) and runs its
 repeats, aggregated into mean/stddev rows. A repeat (``single_run``) is four
 stages, each defined only here:
 
-1. ``split_stage``: cut train/validation/test parts with the repeat's seed;
+1. ``split_stage``: cut train/validation/test row selectors with the repeat's seed;
 2. ``fit_stage``: build the layer spec, fit normalization, train the model;
 3. ``baseline_stage``: build the fingerprint database on train+validation;
 4. ``score_stage``: score both predictors on the held-out test part.
+
+Each stage reads only the columns it uses, through the selectors; the test
+part is the only one that a repeat gathers.
 
 The CLI's ``train`` runs stages 1-2, ``baseline`` 1 and 3, and ``eval`` 1, 3
 and 4 with the model from a checkpoint.
@@ -46,7 +49,7 @@ from .fingerprint import (
     evaluate_baseline,
 )
 from .geodata import NormalizationParams, fit_normalization
-from .ingest import Dataset, SplitSpec, concat, parse_dataset, split
+from .ingest import Dataset, Rows, SplitSpec, parse_dataset, split
 from .neuralbeam import (
     ConvBlockSpec,
     EpochRecord,
@@ -167,16 +170,16 @@ def build_layer_spec(options: ModelOptions, classes: int) -> LayerSpec:
     )
 
 
-def fit_split_normalization(train_ds: Dataset, input_mode: str) -> NormalizationParams:
-    """Fit scaling on the training split; 'both' mode pools tx and rx fixes.
+def fit_split_normalization(dataset: Dataset, rows: Rows, input_mode: str) -> NormalizationParams:
+    """Fit scaling on the training ``rows``; 'both' mode pools tx and rx fixes.
 
     A training part whose positions share one latitude (or longitude), such as
     a drive due east, cannot be scaled: that is the data's fault, a ConfigError
     naming ``dataset`` and the axis.
     """
-    points = train_ds.tx
+    points = dataset.tx[rows]
     if input_mode == "both":
-        rx = train_ds.rx
+        rx = dataset.rx[rows]
         points = np.concatenate([points, rx[~np.isnan(rx[:, 0])]])
     try:
         return fit_normalization(points)
@@ -205,8 +208,8 @@ class RunResult:
 
 def split_stage(
     dataset: Dataset, config: ExperimentConfig, run_seed: int, scored: bool = True
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Stage 1: the train/val/test parts of one run, cut with ``run_seed``.
+) -> tuple[Rows, Rows, Rows]:
+    """Stage 1: the train/val/test row selectors of one run, cut with ``run_seed``.
 
     Every job fits on the training part, so an empty one is a ConfigError. A
     ``scored`` job also needs a test part and every M within the codebook;
@@ -215,43 +218,58 @@ def split_stage(
     if scored and any(m > dataset.codebook_size for m in config.m_values):
         raise ConfigError("m_values", f"must be <= codebook size {dataset.codebook_size}")
     s = SplitSpec(config.train_frac, config.val_frac, config.test_frac, seed=run_seed)
-    train_ds, val_ds, test_ds = split(dataset, s, mode=config.split_mode)
-    empty = "test" if scored and not len(test_ds) else "training" if not len(train_ds) else ""
+    train_rows, val_rows, test_rows = split(len(dataset), s, mode=config.split_mode)
+    n_train, n_test = len(dataset.t[train_rows]), len(dataset.t[test_rows])
+    empty = "test" if scored and not n_test else "training" if not n_train else ""
     if empty:
         raise ConfigError(
             "dataset",
             f"{len(dataset)} rows leave no {empty} rows in the {s.train_frac}/"
             f"{s.val_frac}/{s.test_frac} {config.split_mode} split",
         )
-    return train_ds, val_ds, test_ds
+    return train_rows, val_rows, test_rows
 
 
 def fit_stage(
-    train_ds: Dataset, val_ds: Dataset, config: ExperimentConfig, run_seed: int
+    dataset: Dataset, train_rows: Rows, val_rows: Rows, config: ExperimentConfig, run_seed: int
 ) -> tuple[LayerSpec, NormalizationParams, ModelParams, list[EpochRecord]]:
-    """Stage 2: the layer spec, the training part's normalization and the trained model."""
-    spec = build_layer_spec(config.model, train_ds.codebook_size)
-    norm = fit_split_normalization(train_ds, config.model.input_mode)
+    """Stage 2: the layer spec, the training part's normalization and the trained model,
+    from the fixes and labels of the training and validation rows alone."""
+    spec = build_layer_spec(config.model, dataset.codebook_size)
+    mode = config.model.input_mode
+    norm = fit_split_normalization(dataset, train_rows, mode)
+    x_train = dataset_features(dataset, norm, mode, train_rows)
+    x_val = dataset_features(dataset, norm, mode, val_rows)
     params, history = train(
-        train_ds, val_ds, spec, config.training, norm, run_seed, config.model.input_mode
+        x_train, dataset.best[train_rows], x_val, dataset.best[val_rows],
+        spec, config.training, run_seed,
     )
     return spec, norm, params, history
 
 
 def baseline_stage(
-    train_ds: Dataset, val_ds: Dataset, norm: NormalizationParams, config: ExperimentConfig
+    dataset: Dataset, train_rows: Rows, val_rows: Rows, norm: NormalizationParams,
+    config: ExperimentConfig,
 ) -> FingerprintDatabase:
     """Stage 3: the fingerprint database, built on train+val so that both
-    predictors learn from every row outside the held-out test part."""
+    predictors learn from every row outside the held-out test part. Train then
+    validation are the first rows of the split's order, so a sequential
+    split's are one slice."""
+    if isinstance(train_rows, slice):
+        rows = slice(train_rows.start, val_rows.stop)
+    else:
+        rows = np.concatenate([train_rows, val_rows])
     grid = BinGrid.unit_square(config.bins_per_axis)
-    return build_database(concat([train_ds, val_ds]), grid, norm)
+    return build_database(dataset, grid, norm, rows)
 
 
 def score_stage(
     spec: LayerSpec, norm: NormalizationParams, params: ModelParams,
-    database: FingerprintDatabase, test_ds: Dataset, config: ExperimentConfig,
+    database: FingerprintDatabase, dataset: Dataset, test_rows: Rows, config: ExperimentConfig,
 ) -> tuple[EvaluationReport, EvaluationReport]:
-    """Stage 4: the model's and the baseline's reports on the test part."""
+    """Stage 4: the model's and the baseline's reports on the test part, the one
+    part that a repeat gathers (a view in sequential mode)."""
+    test_ds = dataset.rows(test_rows)
     m_max = max(config.m_values)
     x_test = dataset_features(test_ds, norm, config.model.input_mode)
     model_preds = predict_top_m_batch(params, spec, x_test, m_max)
@@ -267,10 +285,10 @@ def report_rows(reports: list[tuple[EvaluationReport, ...]]) -> list[ReportRow]:
 
 def single_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
     """One repeat: the four stages, all with ``run_seed``."""
-    train_ds, val_ds, test_ds = split_stage(dataset, config, run_seed)
-    spec, norm, params, history = fit_stage(train_ds, val_ds, config, run_seed)
-    database = baseline_stage(train_ds, val_ds, norm, config)
-    reports = score_stage(spec, norm, params, database, test_ds, config)
+    train_rows, val_rows, test_rows = split_stage(dataset, config, run_seed)
+    spec, norm, params, history = fit_stage(dataset, train_rows, val_rows, config, run_seed)
+    database = baseline_stage(dataset, train_rows, val_rows, norm, config)
+    reports = score_stage(spec, norm, params, database, dataset, test_rows, config)
     return RunResult(run_seed, spec, norm, params, history, database, *reports)
 
 

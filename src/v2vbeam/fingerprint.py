@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError
 from .geodata import NormalizationParams, NormalizedPosition, normalize_points
-from .ingest import Dataset
+from .ingest import Dataset, Rows
 
 
 @dataclass(frozen=True)
@@ -84,29 +84,32 @@ class FingerprintDatabase:
 
 
 def build_database(
-    train: Dataset, grid: BinGrid, norm: NormalizationParams
+    dataset: Dataset, grid: BinGrid, norm: NormalizationParams,
+    rows: Rows = slice(None),
 ) -> FingerprintDatabase:
-    """Accumulate per-bin mean power vectors over the training set.
+    """Accumulate per-bin mean power vectors over ``dataset``'s ``rows`` (all by default).
 
     Sums are Kahan-compensated so the result is permutation-invariant to well
-    below 1e-12 relative error. Each bin adds its rows in dataset order; the
-    bins advance together, one vectorised Kahan step per within-bin rank.
+    below 1e-12 relative error. Each bin adds its rows in the order of
+    ``rows``; the bins advance together, one vectorised Kahan step per
+    within-bin rank, which gathers that rank's power rows from the dataset.
     """
-    if len(train) == 0:
+    index = np.arange(len(dataset))[rows]
+    if len(index) == 0:
         raise EmptyDatasetError("cannot build a fingerprint database from no samples")
-    keys = grid.bins_of(normalize_points(train.tx, norm))
+    keys = grid.bins_of(normalize_points(dataset.tx[rows], norm))
     bin_keys, bin_of_row, counts = np.unique(
         keys, axis=0, return_inverse=True, return_counts=True
     )
-    # rows grouped by bin, in dataset order within each bin
-    rows = np.argsort(bin_of_row.ravel(), kind="stable")
+    # dataset rows grouped by bin, in the order of ``rows`` within each bin
+    grouped = index[np.argsort(bin_of_row.ravel(), kind="stable")]
     starts = np.cumsum(counts) - counts
-    sums = np.zeros((len(counts), train.codebook_size))
+    sums = np.zeros((len(counts), dataset.codebook_size))
     comps = np.zeros_like(sums)
     for k in range(int(counts.max())):
         b = np.flatnonzero(counts > k)  # the bins that have a k-th row
         s, c = sums[b], comps[b]
-        y = train.powers[rows[starts[b] + k]] - c
+        y = dataset.powers[grouped[starts[b] + k]] - c
         t = s + y
         comps[b] = (t - s) - y
         sums[b] = t
@@ -115,7 +118,7 @@ def build_database(
         tuple(key): BinStats(count=count, mean_power=mean)
         for key, count, mean in zip(bin_keys.tolist(), counts.tolist(), means)
     }
-    return FingerprintDatabase(grid=grid, codebook_size=train.codebook_size, bins=bins)
+    return FingerprintDatabase(grid=grid, codebook_size=dataset.codebook_size, bins=bins)
 
 
 def _answering_bin(db: FingerprintDatabase, key: tuple[int, int]) -> tuple[int, int]:

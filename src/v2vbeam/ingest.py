@@ -12,14 +12,17 @@ bit-exact: ``floatrepr.format_floats`` writes the bytes of ``repr`` for a
 block of values at once.
 
 A ``Dataset`` holds its rows as numpy columns (times, tx and rx fixes, the
-power matrix and the best-beam labels), so splitting is index slicing and
-callers work on whole arrays. The CSV is written in blocks of rows, never as
-one string, on the usable CPUs (``parallel.ordered_map``). It is read by one
-of two readers, ``np.loadtxt`` on spans of lines on the usable CPUs (LF or
-CRLF line ends) or ``csv.reader`` (a file with quotes or bare CRs, or a span
-that loadtxt rejects, in the process that holds it), which check their rows
-against one table of rules (``_check_rows``). A byte that is not UTF-8 fails
-its cell, and the error names its line.
+power matrix and the best-beam labels), so callers work on whole arrays.
+``split`` gives row selectors, not parts: each stage reads the columns it
+uses through them, and ``Dataset.rows`` gathers a part where one is needed.
+
+The CSV is written in blocks of rows, never as one string, on the usable
+CPUs (``parallel.ordered_map``). It is read by one of two readers,
+``np.loadtxt`` on spans of lines on the usable CPUs (LF or CRLF line ends)
+or ``csv.reader`` (a file with quotes or bare CRs, or a span that loadtxt
+rejects, in the process that holds it), which check their rows against one
+table of rules (``_check_rows``). A byte that is not UTF-8 fails its cell,
+and the error names its line.
 """
 
 from __future__ import annotations
@@ -32,13 +35,15 @@ import os
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import floatrepr
 from .errors import IndexMismatchError, RowParseError, SchemaMismatchError
 from .parallel import ordered_map
+
+# a row selector of a Dataset: an index array, or a slice (its rows are views)
+Rows = np.ndarray | slice
 
 _FIXED_COLUMNS = ("t", "tx_lat", "tx_lon", "rx_lat", "rx_lon")
 _COLUMNS = ("t", "tx", "rx", "powers", "best")
@@ -61,7 +66,7 @@ class Dataset:
     ``best`` must be the argmax of ``powers``.
     """
 
-    __slots__ = (*_COLUMNS, "_span")
+    __slots__ = _COLUMNS
 
     def __init__(
         self, t: np.ndarray, tx: np.ndarray, rx: np.ndarray, powers: np.ndarray, best: np.ndarray
@@ -69,9 +74,6 @@ class Dataset:
         for name, column in zip(_COLUMNS, (t, tx, rx, powers, best)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        # (source, start, stop) when the columns are the row slice start:stop of
-        # source's columns, so concat can rejoin adjacent slices without copying
-        object.__setattr__(self, "_span", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -98,28 +100,9 @@ class Dataset:
     def __repr__(self) -> str:
         return f"Dataset(<{len(self)} samples>, codebook_size={self.codebook_size})"
 
-    def rows(self, indices: np.ndarray | slice) -> "Dataset":
+    def rows(self, indices: Rows) -> "Dataset":
         """The rows at ``indices`` (an index array, or a slice giving views)."""
-        part = Dataset(*(getattr(self, name)[indices] for name in _COLUMNS))
-        if isinstance(indices, slice):
-            start, stop, step = indices.indices(len(self))
-            if step == 1:
-                object.__setattr__(part, "_span", (self, start, max(start, stop)))
-        return part
-
-
-def concat(parts: Sequence[Dataset]) -> Dataset:
-    """The rows of ``parts`` one after another, as a view of the dataset they were cut from.
-
-    ``parts`` must be adjacent row slices of one dataset, in order, such as the
-    train and validation parts of a ``split``; any other parts are a ValueError.
-    """
-    spans = [d._span for d in parts]
-    if not parts or None in spans or any(
-        a[0] is not b[0] or a[2] != b[1] for a, b in zip(spans, spans[1:])
-    ):
-        raise ValueError("concat joins only adjacent row slices of one dataset")
-    return spans[0][0].rows(slice(spans[0][1], spans[-1][2]))
+        return Dataset(*(getattr(self, name)[indices] for name in _COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -446,26 +429,24 @@ def _format_rows(d: Dataset, start: int) -> bytes:
     return b"".join(lines)
 
 
-def split(
-    d: Dataset, s: SplitSpec, mode: str = "shuffle"
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Partition into train/val/test.
+def split(n: int, s: SplitSpec, mode: str = "shuffle") -> tuple[Rows, Rows, Rows]:
+    """The train/val/test row selectors of ``n`` rows.
 
-    ``mode`` "shuffle" permutes sample order with the spec's seed before
-    cutting; "sequential" preserves time order. Sizes are floor(n * frac) for
-    each part, with the remainder assigned to train. The three parts are
-    disjoint and cover the input exactly. They are consecutive row slices of
-    one dataset (the input, or its permuted rows gathered once), so ``concat``
-    of train and validation is a view, not a copy.
+    ``mode`` "shuffle" cuts ``np.random.default_rng(s.seed).permutation(n)``
+    into three index arrays; "sequential" keeps time order and gives three
+    slices, so ``Dataset.rows`` of each is a view. Sizes are floor(n * frac)
+    for each part, with the remainder assigned to train. The parts are
+    disjoint and cover ``range(n)`` exactly, and train then validation are
+    the first n_train + n_val rows of the cut order.
     """
     if mode not in ("shuffle", "sequential"):
         raise ValueError(f"unknown split mode {mode!r}")
-    n = len(d)
-    if mode == "shuffle":
-        d = d.rows(np.random.default_rng(s.seed).permutation(n))
     n_train = int(n * s.train_frac)
     n_val = int(n * s.val_frac)
     n_test = int(n * s.test_frac)
     n_train += n - (n_train + n_val + n_test)
     cuts = (0, n_train, n_train + n_val, n)
-    return tuple(d.rows(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
+    if mode == "sequential":
+        return tuple(slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    order = np.random.default_rng(s.seed).permutation(n)
+    return tuple(order[lo:hi] for lo, hi in zip(cuts, cuts[1:]))

@@ -7,10 +7,11 @@ conventional ladder that keeps a length-2 input valid through all blocks.
 
 A ``ModelParams`` is laid out from its spec alone: :func:`tensor_shapes`
 names, shapes and orders the tensors, and each is a view into one float64
-vector, ``flat``. :func:`init_params`, :func:`load_checkpoint` and
-:func:`backward` write into the views of a fresh ``ModelParams``, so the
-gradients share the parameters' layout and the optimizer updates all
-parameters with a few whole-vector operations.
+vector, ``flat``. :func:`init_params` and :func:`load_checkpoint` write into
+the views of a fresh ``ModelParams``, and :func:`backward` into those of the
+gradient buffer that training reuses every step, so the gradients share the
+parameters' layout and the optimizer updates all parameters with a few
+whole-vector operations.
 
 Prediction works on whole batches: :func:`predict_top_m_batch` ranks the
 rows into an (n, M) integer array of beam indices, best first, the candidate
@@ -221,12 +222,15 @@ def forward_batch(
 
 
 def backward(
-    params: ModelParams, spec: LayerSpec, x: np.ndarray, labels: np.ndarray
+    params: ModelParams, spec: LayerSpec, x: np.ndarray, labels: np.ndarray,
+    grads: ModelParams | None = None,
 ) -> tuple[float, ModelParams]:
     """Mean cross-entropy over the batch and its gradient for every tensor.
 
     Uses the softmax/cross-entropy identity d_logits = probs - one_hot, exact
-    wherever the loss's 1e-12 probability floor is inactive.
+    wherever the loss's 1e-12 probability floor is inactive. The gradients
+    overwrite every tensor of ``grads`` when it is given (a training loop
+    passes one buffer to every step), else of a new ``ModelParams``.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != np.shape(x)[0] or labels.shape[0] == 0:
@@ -240,7 +244,8 @@ def backward(
     d_logits /= batch
 
     # each layer's gradients go straight into their views, last layer first
-    grads = ModelParams(spec, np.empty(params.flat.size))
+    if grads is None:
+        grads = ModelParams(spec, np.empty(params.flat.size))
     d_h = d_logits
     for i in reversed(range(len(params.dense_weights))):
         x_in, mask = caches.pop()

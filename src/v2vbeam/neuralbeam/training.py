@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import EmptyDatasetError
 from ..geodata import NormalizationParams, normalize_points
-from ..ingest import Dataset
+from ..ingest import Dataset, Rows
 from .model import (
     LayerSpec,
     ModelParams,
@@ -33,16 +33,18 @@ def input_length_for_mode(input_mode: str) -> int:
 
 
 def dataset_features(
-    ds: Dataset, norm: NormalizationParams, input_mode: str = "tx"
+    ds: Dataset, norm: NormalizationParams, input_mode: str = "tx", rows: Rows = slice(None)
 ) -> np.ndarray:
-    """Normalized position sequences, shape (n, 1, 2) or (n, 1, 4)."""
+    """Normalized position sequences of ``ds``'s ``rows``, shape (n, 1, 2) or (n, 1, 4);
+    only their tx fixes are read, and their rx fixes in "both" mode."""
     length = input_length_for_mode(input_mode)
-    points = ds.tx
+    points = ds.tx[rows]
     if input_mode == "both":
-        if np.isnan(ds.rx).any():
+        rx = ds.rx[rows]
+        if np.isnan(rx).any():
             raise ValueError("input_mode 'both' needs rx positions in the dataset")
-        points = np.concatenate([ds.tx, ds.rx], axis=1).reshape(-1, 2)
-    return normalize_points(points, norm).reshape(len(ds), 1, length)
+        points = np.concatenate([points, rx], axis=1).reshape(-1, 2)
+    return normalize_points(points, norm).reshape(-1, 1, length)
 
 
 @dataclass(frozen=True)
@@ -62,31 +64,24 @@ def top1_accuracy(
 
 
 def train(
-    train_ds: Dataset,
-    val_ds: Dataset,
-    spec: LayerSpec,
-    config: TrainingConfig,
-    norm: NormalizationParams,
-    seed: int,
-    input_mode: str = "tx",
+    x_train: np.ndarray, y_train: np.ndarray, x_val: np.ndarray, y_val: np.ndarray,
+    spec: LayerSpec, config: TrainingConfig, seed: int,
 ) -> tuple[ModelParams, list[EpochRecord]]:
-    """Train from a seeded init; returns final-epoch weights and per-epoch history.
+    """Train from a seeded init on features ``x_train`` (as ``dataset_features``
+    makes them) and labels ``y_train``; returns final-epoch weights and per-epoch
+    history, with top-1 accuracy on ``x_val``/``y_val`` after each epoch.
 
     Weight init and the per-epoch shuffles all come from one generator seeded
     with ``seed``, the run seed, so a rerun reproduces the history bit for bit. No
     early stopping: validation accuracy is recorded but never used for
-    selection.
+    selection. Every step's gradients are written into one buffer.
     """
-    if len(train_ds) == 0:
+    if len(y_train) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
-    x_train = dataset_features(train_ds, norm, input_mode)
-    y_train = train_ds.best
-    x_val = dataset_features(val_ds, norm, input_mode)
-    y_val = val_ds.best
-
     rng = np.random.default_rng(seed)
     params = init_params(spec, rng)
     state = AdamState.zeros(params)
+    grads = ModelParams(spec, np.empty(params.flat.size))
     n = len(y_train)
     history: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
@@ -94,7 +89,7 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads = backward(params, spec, x_train[batch], y_train[batch])
+            loss, grads = backward(params, spec, x_train[batch], y_train[batch], grads)
             params, state = adam_step(params, grads, state, config)
             loss_sum += loss * len(batch)
         record = EpochRecord(

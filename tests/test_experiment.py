@@ -1,8 +1,11 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import make_dataset
 
 from v2vbeam import experiment, parallel
 from v2vbeam.errors import CodebookMismatchError, ConfigError
@@ -178,7 +181,7 @@ class TestSingleRun:
         seeds, real_train = [], experiment.train
 
         def train(*args):
-            seeds.append(args[5])
+            seeds.append(args[6])
             return real_train(*args)
 
         monkeypatch.setattr(experiment, "train", train)
@@ -191,6 +194,31 @@ class TestSingleRun:
         ds = resolve_dataset(cfg)
         with pytest.raises(ConfigError):
             single_run(ds, cfg, run_seed=3)
+
+
+class TestRepeatMemory:
+    def test_a_shuffle_repeat_gathers_no_more_than_the_test_part(self):
+        # a straight drive of 20,000 rows of 128 powers: the power matrix is
+        # 20.5 MB. A repeat gathers the test fifth of it and the rows that the
+        # database sums, one bin rank at a time, so a gathered copy of every
+        # row, or of the train+val rows, would break the bound. Validation holds
+        # two copies of a part's probabilities at its peak, 40% of the matrix
+        n, q = 20_000, 128
+        rng = np.random.default_rng(12)
+        i = np.arange(n)
+        tx = np.column_stack([33.0 + 1e-5 * i, -112.0 + 1e-5 * i])
+        dataset = make_dataset(rng.uniform(0.1, 2.0, (n, q)), tx=tx)
+        cfg = experiment_config_from_json(
+            tiny_config(dataset={"csv": "unused.csv"}, training={"epochs": 1})
+        )
+        tracemalloc.start()
+        try:
+            run = single_run(dataset, cfg, run_seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.model_report.n_test == 4000
+        assert peak < dataset.powers.nbytes / 2
 
 
 class TestRunExperiment:

@@ -14,6 +14,7 @@ from v2vbeam.fingerprint import (
     query_candidates,
     save_database,
 )
+from v2vbeam.ingest import SplitSpec, split
 from v2vbeam.geodata import (
     GeoPosition,
     NormalizationParams,
@@ -222,6 +223,29 @@ class TestVectorisedAgainstReference:
         want = [oracle_query(db, NormalizedPosition(u, v), 1) for u, v in points]
         assert want == [[0], [0], [1], [1], [1], [0]]
         assert evaluate_baseline(db, test, NORM, 1).tolist() == want
+
+    @pytest.mark.parametrize("mode", ["shuffle", "sequential"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_give_the_bytes_of_the_gathered_rows(self, tmp_path, mode, seed):
+        # the train+val rows of a split: the first 80% of its order
+        rng = np.random.default_rng(seed)
+        n = 203
+        uv = np.where(
+            rng.random((n, 1)) < 0.6, rng.normal(0.5, 0.03, (n, 2)), rng.uniform(0, 1, (n, 2))
+        )
+        ds = make_dataset(rng.lognormal(0.0, 2.0, (n, 9)), tx=uv)
+        tr, va, _ = split(n, SplitSpec(seed=seed), mode=mode)
+        rows = slice(tr.start, va.stop) if mode == "sequential" else np.concatenate([tr, va])
+        grid = BinGrid.unit_square(8)
+        by_rows = save_database(build_database(ds, grid, NORM, rows), tmp_path / "rows.json")
+        gathered = save_database(build_database(ds.rows(rows), grid, NORM), tmp_path / "part.json")
+        assert by_rows.read_bytes() == gathered.read_bytes()
+
+    def test_no_rows_rejected(self):
+        ds = make_dataset(np.ones((5, 3)))
+        for rows in (np.array([], dtype=np.int64), slice(2, 2)):
+            with pytest.raises(EmptyDatasetError):
+                build_database(ds, BinGrid.unit_square(4), NORM, rows)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_build_database_bit_identical_to_per_sample_kahan(self, seed):

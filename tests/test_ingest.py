@@ -20,7 +20,6 @@ from v2vbeam.geodata import GeoPosition, validate_position
 from v2vbeam.ingest import (
     Dataset,
     SplitSpec,
-    concat,
     parse_dataset,
     split,
     write_dataset,
@@ -158,45 +157,42 @@ class TestParseWrite:
 
 class TestSplit:
     def test_sizes_1000(self):
-        ds = drive(1000, q=2)
-        tr, va, te = split(ds, SplitSpec(seed=1))
+        tr, va, te = split(1000, SplitSpec(seed=1))
         assert (len(tr), len(va), len(te)) == (600, 200, 200)
 
     def test_sizes_10(self):
-        ds = drive(10, q=2)
-        tr, va, te = split(ds, SplitSpec(seed=1))
+        tr, va, te = split(10, SplitSpec(seed=1))
         assert (len(tr), len(va), len(te)) == (6, 2, 2)
 
     def test_remainder_goes_to_train(self):
-        ds = drive(7, q=2)
-        tr, va, te = split(ds, SplitSpec(seed=1))
+        tr, va, te = split(7, SplitSpec(seed=1))
         assert (len(tr), len(va), len(te)) == (5, 1, 1)
 
     def test_same_seed_same_partition(self):
         ds = drive(50, q=2)
-        a = split(ds, SplitSpec(seed=7))
-        b = split(ds, SplitSpec(seed=7))
+        a = split(len(ds), SplitSpec(seed=7))
+        b = split(len(ds), SplitSpec(seed=7))
         for x, y in zip(a, b):
-            assert x == y
+            assert ds.rows(x) == ds.rows(y)
 
     def test_different_seeds_differ(self):
         ds = drive(200, q=2)
-        a = split(ds, SplitSpec(seed=1))
-        b = split(ds, SplitSpec(seed=2))
-        assert a[0] != b[0]
+        a = split(len(ds), SplitSpec(seed=1))
+        b = split(len(ds), SplitSpec(seed=2))
+        assert ds.rows(a[0]) != ds.rows(b[0])
 
     def test_partition_property(self):
         ds = drive(101, q=3)
-        tr, va, te = split(ds, SplitSpec(seed=3))
-        assert len(tr) + len(va) + len(te) == len(ds)
-        seen = np.concatenate([part.t for part in (tr, va, te)])
+        parts = [ds.rows(rows) for rows in split(len(ds), SplitSpec(seed=3))]
+        assert sum(map(len, parts)) == len(ds)
+        seen = np.concatenate([part.t for part in parts])
         assert sorted(seen.tolist()) == ds.t.tolist()
 
     def test_sequential_mode_preserves_order(self):
         ds = drive(10, q=2)
-        tr, va, te = split(ds, SplitSpec(seed=9), mode="sequential")
-        assert tr.t.tolist() == [pytest.approx(0.1 * i) for i in range(6)]
-        assert te.t.tolist() == [pytest.approx(0.1 * i) for i in (8, 9)]
+        tr, va, te = split(len(ds), SplitSpec(seed=9), mode="sequential")
+        assert ds.rows(tr).t.tolist() == [pytest.approx(0.1 * i) for i in range(6)]
+        assert ds.rows(te).t.tolist() == [pytest.approx(0.1 * i) for i in (8, 9)]
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
@@ -204,51 +200,50 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitSpec(-0.1, 0.6, 0.5, seed=0)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown split mode"):
+            split(10, SplitSpec(), mode="random")
+
     def test_shuffle_parts_are_the_permuted_rows(self):
         ds = drive(103, q=3)
         order = np.random.default_rng(4).permutation(103)
-        parts = split(ds, SplitSpec(seed=4))
+        parts = split(len(ds), SplitSpec(seed=4))
         for part, rows in zip(parts, (order[:63], order[63:83], order[83:])):
-            assert part == ds.rows(rows)
+            assert ds.rows(part) == ds.rows(rows)
 
-    @pytest.mark.parametrize("mode", ["shuffle", "sequential"])
-    def test_train_val_concat_is_a_view(self, mode):
-        ds = drive(50, q=3)
-        tr, va, te = split(ds, SplitSpec(seed=2), mode=mode)
-        joined = concat([tr, va])
-        assert joined == columns_concat([tr, va])
+    @pytest.mark.parametrize("n, seed", [(1000, 0), (103, 4), (7, 1), (20_000, 901), (2, 3)])
+    def test_shuffle_selectors_cut_the_seeded_permutation(self, n, seed):
+        # 103 and 7 rows leave a remainder, which goes to train
+        order = np.random.default_rng(seed).permutation(n)
+        n_val = n_test = int(n * 0.2)
+        cuts = (0, n - n_val - n_test, n - n_test, n)
+        parts = split(n, SplitSpec(seed=seed))
+        for part, lo, hi in zip(parts, cuts, cuts[1:]):
+            assert isinstance(part, np.ndarray) and np.array_equal(part, order[lo:hi])
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
+
+    @pytest.mark.parametrize("n", [1000, 103, 7, 0])
+    def test_sequential_selectors_are_slices_of_views(self, n):
+        ds = drive(n, q=3)
+        parts = split(n, SplitSpec(seed=5), mode="sequential")
+        assert all(isinstance(part, slice) for part in parts)
+        assert np.array_equal(np.concatenate([np.arange(n)[p] for p in parts]), np.arange(n))
+        test = ds.rows(parts[2])
         for name in ("t", "tx", "rx", "powers", "best"):
-            assert np.shares_memory(getattr(joined, name), getattr(tr, name))
-            assert np.shares_memory(getattr(joined, name), getattr(va, name))
+            assert np.shares_memory(getattr(test, name), getattr(ds, name)) or not len(test)
 
-    def test_concat_of_parts_not_adjacent_raises(self):
-        ds = drive(50, q=3)
-        tr, va, te = split(ds, SplitSpec(seed=2))
-        other = split(drive(50, q=3), SplitSpec(seed=2))
-        for parts in ([tr, te], [va, tr], [tr, va, te, tr], [tr, other[1]], [ds], []):
-            with pytest.raises(ValueError, match="adjacent row slices"):
-                concat(parts)
-
-    def test_split_and_train_val_peak_memory(self):
-        # 20k rows of 64 powers, about 11 MB: the parts were three gathers and
-        # train+val a fourth copy (peak about 1.8x the dataset); now the
-        # permuted rows are gathered once and train+val is a view of them
+    def test_split_allocates_only_row_indices(self):
+        # 20k rows of 64 powers, about 11 MB: a split is three index arrays of
+        # 8 bytes per row, where a gathered part copies 560 bytes per row
         n, q = 20_000, 64
-        rng = np.random.default_rng(5)
-        powers = rng.uniform(0.1, 2.0, (n, q))
-        ds = Dataset(
-            np.arange(n) * 0.1, rng.uniform(33.0, 33.1, (n, 2)),
-            np.full((n, 2), np.nan), powers, powers.argmax(axis=1),
-        )
-        size = sum(getattr(ds, name).nbytes for name in ("t", "tx", "rx", "powers", "best"))
+        size = n * (8 + 16 + 16 + 8 * q + 8)
         tracemalloc.start()
         try:
-            tr, va, _ = split(ds, SplitSpec(seed=6))
-            concat([tr, va])
+            split(n, SplitSpec(seed=6))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * size
+        assert peak < 0.05 * size
 
 
 class TestImmutable:
@@ -258,7 +253,8 @@ class TestImmutable:
         header, first, rest = plain.read_text().split("\n", 2)
         quoted = tmp_path / "quoted.csv"
         quoted.write_text(header + '\n"' + first.replace(",", '","') + '"\n' + rest)
-        train, val, test = split(parse_dataset(plain), SplitSpec(seed=1))
+        parsed = parse_dataset(plain)
+        train, val, test = (parsed.rows(rows) for rows in split(len(parsed), SplitSpec(seed=1)))
         made = {
             "parsed plain file": parse_dataset(plain),
             "parsed quoted file": parse_dataset(quoted),
@@ -268,23 +264,14 @@ class TestImmutable:
             "train": train,
             "val": val,
             "test": test,
-            "concat([train, val])": concat([train, val]),
         }
         assert made["parsed quoted file"] == generated
         for how, d in made.items():
             for name in ("t", "tx", "rx", "powers", "best"):
                 assert not getattr(d, name).flags.writeable, (how, name)
-            for name in ("t", "tx", "rx", "powers", "best", "_span", "codebook_size", "other"):
+            for name in ("t", "tx", "rx", "powers", "best", "codebook_size", "other"):
                 with pytest.raises(AttributeError):
                     setattr(d, name, None)
-
-
-def columns_concat(parts):
-    """Reference concat: a copy of every column."""
-    return Dataset(
-        *(np.concatenate([getattr(d, name) for d in parts])
-          for name in ("t", "tx", "rx", "powers", "best"))
-    )
 
 
 # --- block I/O against the per-row reference ------------------------------------------

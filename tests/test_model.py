@@ -84,6 +84,18 @@ class TestModelParams:
         assert [a.shape for a in grads.arrays()] == [a.shape for a in params.arrays()]
         assert all(np.shares_memory(a, grads.flat) for a in grads.arrays())
 
+    def test_a_reused_gradient_buffer_gives_the_bytes_of_fresh_ones(self):
+        params = init_params(SMALL, np.random.default_rng(33))
+        rng = np.random.default_rng(34)
+        batches = [(rng.normal(size=(b, 1, 4)), rng.integers(0, 5, b)) for b in (7, 3, 7)]
+        buffer = ModelParams(SMALL, np.full(params.flat.size, np.nan))  # every value overwritten
+        for x, y in batches:
+            loss, grads = backward(params, SMALL, x, y, buffer)
+            fresh_loss, fresh = backward(params, SMALL, x, y)
+            assert grads is buffer
+            assert np.float64(loss).tobytes() == np.float64(fresh_loss).tobytes()
+            assert grads.flat.tobytes() == fresh.flat.tobytes()
+
     def test_init_draws_each_weight_then_its_bias_in_tensor_shapes_order(self):
         # the per-layer loop of bounds and draws that init_params has always made
         rng = np.random.default_rng(38)

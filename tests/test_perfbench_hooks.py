@@ -64,7 +64,11 @@ def test_batch_detail_reads_the_labels_of_each_backward_call(monkeypatch):
     train_ds, val_ds = make_dataset(rng.random((300, 8))), make_dataset(rng.random((20, 8)))
     spec = LayerSpec(conv_blocks=(ConvBlockSpec(4),), dense_widths=(8,), classes=8)
     norm = fit_normalization(train_ds.tx)
-    training.train(train_ds, val_ds, spec, TrainingConfig(epochs=1), norm, seed=1)
+    features = [training.dataset_features(ds, norm) for ds in (train_ds, val_ds)]
+    training.train(
+        features[0], train_ds.best, features[1], val_ds.best, spec, TrainingConfig(epochs=1),
+        seed=1,
+    )
     sizes = []
     for args, kwargs in calls:
         labels = inspect.signature(original).bind(*args, **kwargs).arguments["labels"]
@@ -85,3 +89,42 @@ def test_fallback_detail_tells_an_empty_bin_from_an_occupied_one():
         args = (db, pos, 3)
         query_candidates(*args)  # the arguments of a real query
         assert SPANS_MODULE._fallback(args, {}) == fallback
+
+
+def test_a_repeat_calls_split_and_build_database_by_the_names_the_tracer_wraps(
+    tmp_path, monkeypatch
+):
+    # the ingest.split and fingerprint.build spans wrap experiment.split and
+    # experiment.build_database: a stage that calls them by another name is untimed
+    from v2vbeam import cli, experiment
+    from v2vbeam.ingest import write_dataset
+    from v2vbeam.neuralbeam import init_params, save_checkpoint
+
+    calls = []
+    for name in ("split", "build_database"):
+        real = getattr(experiment, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counting)
+    rng = np.random.default_rng(2)
+    ds = make_dataset(rng.random((200, 8)))
+    config = experiment.ExperimentConfig(
+        dataset_csv=tmp_path / "drive.csv", bins_per_axis=4, m_values=(1, 3),
+        model=experiment.ModelOptions(conv_channels=(4,), dense_hidden=(8,)),
+        training=TrainingConfig(epochs=1),
+    )
+    experiment.single_run(ds, config, run_seed=1)
+    assert calls == ["split", "build_database"]
+
+    spec = experiment.build_layer_spec(config.model, ds.codebook_size)
+    norm = fit_normalization(ds.tx)
+    ckpt = save_checkpoint(tmp_path / "ckpt.json", init_params(spec, rng), spec, norm, 1)
+    write_dataset(ds, tmp_path / "drive.csv")
+    calls.clear()
+    argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(tmp_path / "drive.csv"),
+            "--m-values", "1,3", "--bins-per-axis", "4", "--out", str(tmp_path / "eval")]
+    assert cli.main(argv) == 0
+    assert calls == ["split", "build_database"]
