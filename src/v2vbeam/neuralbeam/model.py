@@ -15,9 +15,9 @@ whole-vector operations.
 
 Prediction works on whole batches: :func:`predict_top_m_batch` ranks the
 rows into an (n, M) integer array of beam indices, best first, the candidate
-array that ``evalmetrics`` scores. A forward pass without backward caches
-scores 512 rows at a time, and each such chunk is ranked as it is scored, so
-validation and test scoring stay small in memory.
+array that ``evalmetrics`` scores. :func:`score_chunks` scores 512 rows at a
+time and reduces each chunk (to its ranking, or to its argmax for validation)
+as it is scored, so validation and test scoring stay small in memory.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -188,14 +189,8 @@ def forward_batch(
     Each layer's backward inputs (conv columns, ReLU masks, pooling argmaxes,
     dense inputs) are appended to ``caches`` when a list is given, as
     :func:`backward` does. Without one they are dropped as soon as the next
-    layer has them, and the rows are scored _SCORE_ROWS at a time, so scoring
-    a large batch holds about two layers of one chunk at a time.
+    layer has them, so a pass holds about two layers at a time.
     """
-    if caches is None and len(x) > _SCORE_ROWS:
-        return np.concatenate([
-            forward_batch(params, spec, x[start : start + _SCORE_ROWS])
-            for start in range(0, len(x), _SCORE_ROWS)
-        ])
     h = _check_input(spec, x)
     for block, w, b in zip(spec.conv_blocks, params.conv_weights, params.conv_biases):
         pre, cols = layers.conv1d_forward(h, w, b, block.padding)
@@ -265,23 +260,27 @@ def backward(
     return loss, grads
 
 
+def score_chunks(
+    params: ModelParams, spec: LayerSpec, x: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``reduce`` of the probabilities of each _SCORE_ROWS chunk of ``x``, concatenated:
+    only one chunk's probabilities are held at a time."""
+    # an empty batch is one empty chunk, so it fails in forward_batch as it always has
+    starts = range(0, max(len(x), 1), _SCORE_ROWS)
+    return np.concatenate([
+        reduce(forward_batch(params, spec, x[start : start + _SCORE_ROWS])) for start in starts
+    ])
+
+
 def predict_top_m_batch(
     params: ModelParams, spec: LayerSpec, x: np.ndarray, m: int
 ) -> np.ndarray:
     """Ranked candidates, shape (B, m): beam indices by descending probability,
-    the lowest index first among ties.
-
-    Each _SCORE_ROWS chunk is ranked as soon as it is scored, so only one
-    chunk's probabilities and full ranking are held at a time.
-    """
-
-    def rank(rows: np.ndarray) -> np.ndarray:
-        probs = forward_batch(params, spec, rows)
-        return np.argsort(-probs, axis=1, kind="stable")[:, :m].copy()
-
-    # an empty batch is one empty chunk, so it fails in forward_batch as it always has
-    starts = range(0, max(len(x), 1), _SCORE_ROWS)
-    return np.concatenate([rank(x[start : start + _SCORE_ROWS]) for start in starts])
+    the lowest index first among ties; each chunk's full ranking is dropped as
+    soon as its first ``m`` columns are copied."""
+    return score_chunks(
+        params, spec, x, lambda probs: np.argsort(-probs, axis=1, kind="stable")[:, :m].copy()
+    )
 
 
 CHECKPOINT_VERSION = 1

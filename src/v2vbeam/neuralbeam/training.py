@@ -15,8 +15,8 @@ from .model import (
     LayerSpec,
     ModelParams,
     backward,
-    forward_batch,
     init_params,
+    score_chunks,
 )
 from .optim import AdamState, TrainingConfig, adam_step
 
@@ -59,8 +59,7 @@ def top1_accuracy(
 ) -> float:
     if len(labels) == 0:
         return float("nan")
-    probs = forward_batch(params, spec, x)
-    return float(np.mean(np.argmax(probs, axis=1) == labels))
+    return float(np.mean(score_chunks(params, spec, x, lambda p: np.argmax(p, axis=1)) == labels))
 
 
 def train(

@@ -200,7 +200,7 @@ class TestChunkedScoring:
         spec = LayerSpec(in_length=in_length)
         params = init_params(spec, np.random.default_rng(20))
         x = np.random.default_rng(21).uniform(size=(4000 + 7, 1, in_length))
-        chunked = forward_batch(params, spec, x)
+        chunked = model.score_chunks(params, spec, x, lambda probs: probs)
         ranked = predict_top_m_batch(params, spec, x, 13)
         monkeypatch.setattr(model, "_SCORE_ROWS", len(x))
         one_pass = forward_batch(params, spec, x)
@@ -265,6 +265,20 @@ class TestChunkedScoring:
                 tracemalloc.stop()
             # one pass over all 4,000 rows peaked at 23.3 MB
             assert peak < 8e6
+
+    def test_validation_holds_one_chunks_probabilities(self):
+        spec = LayerSpec(in_length=4)
+        params = init_params(spec, np.random.default_rng(18))
+        x = np.random.default_rng(19).uniform(size=(4000, 1, 4))
+        labels = np.zeros(len(x), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            top1_accuracy(params, spec, x, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # concatenating every chunk's probabilities before the argmax peaked at 4.6 MB
+        assert peak < 3.6e6
 
 class TestBackward:
     def test_softmax_ce_gradient_identity_at_output(self):
