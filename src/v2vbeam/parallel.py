@@ -3,14 +3,15 @@
 ``ordered_map(fn, items)`` yields ``fn(item)`` for every item, in item order.
 With k = min(len(items), usable CPUs) > 1, ``fork`` available and numpy's
 BLAS an OpenBLAS whose thread count can be set, the calling process computes
-items 0, k, 2k, ... itself and k - 1 forked workers compute the rest. ``fn``
-and everything it refers to (a dataset, a config) reach the workers through
-fork, not by pickling; only the items go out and the results come back. The
-parse and synthesis send no rows back: their workers write them into dataset
-columns that the processes share (``ingest._shared_columns``). At most
-``2 * k`` items are handed out ahead of the one being yielded, so results
-never pile up in the caller. Every process runs one BLAS thread while the pool
-runs. Otherwise the items are mapped serially, here.
+items 0, k, 2k, ... itself and forked worker j of k - 1 computes items j,
+j + k, j + 2k, ... ``fn`` and everything it refers to (a dataset, a config)
+reach the workers through fork, not by pickling; only the results come back,
+each worker's through a pipe of its own. The parse and synthesis send no rows
+back: their workers write them into dataset columns that the processes share
+(``ingest._shared_columns``). A result larger than a pipe holds blocks its
+worker until the caller reads it, so a worker holds at most one unread result.
+Every process runs one BLAS thread while the pool runs. Otherwise the items
+are mapped serially, here.
 
 ``one_blas_thread()`` holds OpenBLAS at one thread around any block: a product
 split across BLAS threads sums in another order, so its bits would depend on
@@ -18,8 +19,7 @@ the number of CPUs.
 
 Each result depends only on its item and comes back in item order, so the
 output is the same for any number of processes. The exception of the earliest
-failing item is the one raised, and the workers skip every later item they
-have not started.
+failing item is the one raised; a worker stops at its first failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-from collections import deque
 from typing import Callable, Generator, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -97,8 +96,8 @@ def one_blas_thread() -> Iterator[None]:
 def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> Generator[R, None, None]:
     """``fn(item)`` for each of ``items`` in order, on up to the usable CPUs.
 
-    ``items`` is read by index, no further than the window ahead of the
-    result being yielded. Closing the generator stops the pool.
+    ``items`` is read by index, each item by the one process that computes it.
+    Closing the generator stops the workers.
     """
     k = min(len(items), _usable_cpus())
     if k > 1 and hasattr(os, "fork") and _openblas_threads() is not None:
@@ -106,61 +105,40 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> Generator[R, None, 
     return (fn(item) for item in items)
 
 
-# (fn, index of the earliest failed item) of a forked pool worker, set by _adopt
-_worker_state = None
-
-
-def _adopt(fn: Callable, first_failure) -> None:
-    global _worker_state
-    _worker_state = (fn, first_failure)
-
-
-def _note_failure(first_failure, index: int) -> None:
-    with first_failure.get_lock():
-        first_failure.value = min(first_failure.value, index)
-
-
-def _work(job):
-    index, item = job
-    fn, first_failure = _worker_state
-    if index > first_failure.value:  # an earlier item failed; skip this one
-        return None
-    try:
-        return fn(item)
-    except BaseException:
-        _note_failure(first_failure, index)
-        raise
+def _work(fn: Callable, items: Sequence, j: int, k: int, receiver, sender) -> None:
+    """Send (True, result) for items j, j + k, ... or (False, exc) for the first failure."""
+    receiver.close()  # only the caller reads: once it is gone, a blocked send fails
+    for i in range(j, len(items), k):
+        try:
+            sender.send((True, fn(items[i])))
+        except BaseException as exc:
+            sender.send((False, exc))
+            return
 
 
 def _pool_map(fn: Callable[[T], R], items: Sequence[T], k: int) -> Iterator[R]:
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     with one_blas_thread():
         ctx = multiprocessing.get_context("fork")
-        first_failure = ctx.Value("q", len(items))
-        # initargs reach the workers through fork, so fn and its data are never pickled
-        pool = ProcessPoolExecutor(
-            k - 1, mp_context=ctx, initializer=_adopt, initargs=(fn, first_failure)
-        )
-        window = 2 * k
-        pending = deque()  # futures of the workers' items handed out, in item order
-
-        def hand_out(j: int) -> None:
-            if j < len(items) and j % k:
-                pending.append(pool.submit(_work, (j, items[j])))
-
-        i = 0
+        workers, pipes = [], [None]  # pipes[j] receives worker j's results
         try:
-            for j in range(window - 1):
-                hand_out(j)
+            for j in range(1, k):
+                receiver, sender = ctx.Pipe(duplex=False)
+                worker = ctx.Process(target=_work, args=(fn, items, j, k, receiver, sender))
+                worker.start()
+                sender.close()  # the worker holds the only sending end: its death reads EOFError
+                workers.append(worker)
+                pipes.append(receiver)
             for i in range(len(items)):
-                hand_out(i + window - 1)  # items i .. i + window - 1 are now out
-                # items before i all succeeded, so a failure here is the earliest; a
-                # worker skips only items after a failed one, which are never reached
-                yield fn(items[i]) if i % k == 0 else pending.popleft().result()
-        except BaseException:  # a failure, or the caller stopped reading
-            _note_failure(first_failure, i)
-            raise
-        finally:
-            pool.shutdown(cancel_futures=True)
+                ok, result = (True, fn(items[i])) if i % k == 0 else pipes[i % k].recv()
+                if not ok:
+                    raise result
+                yield result
+        finally:  # done, failed or closed early
+            for worker in workers:
+                worker.terminate()
+                worker.join()
+                worker.close()
+            for receiver in pipes[1:]:
+                receiver.close()

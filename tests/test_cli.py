@@ -900,3 +900,23 @@ def test_import_does_not_load_multiprocessing():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 or parallel._openblas_threads() is None,
+    reason="the repeats run in a pool only on 2 or more usable CPUs with OpenBLAS",
+)
+def test_report_leaves_no_process_running(tmp_path):
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(json.dumps(experiment_doc(tmp_path / "out", repeats=2)))
+    env = dict(os.environ, PYTHONPATH=str(Path(v2vbeam.__file__).resolve().parents[1]))
+    # its own session, so its process group holds the run and every process it forks
+    run = subprocess.Popen(
+        [sys.executable, "-m", "v2vbeam.cli", "report", "--config", str(cfg)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    _, err = run.communicate(timeout=120)
+    assert run.returncode == 0, err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(run.pid, 0)

@@ -1,31 +1,21 @@
+import functools
+import multiprocessing
 import os
-from collections.abc import Sequence
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import v2vbeam
 from v2vbeam import parallel
 from v2vbeam.parallel import ordered_map
 
 needs_pool = pytest.mark.skipif(
     parallel._openblas_threads() is None, reason="the map runs serially without OpenBLAS"
 )
-
-
-class Probe(Sequence):
-    """Items 0 .. n - 1 that record which indices were read."""
-
-    def __init__(self, n):
-        self.n = n
-        self.read = []
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        self.read.append(i)
-        return i
 
 
 def square_and_pid(i):
@@ -44,18 +34,30 @@ def test_empty_and_single_item(cpus):
     assert list(ordered_map(square_and_pid, range(1))) == [(0, os.getpid())]
 
 
+def counted_mib(counter, i):
+    """Item i, its process and 1 MiB, more than a pipe holds; counts every call."""
+    with counter.get_lock():
+        counter.value += 1
+    return i, os.getpid(), bytes(1 << 20)
+
+
+def fork_counter():
+    return multiprocessing.get_context("fork").Value("q", 0)
+
+
 @needs_pool
 @pytest.mark.parametrize("k", [2, 3])
-def test_never_more_than_the_window_outstanding(k, monkeypatch):
+def test_each_worker_holds_at_most_one_unread_result(k, monkeypatch):
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: k)
-    items = Probe(40)
+    counter = fork_counter()
     workers = set()
-    for i, (result, pid) in enumerate(ordered_map(square_and_pid, items)):
-        assert result == i * i
-        # handed out but not yet yielded: items i .. max(read)
-        assert max(items.read) - i + 1 <= 2 * k
+    results = ordered_map(functools.partial(counted_mib, counter), range(40))
+    for i, (item, pid, _) in enumerate(results):
+        assert item == i
+        # items 0 .. i are computed, and each of the k - 1 workers at most one more
+        assert counter.value <= i + 1 + (k - 1)
         workers.add(pid)
-    assert sorted(items.read) == list(range(40))
+    assert counter.value == 40
     assert workers - {os.getpid()}  # the workers computed some items
 
 
@@ -72,13 +74,16 @@ def fail_on_4(i):
 
 
 def test_earliest_failing_item_is_raised(cpus):
+    # item 3 fails in a worker on 2 CPUs and in the caller on 3, item 4 the other way round
     with pytest.raises(ValueError, match="item 3 failed"):
         list(ordered_map(fail_on_3_and_4, range(12)))
+    assert multiprocessing.active_children() == []
     got = []
     with pytest.raises(ValueError, match="item 4 failed"):
         for result in ordered_map(fail_on_4, range(12)):
             got.append(result)
     assert got == [0, 1, 2, 3]
+    assert multiprocessing.active_children() == []
 
 
 @needs_pool
@@ -128,3 +133,81 @@ def test_one_blas_thread_without_openblas(monkeypatch):
     with parallel.one_blas_thread():
         pass
     assert list(ordered_map(square_and_pid, range(3))) == [(i * i, os.getpid()) for i in range(3)]
+
+
+def wait_until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+@needs_pool
+@pytest.mark.parametrize("k", [2, 3])
+def test_no_worker_left_after_close(k, monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: k)
+    counter = fork_counter()
+    results = ordered_map(functools.partial(counted_mib, counter), range(20))
+    assert next(results)[0] == 0
+    # every worker has started its first item, whose 1 MiB then blocks it in send
+    wait_until(lambda: counter.value >= k)
+    results.close()
+    assert multiprocessing.active_children() == []
+
+
+def exit_in_worker(i):
+    if i == 3 and multiprocessing.parent_process() is not None:
+        os._exit(1)  # dies without sending a result
+    return i
+
+
+def hung(signum, frame):
+    raise TimeoutError("the map hung on a dead worker")
+
+
+@needs_pool
+def test_a_dead_worker_fails_the_map(monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(EOFError):
+            list(ordered_map(exit_in_worker, range(10)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+# starts a map of 1 MiB results on 3 processes, prints the workers' pids and waits
+KILLED_CALLER = """
+import multiprocessing, sys
+from v2vbeam import parallel
+parallel._usable_cpus = lambda: 3
+results = parallel.ordered_map(bytes, [1 << 20] * 20)
+next(results)
+print(*(worker.pid for worker in multiprocessing.active_children()), flush=True)
+sys.stdin.read()
+"""
+
+
+def exited(pid):
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"  # not reaped yet
+    except FileNotFoundError:
+        return True
+
+
+@needs_pool
+def test_workers_exit_when_the_caller_is_killed():
+    env = dict(os.environ, PYTHONPATH=str(Path(v2vbeam.__file__).resolve().parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-c", KILLED_CALLER], env=env, text=True,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    ) as caller:
+        pids = [int(pid) for pid in caller.stdout.readline().split()]
+        caller.kill()
+    assert len(pids) == 2
+    # blocked sending, each worker finds no reader left once the caller is gone
+    wait_until(lambda: all(exited(pid) for pid in pids))
