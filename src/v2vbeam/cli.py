@@ -30,7 +30,6 @@ from .errors import load_json as _load_json
 from .evalmetrics import write_report_csv, write_report_json, write_report_svg
 from .experiment import (
     ExperimentConfig,
-    ModelOptions,
     baseline_stage,
     check_codebook_compatible,
     fit_split_normalization,
@@ -44,7 +43,7 @@ from .experiment import (
 )
 from .fingerprint import save_database
 from .ingest import parse_dataset, write_dataset
-from .neuralbeam import input_length_for_mode, load_checkpoint, save_checkpoint, write_history
+from .neuralbeam import load_checkpoint, save_checkpoint, write_history
 from .parallel import one_blas_thread
 from .synthchan import generate_scenario, scenario_from_json
 
@@ -94,10 +93,11 @@ _FLAGS = {
 def cmd_generate(args) -> int:
     doc = read_object(_load_json(Path(args.config)), "")
     dataset_doc = read_object(doc.get("dataset", {}), "dataset")
-    traj, arr, ch, codebook_size = scenario_from_json(dataset_doc.get("synthetic", doc))
+    scenario = scenario_from_json(dataset_doc.get("synthetic", doc))
     if args.seed is not None:
-        ch = dataclasses.replace(ch, seed=args.seed)
-    dataset = generate_scenario(traj, arr, ch, codebook_size)
+        channel = dataclasses.replace(scenario.channel, seed=args.seed)
+        scenario = dataclasses.replace(scenario, channel=channel)
+    dataset = generate_scenario(scenario)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(dataset, out)
@@ -110,13 +110,10 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return config.out_dir
 
 
-def _save_model(config, suffix, run_seed, spec, norm, params, history):
+def _save_model(config, suffix, model, history):
     """Write ``checkpoint<suffix>.json`` and ``history<suffix>.csv``; return both paths."""
     out_dir = _out_dir(config)
-    ckpt = save_checkpoint(
-        out_dir / f"checkpoint{suffix}.json", params, spec, norm, run_seed,
-        input_mode=config.model.input_mode,
-    )
+    ckpt = save_checkpoint(out_dir / f"checkpoint{suffix}.json", model)
     return ckpt, write_history(history, out_dir / f"history{suffix}.csv")
 
 
@@ -143,7 +140,7 @@ def cmd_train(args) -> int:
     dataset = resolve_dataset(config)
     train_rows, val_rows, _ = split_stage(dataset, config, config.seed, scored=False)
     fit = fit_stage(dataset, train_rows, val_rows, config, config.seed)
-    ckpt, hist = _save_model(config, "", config.seed, *fit)
+    ckpt, hist = _save_model(config, "", *fit)
     print(f"trained on {len(dataset.t[train_rows])} samples for {config.training.epochs} epochs")
     print(f"checkpoint: {ckpt}")
     print(f"history: {hist}")
@@ -170,20 +167,15 @@ def cmd_eval(args) -> int:
     data_path = Path(args.dataset)
     if not data_path.exists():
         raise FileNotFoundError(f"dataset file not found: {data_path}")
-    params, spec, norm, meta = load_checkpoint(ckpt_path)
-    # the layer spec comes from the checkpoint; of the model options only the input mode is used
-    model = ModelOptions(input_mode=meta["input_mode"])
-    config = _apply_overrides(
-        ExperimentConfig(seed=meta["seed"], dataset_csv=data_path, model=model), args
-    )
-    if input_length_for_mode(model.input_mode) != spec.in_length:
-        raise ConfigError("input_mode", f"{model.input_mode!r} does not fit spec.in_length")
+    # the layer spec, normalization and input mode all come from the checkpoint
+    model = load_checkpoint(ckpt_path)
+    config = _apply_overrides(ExperimentConfig(seed=model.seed, dataset_csv=data_path), args)
     dataset = parse_dataset(data_path)
-    check_codebook_compatible(spec, dataset)
+    check_codebook_compatible(model.spec, dataset)
     train_rows, val_rows, test_rows = split_stage(dataset, config, config.seed)
-    database = baseline_stage(dataset, train_rows, val_rows, norm, config)
+    database = baseline_stage(dataset, train_rows, val_rows, model.norm, config)
     # one deterministic pass; its stddev column reads 0.0, as for a one-repeat report
-    rows = report_rows([score_stage(spec, norm, params, database, dataset, test_rows, config)])
+    rows = report_rows([score_stage(model, database, dataset, test_rows, config)])
     n_test = len(dataset.t[test_rows])
     meta_out = {
         "seed": config.seed,
@@ -205,8 +197,8 @@ def cmd_report(args) -> int:
         write_dataset(dataset, out_dir / "dataset.csv")
     written = set()
     for run in result.runs:
-        tag = f"_r{run.run_seed - config.seed}"
-        paths = _save_model(config, tag, run.run_seed, run.spec, run.norm, run.params, run.history)
+        tag = f"_r{run.model.seed - config.seed}"
+        paths = _save_model(config, tag, run.model, run.history)
         paths += (save_database(run.database, out_dir / f"fingerprint_db{tag}.json"),)
         written.update(paths)
     meta = {

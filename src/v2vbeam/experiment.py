@@ -1,13 +1,13 @@
 """End-to-end experiment pipeline shared by the CLI subcommands.
 
 One experiment resolves a dataset (CSV or synthetic scenario) and runs its
-repeats, aggregated into mean/stddev rows. A repeat (``single_run``) is four
-stages, each defined only here:
+repeats, aggregated into mean/stddev rows; a synthetic one holds its parsed
+``ScenarioConfig``. A repeat (``single_run``) is four stages, each defined only here:
 
 1. ``split_stage``: cut train/validation/test row selectors with the repeat's seed;
-2. ``fit_stage``: build the layer spec, fit normalization, train the model;
+2. ``fit_stage``: build the layer spec, fit normalization, train a ``TrainedModel``;
 3. ``baseline_stage``: build the fingerprint database on train+validation;
-4. ``score_stage``: score both predictors on the held-out test part.
+4. ``score_stage``: score the model and the baseline on the held-out test part.
 
 Each stage reads only the columns it uses, through the selectors; the test
 part is the only one that a repeat gathers.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (
     CodebookMismatchError, ConfigError, DegenerateRangeError, config_section, load_json,
-    read_fields, read_object,
+    read_fields, read_object, read_value,
 )
 from .evalmetrics import (
     EvaluationReport,
@@ -54,7 +54,7 @@ from .neuralbeam import (
     ConvBlockSpec,
     EpochRecord,
     LayerSpec,
-    ModelParams,
+    TrainedModel,
     TrainingConfig,
     dataset_features,
     input_length_for_mode,
@@ -62,7 +62,7 @@ from .neuralbeam import (
     train,
 )
 from .parallel import ordered_map
-from .synthchan import generate_scenario, scenario_from_json
+from .synthchan import ScenarioConfig, generate_scenario, scenario_from_json
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +89,7 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: Path = Path("out")
     dataset_csv: Path | None = None
-    synthetic: dict | None = None
+    synthetic: ScenarioConfig | None = None
     train_frac: float = 0.6
     val_frac: float = 0.2
     test_frac: float = 0.2
@@ -121,8 +121,6 @@ class ExperimentConfig:
             BinGrid.unit_square(self.bins_per_axis)
         with config_section("model", ModelOptions):
             build_layer_spec(self.model, 1)
-        if self.synthetic is not None:
-            scenario_from_json(self.synthetic)
 
 
 def experiment_config_from_json(doc: dict) -> ExperimentConfig:
@@ -130,7 +128,8 @@ def experiment_config_from_json(doc: dict) -> ExperimentConfig:
 
     Each section's fields are read by ``errors.read_fields`` as their declared
     types, and a field left out takes its dataclass default. ``model`` and
-    ``training`` are dataclass fields, read as nested sections.
+    ``training`` are dataclass fields, read as nested sections. ``scenario_from_json``
+    reads ``synthetic``, so its errors name a field as in a scenario file.
     """
     read = functools.partial(read_fields, ExperimentConfig)
     doc = dict(read_object(doc, ""))
@@ -138,9 +137,13 @@ def experiment_config_from_json(doc: dict) -> ExperimentConfig:
     fields = read(
         doc, "", "seed", "out_dir", "model", "training", "m_values", "repeats", "emit_svg"
     )
-    fields |= read(dataset, "dataset", dataset_csv="csv", synthetic="synthetic")
+    dataset = dict(read_object(dataset, "dataset"))
+    synthetic, scenario = "synthetic" in dataset, dataset.pop("synthetic", None)
+    fields |= read(dataset, "dataset", dataset_csv="csv")
     fields |= read(split, "split", "train_frac", "val_frac", "test_frac", split_mode="mode")
     fields |= read(baseline, "baseline", "bins_per_axis")
+    if synthetic:
+        fields["synthetic"] = scenario_from_json(read_value(scenario, dict, "dataset.synthetic"))
     return ExperimentConfig(**fields)
 
 
@@ -154,8 +157,7 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
         if not config.dataset_csv.exists():
             raise FileNotFoundError(f"dataset file not found: {config.dataset_csv}")
         return parse_dataset(config.dataset_csv)
-    traj, arr, ch, codebook_size = scenario_from_json(config.synthetic)
-    return generate_scenario(traj, arr, ch, codebook_size)
+    return generate_scenario(config.synthetic)
 
 
 def build_layer_spec(options: ModelOptions, classes: int) -> LayerSpec:
@@ -196,10 +198,7 @@ def fit_split_normalization(dataset: Dataset, rows: Rows, input_mode: str) -> No
 class RunResult:
     """Artifacts of one repeat, in the order its stages make them."""
 
-    run_seed: int
-    spec: LayerSpec
-    norm: NormalizationParams
-    params: ModelParams
+    model: TrainedModel
     history: list[EpochRecord]
     database: FingerprintDatabase
     model_report: EvaluationReport
@@ -232,9 +231,9 @@ def split_stage(
 
 def fit_stage(
     dataset: Dataset, train_rows: Rows, val_rows: Rows, config: ExperimentConfig, run_seed: int
-) -> tuple[LayerSpec, NormalizationParams, ModelParams, list[EpochRecord]]:
-    """Stage 2: the layer spec, the training part's normalization and the trained model,
-    from the fixes and labels of the training and validation rows alone."""
+) -> tuple[TrainedModel, list[EpochRecord]]:
+    """Stage 2: the model trained with the training part's normalization, and its
+    history, from the fixes and labels of the training and validation rows alone."""
     spec = build_layer_spec(config.model, dataset.codebook_size)
     mode = config.model.input_mode
     norm = fit_split_normalization(dataset, train_rows, mode)
@@ -244,7 +243,7 @@ def fit_stage(
         x_train, dataset.best[train_rows], x_val, dataset.best[val_rows],
         spec, config.training, run_seed,
     )
-    return spec, norm, params, history
+    return TrainedModel(params, norm, mode, run_seed), history
 
 
 def baseline_stage(
@@ -264,16 +263,16 @@ def baseline_stage(
 
 
 def score_stage(
-    spec: LayerSpec, norm: NormalizationParams, params: ModelParams,
-    database: FingerprintDatabase, dataset: Dataset, test_rows: Rows, config: ExperimentConfig,
+    model: TrainedModel, database: FingerprintDatabase, dataset: Dataset, test_rows: Rows,
+    config: ExperimentConfig,
 ) -> tuple[EvaluationReport, EvaluationReport]:
     """Stage 4: the model's and the baseline's reports on the test part, the one
     part that a repeat gathers (a view in sequential mode)."""
     test_ds = dataset.rows(test_rows)
     m_max = max(config.m_values)
-    x_test = dataset_features(test_ds, norm, config.model.input_mode)
-    model_preds = predict_top_m_batch(params, spec, x_test, m_max)
-    baseline_preds = evaluate_baseline(database, test_ds, norm, m_max)
+    x_test = dataset_features(test_ds, model.norm, model.input_mode)
+    model_preds = predict_top_m_batch(model.params, model.spec, x_test, m_max)
+    baseline_preds = evaluate_baseline(database, test_ds, model.norm, m_max)
     return build_report(model_preds, baseline_preds, test_ds, config.m_values)
 
 
@@ -286,10 +285,10 @@ def report_rows(reports: list[tuple[EvaluationReport, ...]]) -> list[ReportRow]:
 def single_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
     """One repeat: the four stages, all with ``run_seed``."""
     train_rows, val_rows, test_rows = split_stage(dataset, config, run_seed)
-    spec, norm, params, history = fit_stage(dataset, train_rows, val_rows, config, run_seed)
-    database = baseline_stage(dataset, train_rows, val_rows, norm, config)
-    reports = score_stage(spec, norm, params, database, dataset, test_rows, config)
-    return RunResult(run_seed, spec, norm, params, history, database, *reports)
+    model, history = fit_stage(dataset, train_rows, val_rows, config, run_seed)
+    database = baseline_stage(dataset, train_rows, val_rows, model.norm, config)
+    reports = score_stage(model, database, dataset, test_rows, config)
+    return RunResult(model, history, database, *reports)
 
 
 @dataclass(frozen=True)

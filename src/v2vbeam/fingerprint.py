@@ -91,8 +91,9 @@ def build_database(
 
     Sums are Kahan-compensated so the result is permutation-invariant to well
     below 1e-12 relative error. Each bin adds its rows in the order of
-    ``rows``; the bins advance together, one vectorised Kahan step per
-    within-bin rank, which gathers that rank's power rows from the dataset.
+    ``rows``. The bins, held by descending count, advance together: the step of
+    within-bin rank k gathers the k-th rows of the leading bins that have one into
+    a reused buffer, and updates those bins' sums and compensations in place.
     """
     index = np.arange(len(dataset))[rows]
     if len(index) == 0:
@@ -103,20 +104,25 @@ def build_database(
     )
     # dataset rows grouped by bin, in the order of ``rows`` within each bin
     grouped = index[np.argsort(bin_of_row.ravel(), kind="stable")]
-    starts = np.cumsum(counts) - counts
+    order = np.argsort(-counts, kind="stable")
+    starts = (np.cumsum(counts) - counts)[order]
     sums = np.zeros((len(counts), dataset.codebook_size))
-    comps = np.zeros_like(sums)
+    comps, buf = np.zeros_like(sums), np.empty_like(sums)
     for k in range(int(counts.max())):
-        b = np.flatnonzero(counts > k)  # the bins that have a k-th row
-        s, c = sums[b], comps[b]
-        y = dataset.powers[grouped[starts[b] + k]] - c
-        t = s + y
-        comps[b] = (t - s) - y
-        sums[b] = t
-    means = sums / counts[:, None]
+        n = np.count_nonzero(counts > k)  # the bins that have a k-th row
+        s, c, y = sums[:n], comps[:n], buf[:n]
+        # "clip" lets take write straight into y; every index is in range
+        np.take(dataset.powers, grouped[starts[:n] + k], axis=0, out=y, mode="clip")
+        y -= c  # y = x - c
+        c[...] = s  # c keeps s while s becomes t
+        s += y  # t = s + y
+        np.subtract(s, c, out=c)
+        c -= y  # c = (t - s) - y
+    sums /= counts[order, None]  # the means, by descending count
+    rank = np.argsort(order)  # each bin's row of ``sums``
     bins = {
-        tuple(key): BinStats(count=count, mean_power=mean)
-        for key, count, mean in zip(bin_keys.tolist(), counts.tolist(), means)
+        tuple(key): BinStats(count=count, mean_power=sums[r])
+        for key, count, r in zip(bin_keys.tolist(), counts.tolist(), rank.tolist())
     }
     return FingerprintDatabase(grid=grid, codebook_size=dataset.codebook_size, bins=bins)
 

@@ -7,11 +7,12 @@ conventional ladder that keeps a length-2 input valid through all blocks.
 
 A ``ModelParams`` is laid out from its spec alone: :func:`tensor_shapes`
 names, shapes and orders the tensors, and each is a view into one float64
-vector, ``flat``. :func:`init_params` and :func:`load_checkpoint` write into
-the views of a fresh ``ModelParams``, and :func:`backward` into those of the
-gradient buffer that training reuses every step, so the gradients share the
-parameters' layout and the optimizer updates all parameters with a few
-whole-vector operations.
+vector, ``flat``. :func:`init_params` and :func:`load_checkpoint` concatenate
+their tensors into a fresh ``flat``, and :func:`backward` writes into the views
+of the gradient buffer that training reuses every step, so the gradients share
+the parameters' layout and the optimizer updates all parameters with a few
+whole-vector operations. A ``TrainedModel`` (parameters, normalization, input
+mode and run seed) is what training makes, a checkpoint holds and scoring takes.
 
 Prediction works on whole batches: :func:`predict_top_m_batch` ranks the
 rows into an (n, M) integer array of beam indices, best first, the candidate
@@ -160,10 +161,31 @@ def init_params(spec: LayerSpec, rng: np.random.Generator) -> ModelParams:
             bound = 1.0 / np.sqrt(math.prod(shape[1:]))
         arrays.append(rng.uniform(-bound, bound, shape))
     # the vector is allocated after the draws, as in load_checkpoint (report: 0.4 MB)
-    params = ModelParams(spec)
-    for view, arr in zip(params.arrays(), arrays):
-        view[...] = arr
-    return params
+    return ModelParams(spec, np.concatenate([a.ravel() for a in arrays]))
+
+
+INPUT_MODES = ("tx", "both")
+
+
+def input_length_for_mode(input_mode: str) -> int:
+    """Model input length: 2 for the transmitter position, 4 for both ends."""
+    if input_mode not in INPUT_MODES:
+        raise ValueError(f"input_mode must be one of {INPUT_MODES}")
+    return 2 if input_mode == "tx" else 4
+
+
+@dataclass(frozen=True)
+class TrainedModel:
+    """A trained classifier with the input scaling, input mode and run seed it was trained with."""
+
+    params: ModelParams
+    norm: NormalizationParams
+    input_mode: str
+    seed: int
+
+    @property
+    def spec(self) -> LayerSpec:
+        return self.params.spec
 
 
 def _check_input(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
@@ -297,24 +319,22 @@ class _Checkpoint:
     tensors: dict
     input_mode: str = "tx"
 
+    def __post_init__(self):
+        if input_length_for_mode(self.input_mode) != self.spec.in_length:
+            raise ValueError(f"input_mode {self.input_mode!r} does not fit spec.in_length")
 
-def save_checkpoint(
-    path: str | Path,
-    params: ModelParams,
-    spec: LayerSpec,
-    norm: NormalizationParams,
-    seed: int,
-    input_mode: str = "tx",
-) -> Path:
-    """Single JSON document: version, spec, normalization, seed, all tensors.
+
+def save_checkpoint(path: str | Path, model: TrainedModel) -> Path:
+    """Single JSON document: version, spec, normalization, seed, input mode, all tensors.
 
     The bytes are those of ``json.dumps(doc, sort_keys=True)``. Each tensor is
     written a block of values at a time through ``floatrepr.format_floats``
     (``_write_tensor``), so the text of only one block is held at once.
     """
-    doc = dataclasses.asdict(_Checkpoint(CHECKPOINT_VERSION, seed, spec, norm, {}, input_mode))
+    ckpt = _Checkpoint(CHECKPOINT_VERSION, model.seed, model.spec, model.norm, {}, model.input_mode)
+    doc = dataclasses.asdict(ckpt)
     head, _, tail = json.dumps(doc, sort_keys=True).partition('"tensors": {}')
-    tensors = sorted(params.named_arrays(), key=lambda item: item[0])
+    tensors = sorted(model.params.named_arrays(), key=lambda item: item[0])
     path = Path(path)
     with path.open("wb") as out:
         out.write(f'{head}"tensors": {{'.encode("utf-8"))
@@ -354,13 +374,12 @@ def _tensor_text(block: np.ndarray, start: int, sizes: np.ndarray, joins: list) 
     return text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
 
 
-def load_checkpoint(
-    path: str | Path,
-) -> tuple[ModelParams, LayerSpec, NormalizationParams, dict]:
-    """The params, spec, normalization and {"seed", "input_mode"} of a checkpoint.
+def load_checkpoint(path: str | Path) -> TrainedModel:
+    """The model a checkpoint holds.
 
     A version other than CHECKPOINT_VERSION is a ValueError; a malformed field,
-    or a tensor whose name or shape the spec does not give, a ConfigError.
+    an input mode that is unknown or does not fit the spec's input length, or a
+    tensor whose name or shape the spec does not give, a ConfigError.
     """
     doc = read_object(load_json(path), "")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -378,8 +397,5 @@ def load_checkpoint(
     if tensors:
         raise ConfigError(f"tensors.{next(iter(tensors))}", "no such tensor")
     # the vector is allocated after the reads: before them, eval's peak memory read 0.5 MB higher
-    params = ModelParams(ckpt.spec)
-    for view, arr in zip(params.arrays(), arrays):
-        view[...] = arr
-    meta = {"seed": ckpt.seed, "input_mode": ckpt.input_mode}
-    return params, ckpt.spec, ckpt.normalization, meta
+    params = ModelParams(ckpt.spec, np.concatenate([a.ravel() for a in arrays], dtype=np.float64))
+    return TrainedModel(params, ckpt.normalization, ckpt.input_mode, ckpt.seed)

@@ -16,21 +16,12 @@ from .model import (
     ModelParams,
     backward,
     init_params,
+    input_length_for_mode,
     score_chunks,
 )
 from .optim import AdamState, TrainingConfig, adam_step
 
 log = logging.getLogger(__name__)
-
-INPUT_MODES = ("tx", "both")
-
-
-def input_length_for_mode(input_mode: str) -> int:
-    """Model input length: 2 for the transmitter position, 4 for both ends."""
-    if input_mode not in INPUT_MODES:
-        raise ValueError(f"input_mode must be one of {INPUT_MODES}")
-    return 2 if input_mode == "tx" else 4
-
 
 def dataset_features(
     ds: Dataset, norm: NormalizationParams, input_mode: str = "tx", rows: Rows = slice(None)

@@ -13,8 +13,9 @@ draw whose mean is noise_power.
 The plain transpose product (no conjugation) keeps the matched beam at grid
 frequency psi ~= sin(theta) for half-wavelength spacing.
 
-Scenarios move a transmitter and receiver along planar waypoint paths anchored
-at a GPS origin, and record one sample per period in the ingest CSV schema.
+A scenario (one ``ScenarioConfig``, as ``scenario_from_json`` reads it) moves a
+transmitter and receiver along planar waypoint paths anchored at a GPS origin;
+``generate_scenario`` records one sample per period in the ingest CSV schema.
 Samples are synthesised in chunks of rows on the usable CPUs
 (``parallel.ordered_map``), each chunk straight into dataset columns that the
 pool's processes share (``ingest._shared_columns``). Within a chunk, each
@@ -307,38 +308,28 @@ def _wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-def generate_scenario(
-    traj: TrajectoryConfig,
-    arr: ArrayConfig,
-    ch: SyntheticChannelConfig,
-    codebook_size: int = DEFAULT_CODEBOOK_SIZE,
-) -> Dataset:
+def generate_scenario(scenario: ScenarioConfig) -> Dataset:
     """Simulate one drive: a sample per period with positions, powers, and label.
 
     The transmitter must stay in the receiver's front half-plane; the angle is
     measured from the array boresight. Sample i draws its noise from
-    ``SeedSequence(ch.seed, spawn_key=(i,))``, the i-th spawned substream of
-    ``ch.seed``, so output is deterministic and independent of evaluation
+    ``SeedSequence(seed, spawn_key=(i,))``, the i-th spawned substream of the
+    channel's ``seed``, so output is deterministic and independent of evaluation
     order. A chunk computes its samples' PCG64 states at once with numpy's
     seeding algorithms, which NEP 19 keeps stable and a test checks against
     numpy, and one reused generator draws from each state. Rows are
     synthesised in chunks on the usable CPUs, straight into columns the pool's
     processes share, so no rows come back through the pool.
     """
-    cb = dft_codebook(arr, codebook_size)
-    columns = _shared_columns(traj.n_samples, codebook_size)
-    synthesize = functools.partial(_synthesize, traj, arr, cb, ch, columns)
-    list(ordered_map(synthesize, range(0, traj.n_samples, _CHUNK_ROWS)))
+    cb = dft_codebook(scenario.array, scenario.codebook_size)
+    columns = _shared_columns(scenario.trajectory.n_samples, scenario.codebook_size)
+    synthesize = functools.partial(_synthesize, scenario, cb, columns)
+    list(ordered_map(synthesize, range(0, scenario.trajectory.n_samples, _CHUNK_ROWS)))
     return Dataset(*columns)
 
 
 def _synthesize(
-    traj: TrajectoryConfig,
-    arr: ArrayConfig,
-    cb: Codebook,
-    ch: SyntheticChannelConfig,
-    columns: tuple[np.ndarray, ...],
-    start: int,
+    scenario: ScenarioConfig, cb: Codebook, columns: tuple[np.ndarray, ...], start: int
 ) -> None:
     """Write samples start .. start + _CHUNK_ROWS - 1 (or to the last) into the t,
     tx, rx, powers and best ``columns``, which a pool worker shares with its caller.
@@ -347,6 +338,7 @@ def _synthesize(
     for one sample alone; only the array responses, gains and noise states are
     computed for the whole chunk.
     """
+    traj, ch = scenario.trajectory, scenario.channel
     t, tx_geo, rx_geo, powers, best = (column[start : start + _CHUNK_ROWS] for column in columns)
     rows = []  # t, tx lat, tx lon, rx lat, rx lon, sin(theta), power scale
     for i in range(start, start + len(t)):
@@ -369,7 +361,7 @@ def _synthesize(
         ))
     values = np.array(rows)
     t[:], tx_geo[:], rx_geo[:] = values[:, 0], values[:, 1:3], values[:, 3:5]
-    powers[:] = values[:, 6:] * _gains(cb, _array_responses(arr, values[:, 5]))
+    powers[:] = values[:, 6:] * _gains(cb, _array_responses(scenario.array, values[:, 5]))
     if ch.noise_power > 0.0:
         sigma = ch.noise_power * math.sqrt(math.pi / 2.0)
         bitgen = np.random.PCG64(0)  # every row sets its own state
@@ -439,8 +431,8 @@ def _pcg64_states(seed: int, keys: np.ndarray) -> Iterator[dict[str, int]]:
         yield {"state": ((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, "inc": inc}
 
 
-def scenario_from_json(doc: dict) -> tuple[TrajectoryConfig, ArrayConfig, SyntheticChannelConfig, int]:
-    """Build scenario configs from a JSON document.
+def scenario_from_json(doc: dict) -> ScenarioConfig:
+    """The scenario of a JSON document.
 
     The fields of ``ScenarioConfig`` and of each of its sections are read by
     ``errors.read_config`` as their declared types, and a field left out takes
@@ -455,5 +447,4 @@ def scenario_from_json(doc: dict) -> tuple[TrajectoryConfig, ArrayConfig, Synthe
         lat_deg="lat", lon_deg="lon",
     )
     traj = read_config(TrajectoryConfig, traj_doc, "trajectory", origin=GeoPosition(**origin))
-    scenario = read_config(ScenarioConfig, doc, "", trajectory=traj)
-    return traj, scenario.array, scenario.channel, scenario.codebook_size
+    return read_config(ScenarioConfig, doc, "", trajectory=traj)

@@ -618,7 +618,7 @@ DELETED = object()
         (("tensors", "conv0.bias"), [[0.5]] * 7 + [0.5], "tensors.conv0.bias"),
         # both used to fail only after the dataset was parsed
         (("input_mode",), "both", "input_mode"),
-        (("input_mode",), "laser", "model.input_mode"),
+        (("input_mode",), "laser", "input_mode"),
     ],
     ids=[
         "string-kernel", "null-lat-min", "list-root", "unknown-spec-key", "float-in-length",

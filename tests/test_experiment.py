@@ -132,6 +132,36 @@ class TestConfigParsing:
             experiment_config_from_json(tiny_config(**overrides))
         assert exc.value.field == field
 
+    def test_a_synthetic_config_parses_its_scenario_once(self, monkeypatch):
+        docs = []
+
+        def counting(doc):
+            docs.append(doc)
+            return scenario_from_json(doc)
+
+        monkeypatch.setattr(experiment, "scenario_from_json", counting)
+        cfg = experiment_config_from_json(tiny_config())
+        assert len(resolve_dataset(cfg)) == 640
+        assert docs == [TINY_SCENARIO]
+        assert cfg.synthetic == scenario_from_json(TINY_SCENARIO)
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            (
+                dict(TINY_SCENARIO, trajectory=dict(TINY_SCENARIO["trajectory"], duration=-1.0)),
+                "config field 'trajectory.duration': must be finite and > 0, got -1.0",
+            ),
+            (5, "config field 'dataset.synthetic': expected dict, got 5"),
+            (None, "config field 'dataset.synthetic': expected dict, got None"),
+        ],
+        ids=["negative-duration", "number", "null"],
+    )
+    def test_malformed_scenario_message(self, scenario, message):
+        with pytest.raises(ConfigError) as exc:
+            experiment_config_from_json(tiny_config(dataset={"synthetic": scenario}))
+        assert str(exc.value) == message
+
     def test_integer_literal_in_float_field_reads_as_float(self):
         cfg = experiment_config_from_json(tiny_config(training={"learning_rate": 1, "epochs": 2}))
         assert cfg.training.learning_rate == 1.0 and type(cfg.training.learning_rate) is float
@@ -145,9 +175,9 @@ def test_readme_config_examples_load():
     )
     cfg = experiment_config_from_json(experiment_doc)
     assert cfg.dataset_csv == Path("data.csv") and cfg.repeats == 5 and cfg.emit_svg
-    traj, arr, ch, codebook_size = scenario_from_json(scenario_doc)
-    assert traj.duration == 2000.0 and arr.n_elements == 16 and ch.seed == 77
-    assert codebook_size == 64
+    scenario = scenario_from_json(scenario_doc)
+    assert scenario.trajectory.duration == 2000.0 and scenario.array.n_elements == 16
+    assert scenario.channel.seed == 77 and scenario.codebook_size == 64
 
 
 class TestResolveDataset:
@@ -227,8 +257,8 @@ class TestRunExperiment:
         ds = resolve_dataset(cfg)
         result = run_experiment(ds, cfg)
         assert len(result.runs) == 2
-        assert result.runs[0].run_seed == 3
-        assert result.runs[1].run_seed == 4
+        assert result.runs[0].model.seed == 3
+        assert result.runs[1].model.seed == 4
         predictors = {r.predictor for r in result.rows}
         assert predictors == {"model", "baseline"}
         # 2 predictors x 3 metric series x 2 m_values
@@ -271,12 +301,12 @@ class TestParallelRepeats:
             results.append(run_experiment(ds, cfg))
         serial, pooled = results
         assert pooled.rows == serial.rows
-        assert [run.run_seed for run in pooled.runs] == [3, 4, 5]
+        assert [run.model.seed for run in pooled.runs] == [3, 4, 5]
         for a, b in zip(serial.runs, pooled.runs):
-            assert a.run_seed == b.run_seed
+            assert a.model.seed == b.model.seed
             assert a.history == b.history
-            assert [w.tobytes() for w in a.params.arrays()] == [
-                w.tobytes() for w in b.params.arrays()
+            assert [w.tobytes() for w in a.model.params.arrays()] == [
+                w.tobytes() for w in b.model.params.arrays()
             ]
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,26 @@ class TestBuildDatabase:
         for key in fwd.bins:
             a, b = fwd.bins[key].mean_power, rev.bins[key].mean_power
             assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), 1.0))
+
+    def test_heap_peak_near_the_sums(self):
+        # a drive north with a random lateral spread: 3,200 rows of 256 powers in 209
+        # bins of a 16 x 16 grid, so one (bins x beams) array of sums is 0.43 MB
+        n = 3200
+        lon = 0.5 + 0.146 * np.random.default_rng(0).normal(size=n)
+        tx = np.column_stack([np.arange(n) / n, lon])
+        ds = make_dataset(np.random.default_rng(1).uniform(0.0, 1.0, (n, 256)), tx=tx)
+        grid = BinGrid.unit_square(16)
+        build_database(ds, grid, NORM)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            db = build_database(ds, grid, NORM)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(db) == 209
+        # the sums, their compensations and one gather buffer (3.5 times the sums);
+        # gathering and scattering each bin rank's rows peaked at 8 times the sums
+        assert peak < 4.5 * len(db) * ds.codebook_size * 8
 
 
 class TestQueryCandidates:

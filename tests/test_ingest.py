@@ -135,6 +135,7 @@ class TestParseWrite:
 
         from v2vbeam.synthchan import (
             ArrayConfig,
+            ScenarioConfig,
             SyntheticChannelConfig,
             TrajectoryConfig,
             generate_scenario,
@@ -149,7 +150,7 @@ class TestParseWrite:
             rx_heading=math.pi / 2,
         )
         ds = generate_scenario(
-            traj, ArrayConfig(), SyntheticChannelConfig(noise_power=1e-4, seed=8)
+            ScenarioConfig(traj, ArrayConfig(), SyntheticChannelConfig(noise_power=1e-4, seed=8))
         )
         path = write_dataset(ds, tmp_path / "scenario.csv")
         assert parse_dataset(path) == ds
@@ -379,6 +380,7 @@ def block_rows(request, monkeypatch):
 def scenario_dataset(n_seconds=1.2):
     from v2vbeam.synthchan import (
         ArrayConfig,
+        ScenarioConfig,
         SyntheticChannelConfig,
         TrajectoryConfig,
         generate_scenario,
@@ -393,7 +395,7 @@ def scenario_dataset(n_seconds=1.2):
         rx_heading=math.pi / 2,
     )
     return generate_scenario(
-        traj, ArrayConfig(), SyntheticChannelConfig(noise_power=1e-4, seed=8)
+        ScenarioConfig(traj, ArrayConfig(), SyntheticChannelConfig(noise_power=1e-4, seed=8))
     )
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from v2vbeam.errors import ShapeMismatchError
+from v2vbeam.errors import ConfigError, ShapeMismatchError
 from v2vbeam.geodata import NormalizationParams
 from v2vbeam.neuralbeam import model
 from v2vbeam.neuralbeam.layers import cross_entropy_batch, softmax
@@ -13,6 +13,7 @@ from v2vbeam.neuralbeam.model import (
     ConvBlockSpec,
     LayerSpec,
     ModelParams,
+    TrainedModel,
     backward,
     forward_batch,
     init_params,
@@ -371,13 +372,37 @@ class TestCheckpoint:
         spec = SMALL
         params = init_params(spec, np.random.default_rng(14))
         norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
-        path = save_checkpoint(tmp_path / "ckpt.json", params, spec, norm, seed=99)
-        loaded_params, loaded_spec, loaded_norm, meta = load_checkpoint(path)
-        assert loaded_spec == spec
-        assert loaded_norm == norm
-        assert meta["seed"] == 99
-        for a, b in zip(params.arrays(), loaded_params.arrays()):
+        path = save_checkpoint(tmp_path / "ckpt.json", TrainedModel(params, norm, "both", 99))
+        loaded = load_checkpoint(path)
+        assert loaded.spec == spec
+        assert loaded.norm == norm
+        assert (loaded.input_mode, loaded.seed) == ("both", 99)
+        for a, b in zip(params.arrays(), loaded.params.arrays()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode, reason", [
+        ("both", "'both' does not fit spec.in_length"),
+        ("laser", "must be one of ('tx', 'both')"),
+    ])
+    def test_input_mode_checked_against_the_spec(self, tmp_path, mode, reason):
+        # a tx checkpoint (input length 2) edited to another mode
+        params = init_params(LayerSpec(), np.random.default_rng(16))
+        norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
+        path = save_checkpoint(tmp_path / "ckpt.json", TrainedModel(params, norm, "tx", 1))
+        path.write_text(path.read_text().replace('"input_mode": "tx"', f'"input_mode": "{mode}"'))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"config field 'input_mode': {reason}"
+
+    def test_integer_tensors_load_as_floats(self, tmp_path):
+        params = ModelParams(SMALL)
+        params.flat[:] = np.arange(params.flat.size) % 7 - 3.0
+        norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
+        path = save_checkpoint(tmp_path / "ckpt.json", TrainedModel(params, norm, "both", 1))
+        path.write_text(path.read_text().replace(".0", ""))  # every number a JSON integer
+        loaded = load_checkpoint(path)
+        assert loaded.params.flat.dtype == np.float64
+        assert np.array_equal(loaded.params.flat, params.flat)
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -389,8 +414,9 @@ class TestCheckpoint:
         spec = SMALL
         params = init_params(spec, np.random.default_rng(15))
         norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
-        a = save_checkpoint(tmp_path / "a.json", params, spec, norm, seed=1).read_bytes()
-        b = save_checkpoint(tmp_path / "b.json", params, spec, norm, seed=1).read_bytes()
+        trained = TrainedModel(params, norm, "both", 1)
+        a = save_checkpoint(tmp_path / "a.json", trained).read_bytes()
+        b = save_checkpoint(tmp_path / "b.json", trained).read_bytes()
         assert a == b
 
     @staticmethod
@@ -438,7 +464,7 @@ class TestCheckpoint:
         params = init_params(spec, np.random.default_rng(35))
         params.flat[:3] = [-0.0, 1e-310, 0.1]  # a signed zero, a subnormal
         norm = NormalizationParams(33.4201, 33.4205, -111.9309, -111.9291)
-        path = save_checkpoint(tmp_path / "c.json", params, spec, norm, 7, input_mode)
+        path = save_checkpoint(tmp_path / "c.json", TrainedModel(params, norm, input_mode, 7))
         assert path.read_bytes() == self.one_document(params, spec, norm, 7, input_mode)
 
     def test_non_finite_values_written_as_json_dumps(self, tmp_path):
@@ -448,18 +474,19 @@ class TestCheckpoint:
         conv[0, 0, :] = [np.nan, np.inf, -np.inf]
         params.dense_weights[0][3, 5] = np.nan
         norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
-        path = save_checkpoint(tmp_path / "c.json", params, spec, norm, 3)
-        assert path.read_bytes() == self.one_document(params, spec, norm, 3, "tx")
+        path = save_checkpoint(tmp_path / "c.json", TrainedModel(params, norm, "both", 3))
+        assert path.read_bytes() == self.one_document(params, spec, norm, 3, "both")
         assert b"[[NaN, Infinity, -Infinity], [" in path.read_bytes()
 
     def test_default_spec_write_holds_one_row(self, tmp_path):
         spec = LayerSpec()
         params = init_params(spec, np.random.default_rng(36))
         norm = NormalizationParams(33.0, 34.0, -112.0, -111.0)
-        save_checkpoint(tmp_path / "warm.json", params, spec, norm, seed=1)
+        trained = TrainedModel(params, norm, "tx", 1)
+        save_checkpoint(tmp_path / "warm.json", trained)
         tracemalloc.start()
         try:
-            save_checkpoint(tmp_path / "c.json", params, spec, norm, seed=1)
+            save_checkpoint(tmp_path / "c.json", trained)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

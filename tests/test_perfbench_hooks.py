@@ -98,7 +98,7 @@ def test_a_repeat_calls_split_and_build_database_by_the_names_the_tracer_wraps(
     # experiment.build_database: a stage that calls them by another name is untimed
     from v2vbeam import cli, experiment
     from v2vbeam.ingest import write_dataset
-    from v2vbeam.neuralbeam import init_params, save_checkpoint
+    from v2vbeam.neuralbeam import TrainedModel, init_params, save_checkpoint
 
     calls = []
     for name in ("split", "build_database"):
@@ -121,7 +121,7 @@ def test_a_repeat_calls_split_and_build_database_by_the_names_the_tracer_wraps(
 
     spec = experiment.build_layer_spec(config.model, ds.codebook_size)
     norm = fit_normalization(ds.tx)
-    ckpt = save_checkpoint(tmp_path / "ckpt.json", init_params(spec, rng), spec, norm, 1)
+    ckpt = save_checkpoint(tmp_path / "ckpt.json", TrainedModel(init_params(spec, rng), norm, "tx", 1))
     write_dataset(ds, tmp_path / "drive.csv")
     calls.clear()
     argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(tmp_path / "drive.csv"),

@@ -16,6 +16,7 @@ from v2vbeam.errors import (
 from v2vbeam.geodata import GeoPosition
 from v2vbeam.synthchan import (
     ArrayConfig,
+    ScenarioConfig,
     SyntheticChannelConfig,
     TrajectoryConfig,
     array_response,
@@ -137,7 +138,7 @@ class TestInvariants:
             rx_heading=math.pi / 2,
         )
         ch = SyntheticChannelConfig(noise_power=0.001, seed=5)
-        ds = generate_scenario(traj, ARR, ch)
+        ds = generate_scenario(ScenarioConfig(traj, ARR, ch))
         pm = ds.powers
         assert np.all(np.isfinite(pm)) and np.all(pm >= 0)
 
@@ -156,33 +157,34 @@ class TestGenerateScenario:
         return TrajectoryConfig(**defaults)
 
     def test_sample_count(self):
-        ds = generate_scenario(self._traj(), ARR, SyntheticChannelConfig())
+        ds = generate_scenario(ScenarioConfig(self._traj(), ARR, SyntheticChannelConfig()))
         assert len(ds) == 10
         assert ds.t.tolist() == [i * 0.1 for i in range(10)]
 
     def test_stationary_broadside_always_beam_32(self):
-        ds = generate_scenario(self._traj(), ARR, SyntheticChannelConfig(noise_power=0.0))
+        quiet = SyntheticChannelConfig(noise_power=0.0)
+        ds = generate_scenario(ScenarioConfig(self._traj(), ARR, quiet))
         assert ds.best.tolist() == [32] * 10
 
     def test_deterministic_under_seed(self):
         traj = self._traj(tx_waypoints=((-10.0, 30.0), (10.0, 30.0)))
         ch = SyntheticChannelConfig(noise_power=0.01, seed=9)
-        a = generate_scenario(traj, ARR, ch)
-        b = generate_scenario(traj, ARR, ch)
+        a = generate_scenario(ScenarioConfig(traj, ARR, ch))
+        b = generate_scenario(ScenarioConfig(traj, ARR, ch))
         assert a == b
 
     def test_noise_mean_matches_noise_power(self):
         noisy = SyntheticChannelConfig(n_subcarriers=1, tx_power=0.0, noise_power=0.5, seed=3)
-        ds = generate_scenario(self._traj(duration=20.0), ARR, noisy)
+        ds = generate_scenario(ScenarioConfig(self._traj(duration=20.0), ARR, noisy))
         assert ds.powers.mean() == pytest.approx(0.5, rel=0.05)
 
     def test_out_of_sector_rejected(self):
         traj = self._traj(tx_waypoints=((0.0, -30.0),))  # behind the array
         with pytest.raises(GeometryOutOfSectorError):
-            generate_scenario(traj, ARR, SyntheticChannelConfig())
+            generate_scenario(ScenarioConfig(traj, ARR, SyntheticChannelConfig()))
 
     def test_positions_anchor_to_origin(self):
-        ds = generate_scenario(self._traj(), ARR, SyntheticChannelConfig())
+        ds = generate_scenario(ScenarioConfig(self._traj(), ARR, SyntheticChannelConfig()))
         assert ds.rx[0].tolist() == [33.42, -111.93]
         assert ds.tx[0, 0] > 33.42 and ds.tx[0, 1] == pytest.approx(-111.93)
 
@@ -208,12 +210,12 @@ class TestScenarioJson:
     }
 
     def test_round_trip(self):
-        traj, arr, ch, size = scenario_from_json(self.DOC)
-        assert size == 64
-        assert arr.n_elements == 16
-        assert ch.seed == 7
-        assert traj.tx_waypoints == ((-10.0, 30.0), (10.0, 30.0))
-        ds = generate_scenario(traj, arr, ch, size)
+        scenario = scenario_from_json(self.DOC)
+        assert scenario.codebook_size == 64
+        assert scenario.array.n_elements == 16
+        assert scenario.channel.seed == 7
+        assert scenario.trajectory.tx_waypoints == ((-10.0, 30.0), (10.0, 30.0))
+        ds = generate_scenario(scenario)
         assert len(ds) == 10
 
     def test_missing_duration_names_field(self):
@@ -244,9 +246,10 @@ class TestScenarioJson:
     def test_left_out_fields_take_dataclass_defaults(self):
         required = ("duration", "tx_waypoints", "rx_waypoints")
         doc = {"trajectory": {k: self.DOC["trajectory"][k] for k in required}}
-        traj, arr, ch, size = scenario_from_json(doc)
+        scenario = scenario_from_json(doc)
+        traj = scenario.trajectory
         defaults = TrajectoryConfig(duration=1.0, tx_waypoints=traj.tx_waypoints, rx_waypoints=traj.rx_waypoints)
-        assert (traj, arr, ch, size) == (defaults, ArrayConfig(), SyntheticChannelConfig(), 64)
+        assert scenario == ScenarioConfig(defaults, ArrayConfig(), SyntheticChannelConfig(), 64)
 
     @pytest.mark.parametrize("key", ["duration", "tx_waypoints", "rx_waypoints"])
     def test_missing_required_field_named(self, key):
@@ -337,7 +340,7 @@ class TestChunkedSynthesis:
     def test_columns_equal_the_per_sample_loop(self, n, seed, cpus):
         arr = ArrayConfig(8, 0.4)
         ch = dataclasses.replace(self.CH, seed=seed)
-        ds = generate_scenario(weaving_drive(n), arr, ch, 32)
+        ds = generate_scenario(ScenarioConfig(weaving_drive(n), arr, ch, 32))
         assert len(ds) == n
         oracle = per_sample_oracle(weaving_drive(n), arr, ch, 32)
         for got, want in zip((ds.t, ds.tx, ds.rx, ds.powers), oracle):
@@ -350,7 +353,7 @@ class TestChunkedSynthesis:
         traj = weaving_drive(ingest._CHUNK_ROWS + 77)
         arr = ArrayConfig(8, 0.4)
         ch = dataclasses.replace(self.CH, noise_power=0.0)
-        ds = generate_scenario(traj, arr, ch, 32)
+        ds = generate_scenario(ScenarioConfig(traj, arr, ch, 32))
         cb = dft_codebook(arr, 32)
         for i, powers in enumerate(ds.powers):
             fraction = i * traj.sample_period / traj.duration
@@ -368,7 +371,7 @@ class TestChunkedSynthesis:
         columns = []
         for k in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda k=k: k)
-            columns.append(column_bytes(generate_scenario(traj, ARR, ch)))
+            columns.append(column_bytes(generate_scenario(ScenarioConfig(traj, ARR, ch))))
         assert columns[0] == columns[1] == columns[2]
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -376,7 +379,7 @@ class TestChunkedSynthesis:
         # the last chunk is a partial one
         traj = weaving_drive(ingest._CHUNK_ROWS * 3 + 77)
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
-        serial = column_bytes(generate_scenario(traj, ARR, self.CH))
+        serial = column_bytes(generate_scenario(ScenarioConfig(traj, ARR, self.CH)))
         yielded = []
 
         def recording_map(fn, items):
@@ -386,13 +389,15 @@ class TestChunkedSynthesis:
 
         monkeypatch.setattr(synthchan, "ordered_map", recording_map)
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: k)
-        assert column_bytes(generate_scenario(traj, ARR, self.CH)) == serial
+        assert column_bytes(generate_scenario(ScenarioConfig(traj, ARR, self.CH))) == serial
         assert yielded == [None] * 4
 
     def test_noise_rows_come_from_spawned_substreams(self, cpus):
         n = ingest._CHUNK_ROWS + 9
         noisy, clean = (
-            generate_scenario(weaving_drive(n), ARR, SyntheticChannelConfig(noise_power=p, seed=21))
+            generate_scenario(
+                ScenarioConfig(weaving_drive(n), ARR, SyntheticChannelConfig(noise_power=p, seed=21))
+            )
             for p in (0.5, 0.0)
         )
         sigma = 0.5 * math.sqrt(math.pi / 2.0)
@@ -412,16 +417,16 @@ class TestChunkedSynthesis:
         first_bad = int(str(oracle.value).split()[1][:-1])  # "sample 700: ..."
         assert ingest._CHUNK_ROWS < first_bad < 2 * ingest._CHUNK_ROWS
         with pytest.raises(GeometryOutOfSectorError) as exc:
-            generate_scenario(traj, ARR, self.CH)
+            generate_scenario(ScenarioConfig(traj, ARR, self.CH))
         assert str(exc.value) == str(oracle.value)
 
     def test_heap_peak_near_the_columns(self):
         traj = weaving_drive(30_000, tx_waypoints=((-400.0, 30.0), (400.0, 45.0)))
         ch = SyntheticChannelConfig(noise_power=1e-4, seed=7)
-        generate_scenario(weaving_drive(2), ARR, ch)  # warm-up: imports and caches
+        generate_scenario(ScenarioConfig(weaving_drive(2), ARR, ch))  # warm-up: imports and caches
         tracemalloc.start()
         try:
-            ds = generate_scenario(traj, ARR, ch)
+            ds = generate_scenario(ScenarioConfig(traj, ARR, ch))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -18,6 +18,7 @@ from v2vbeam.neuralbeam import (
 )
 from v2vbeam.synthchan import (
     ArrayConfig,
+    ScenarioConfig,
     SyntheticChannelConfig,
     TrajectoryConfig,
     generate_scenario,
@@ -42,7 +43,7 @@ def synthetic_split():
         rx_waypoints=((0.0, 0.0),),
         rx_heading=math.pi / 2,
     )
-    ds = generate_scenario(traj, ArrayConfig(), SyntheticChannelConfig(seed=3))
+    ds = generate_scenario(ScenarioConfig(traj, ArrayConfig(), SyntheticChannelConfig(seed=3)))
     train_ds, val_ds, test_ds = (ds.rows(rows) for rows in split(len(ds), SplitSpec(seed=0)))
     norm = fit_normalization(train_ds.tx)
     return train_ds, val_ds, test_ds, norm
@@ -176,7 +177,7 @@ class TestTrain:
             rx_heading=math.pi / 2,
         )
         ds = generate_scenario(
-            traj, ArrayConfig(), SyntheticChannelConfig(noise_power=0.0, seed=1)
+            ScenarioConfig(traj, ArrayConfig(), SyntheticChannelConfig(noise_power=0.0, seed=1))
         )
         assert len(ds) >= 1000
         train_ds, val_ds, _ = (ds.rows(rows) for rows in split(len(ds), SplitSpec(seed=0)))

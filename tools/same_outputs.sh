@@ -81,6 +81,15 @@ JSON
     run 0 "eval_$data" eval --checkpoint model/checkpoint.json --dataset "$data.csv" \
       --out "eval_$data"
   done
+  # "both" mode feeds the receiver's fixes to the model too, so its checkpoint holds
+  # a longer input; a tx checkpoint relabelled "both" must be refused
+  sed 's/"dense_hidden": \[32\]/&, "input_mode": "both"/' train.json >train_both.json
+  grep -q '"input_mode": "both"' train_both.json
+  run 0 train_both train --config train_both.json --out model_both
+  run 0 eval_both eval --checkpoint model_both/checkpoint.json --dataset data.csv --out eval_both
+  sed 's/"input_mode": "tx"/"input_mode": "both"/' model/checkpoint.json >relabelled.json
+  grep -q '"input_mode": "both"' relabelled.json
+  run 2 eval_relabelled eval --checkpoint relabelled.json --dataset data.csv --out eval_relabelled
   # on all CPUs the second repeat trains in a pool worker, on one CPU in the caller
   run 0 report report --config report.json --out report
   run 3 eval_missing eval --checkpoint model/checkpoint.json --dataset missing.csv --out eval_missing
