@@ -97,12 +97,27 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         channel = dataclasses.replace(scenario.channel, seed=args.seed)
         scenario = dataclasses.replace(scenario, channel=channel)
-    dataset = generate_scenario(scenario)
-    out = Path(args.out)
+    out = _check_out(Path(args.out))
+    drive = generate_scenario(scenario)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_dataset(dataset, out)
-    print(f"wrote {len(dataset)} samples to {out}")
+    write_dataset(drive, out)
+    print(f"wrote {len(drive)} samples to {out}")
     return EXIT_OK
+
+
+def _check_out(path: Path, directory: bool = False) -> Path:
+    """``path``, checked before any work: it must be a regular file (or a symlink to
+    one), or a directory when ``directory``, or not exist below a directory.
+    Raises ValueError naming the path otherwise."""
+    kind = "a directory" if directory else "a regular file"
+    if path.exists():
+        if not (path.is_dir() if directory else path.is_file()):
+            raise ValueError(f"output {path} exists and is not {kind}")
+        return path
+    parent = next(p for p in path.parents if p.exists())  # "." or "/" at the latest
+    if not parent.is_dir():
+        raise ValueError(f"output {path} lies below {parent}, which is not a directory")
+    return path
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -137,6 +152,7 @@ def _write_report(rows, config: ExperimentConfig, meta: dict, headline: str) -> 
 
 def cmd_train(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
+    _check_out(config.out_dir, directory=True)
     dataset = resolve_dataset(config)
     train_rows, val_rows, _ = split_stage(dataset, config, config.seed, scored=False)
     fit = fit_stage(dataset, train_rows, val_rows, config, config.seed)
@@ -149,6 +165,7 @@ def cmd_train(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
+    _check_out(config.out_dir, directory=True)
     dataset = resolve_dataset(config)
     train_rows, val_rows, _ = split_stage(dataset, config, config.seed, scored=False)
     norm = fit_split_normalization(dataset, train_rows, config.model.input_mode)
@@ -170,6 +187,7 @@ def cmd_eval(args) -> int:
     # the layer spec, normalization and input mode all come from the checkpoint
     model = load_checkpoint(ckpt_path)
     config = _apply_overrides(ExperimentConfig(seed=model.seed, dataset_csv=data_path), args)
+    _check_out(config.out_dir, directory=True)
     dataset = parse_dataset(data_path)
     check_codebook_compatible(model.spec, dataset)
     train_rows, val_rows, test_rows = split_stage(dataset, config, config.seed)
@@ -190,6 +208,7 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
+    _check_out(config.out_dir, directory=True)
     dataset = resolve_dataset(config)
     result = run_experiment(dataset, config)
     out_dir = _out_dir(config)

@@ -20,7 +20,8 @@ one item per seed: the calling process runs every k-th seed itself and forked
 workers, which inherit the dataset instead of receiving a pickled copy, run
 the rest. Each repeat depends only on its seed and the results come back in
 seed order, so every output is the same for any number of CPUs. The same map
-synthesises a scenario and writes the dataset CSV in row chunks.
+synthesises the whole drive of a scenario (``SyntheticDrive.rows``) and writes
+the dataset CSV in row chunks.
 """
 
 from __future__ import annotations
@@ -152,12 +153,12 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
-    """Parse the configured CSV or generate the configured scenario."""
+    """Parse the configured CSV, or synthesise the configured scenario's whole drive."""
     if config.dataset_csv is not None:
         if not config.dataset_csv.exists():
             raise FileNotFoundError(f"dataset file not found: {config.dataset_csv}")
         return parse_dataset(config.dataset_csv)
-    return generate_scenario(config.synthetic)
+    return generate_scenario(config.synthetic).rows(slice(None))
 
 
 def build_layer_spec(options: ModelOptions, classes: int) -> LayerSpec:

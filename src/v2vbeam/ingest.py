@@ -16,12 +16,15 @@ power matrix and the best-beam labels), so callers work on whole arrays.
 ``split`` gives row selectors, not parts: each stage reads the columns it
 uses through them, and ``Dataset.rows`` gathers a part where one is needed.
 
-The CSV is written in blocks of rows, never as one string, on the usable
-CPUs (``parallel.ordered_map``). It is read by one of two readers,
-``np.loadtxt`` on spans of lines on the usable CPUs (LF or CRLF line ends)
-or ``csv.reader`` (a file with quotes or bare CRs, or a span that loadtxt
-rejects, in the process that holds it), which check their rows against one
-table of rules (``_check_rows``). A byte that is not UTF-8 fails its cell,
+The CSV is written in chunks of rows, never as one string, on the usable
+CPUs (``parallel.ordered_map``). Its writer reads any row source with a
+length, a codebook size and ``rows(slice)``: a ``Dataset`` gives views of its
+columns, and a ``synthchan.SyntheticDrive`` synthesises the chunk in the work
+item that formats it, so a generated drive is never held whole. The CSV is
+read by one of two readers, ``np.loadtxt`` on spans of lines on the usable
+CPUs (LF or CRLF line ends) or ``csv.reader`` (a file with quotes or bare
+CRs, or a span that loadtxt rejects, in the process that holds it), which
+check their rows against one table of rules (``_check_rows``). A byte that is not UTF-8 fails its cell,
 and the error names its line.
 """
 
@@ -35,12 +38,16 @@ import os
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import floatrepr
 from .errors import IndexMismatchError, RowParseError, SchemaMismatchError
 from .parallel import ordered_map
+
+if TYPE_CHECKING:
+    from .synthchan import SyntheticDrive
 
 # a row selector of a Dataset: an index array, or a slice (its rows are views)
 Rows = np.ndarray | slice
@@ -191,7 +198,7 @@ def _shared_columns(capacity: int, codebook_size: int) -> tuple[np.ndarray, ...]
     """Empty t, tx, rx, powers and best columns of ``capacity`` rows.
 
     They live in one anonymous shared mapping, so a forked pool worker of the
-    parse or of synthesis (``synthchan.generate_scenario``) writes its rows
+    parse or of synthesis (``synthchan.SyntheticDrive.rows``) writes its rows
     straight into the caller's columns: no rows are sent back through the pool,
     and the caller holds no block but its own.
     """
@@ -372,46 +379,50 @@ def _check_header(header: list[str]) -> tuple[bool, int]:
     return has_best_beam, len(power_cols)
 
 
-def write_dataset(d: Dataset, path: str | Path) -> Path:
-    """Write a dataset in the CSV schema; round-trips bit-exactly through parse.
+def write_dataset(d: Dataset | SyntheticDrive, path: str | Path) -> Path:
+    """Write a dataset or a synthetic drive in the CSV schema; round-trips
+    bit-exactly through parse.
 
-    Rows are formatted in chunks of _CHUNK_ROWS on the usable CPUs, each float
-    as ``repr`` writes it (``floatrepr.format_floats``), and written in row
-    order; the bytes are those of ``csv.writer`` with a "\\n" line terminator.
-    The file appears whole or not at all: it is written beside ``path`` under a
-    temporary name and renamed over ``path`` once complete.
+    Each work item on the usable CPUs takes the rows ``d.rows`` gives for one
+    chunk of _CHUNK_ROWS and formats them, each float as ``repr`` writes it
+    (``floatrepr.format_floats``); the chunks are written in row order, and the
+    bytes are those of ``csv.writer`` with a "\\n" line terminator. The error
+    of the earliest failing chunk is raised. The file appears whole or not at
+    all: it is written beside the file ``path`` names (through a symlink) under
+    a temporary name and renamed over it once complete.
     """
-    path = Path(path)
+    target = Path(os.path.realpath(path))
     header = list(_FIXED_COLUMNS) + ["best_beam"] + [
         f"p{i}" for i in range(d.codebook_size)
     ]
     starts = range(0, len(d), _CHUNK_ROWS)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with partial.open("wb") as fh:
             fh.write(",".join(header).encode("utf-8") + b"\n")
             for text in ordered_map(functools.partial(_format_rows, d), starts):
                 fh.write(text)
-        os.replace(partial, path)
+        os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    return path
+    return Path(path)
 
 
-def _format_rows(d: Dataset, start: int) -> bytes:
-    """CSV lines of rows start .. start + _CHUNK_ROWS - 1.
+def _format_rows(d: Dataset | SyntheticDrive, start: int) -> bytes:
+    """CSV lines of rows start .. start + _CHUNK_ROWS - 1, as ``d.rows`` gives them.
 
     The floats of a few rows at a time (one block of ``format_floats``) are
     formatted together; a "|" after each row's last fix marks where its best
     beam goes, and a row without an rx fix drops its rx cells there.
     """
-    stop = min(start + _CHUNK_ROWS, len(d))
-    step = max(1, floatrepr.BLOCK // (len(_FIXED_COLUMNS) + d.codebook_size))
+    chunk = d.rows(slice(start, start + _CHUNK_ROWS))
+    step = max(1, floatrepr.BLOCK // (len(_FIXED_COLUMNS) + chunk.codebook_size))
     lines = []
-    for first in range(start, stop, step):
-        rows = slice(first, min(first + step, stop))
-        values = np.column_stack([d.t[rows], d.tx[rows], d.rx[rows], d.powers[rows]])
+    for first in range(0, len(chunk), step):
+        rows = slice(first, first + step)
+        columns = (chunk.t, chunk.tx, chunk.rx, chunk.powers)
+        values = np.column_stack([column[rows] for column in columns])
         has_rx = ~np.isnan(values[:, 3])
         seps = np.full(values.shape, ord(","), np.uint8)
         seps[:, -1] = ord("\n")
@@ -421,7 +432,7 @@ def _format_rows(d: Dataset, start: int) -> bytes:
         text = floatrepr.format_floats(values[keep], seps[keep])
         gaps = [
             b",%d," % best if rx else b",,,%d," % best
-            for best, rx in zip(d.best[rows].tolist(), has_rx.tolist())
+            for best, rx in zip(chunk.best[rows].tolist(), has_rx.tolist())
         ]
         parts = text.split(b"|")
         lines += chain.from_iterable(zip(parts, gaps))

@@ -14,12 +14,15 @@ The plain transpose product (no conjugation) keeps the matched beam at grid
 frequency psi ~= sin(theta) for half-wavelength spacing.
 
 A scenario (one ``ScenarioConfig``, as ``scenario_from_json`` reads it) moves a
-transmitter and receiver along planar waypoint paths anchored at a GPS origin;
-``generate_scenario`` records one sample per period in the ingest CSV schema.
-Samples are synthesised in chunks of rows on the usable CPUs
-(``parallel.ordered_map``), each chunk straight into dataset columns that the
-pool's processes share (``ingest._shared_columns``). Within a chunk, each
-sample's geometry and path gain are Python floats, as for one sample alone,
+transmitter and receiver along planar waypoint paths anchored at a GPS origin,
+with one sample per period in the ingest CSV schema. ``generate_scenario`` gives
+the drive as a ``SyntheticDrive``, a row source that synthesises only the rows
+asked of it: ``ingest.write_dataset`` asks for one chunk of rows in each of its
+work items, so no process holds the whole drive, and ``rows(slice(None))`` gives
+it whole as a ``Dataset``. A selection of several chunks is synthesised on the
+usable CPUs (``parallel.ordered_map``), each chunk straight into dataset columns
+that the pool's processes share (``ingest._shared_columns``). Within a chunk,
+each sample's geometry and path gain are Python floats, as for one sample alone,
 while the array responses, gains and noise are computed for the whole chunk.
 Sample i's noise comes from its own substream of the channel seed, so the
 output does not depend on the chunking or the CPU count. ``_pcg64_states``
@@ -308,38 +311,67 @@ def _wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-def generate_scenario(scenario: ScenarioConfig) -> Dataset:
+@dataclass(frozen=True, eq=False)
+class SyntheticDrive:
+    """One scenario's drive, whose rows are synthesised when they are asked for."""
+
+    scenario: ScenarioConfig
+    codebook: Codebook
+
+    @property
+    def codebook_size(self) -> int:
+        return self.codebook.size
+
+    def __len__(self) -> int:
+        return self.scenario.trajectory.n_samples
+
+    def rows(self, sel: slice) -> Dataset:
+        """The rows of ``sel``, a slice of step 1, synthesised in chunks on the usable
+        CPUs straight into columns the pool's processes share, so no rows come back
+        through the pool. The earliest failing sample's error is raised.
+        """
+        start, stop, step = sel.indices(len(self))
+        if step != 1:
+            raise ValueError(f"a drive's rows are a slice of step 1, got {sel!r}")
+        columns = _shared_columns(stop - start, self.codebook_size)
+        synthesize = functools.partial(_synthesize, self.scenario, self.codebook, columns, start)
+        list(ordered_map(synthesize, range(start, stop, _CHUNK_ROWS)))
+        return Dataset(*columns)
+
+
+def generate_scenario(scenario: ScenarioConfig) -> SyntheticDrive:
     """Simulate one drive: a sample per period with positions, powers, and label.
 
+    Only the codebook is built here; ``SyntheticDrive.rows`` synthesises rows.
     The transmitter must stay in the receiver's front half-plane; the angle is
     measured from the array boresight. Sample i draws its noise from
     ``SeedSequence(seed, spawn_key=(i,))``, the i-th spawned substream of the
-    channel's ``seed``, so output is deterministic and independent of evaluation
-    order. A chunk computes its samples' PCG64 states at once with numpy's
-    seeding algorithms, which NEP 19 keeps stable and a test checks against
-    numpy, and one reused generator draws from each state. Rows are
-    synthesised in chunks on the usable CPUs, straight into columns the pool's
-    processes share, so no rows come back through the pool.
+    channel's ``seed``, so output is deterministic and independent of which
+    rows are asked for together. A chunk computes its samples' PCG64 states at
+    once with numpy's seeding algorithms, which NEP 19 keeps stable and a test
+    checks against numpy, and one reused generator draws from each state.
     """
-    cb = dft_codebook(scenario.array, scenario.codebook_size)
-    columns = _shared_columns(scenario.trajectory.n_samples, scenario.codebook_size)
-    synthesize = functools.partial(_synthesize, scenario, cb, columns)
-    list(ordered_map(synthesize, range(0, scenario.trajectory.n_samples, _CHUNK_ROWS)))
-    return Dataset(*columns)
+    return SyntheticDrive(scenario, dft_codebook(scenario.array, scenario.codebook_size))
 
 
 def _synthesize(
-    scenario: ScenarioConfig, cb: Codebook, columns: tuple[np.ndarray, ...], start: int
+    scenario: ScenarioConfig,
+    cb: Codebook,
+    columns: tuple[np.ndarray, ...],
+    first: int,
+    start: int,
 ) -> None:
-    """Write samples start .. start + _CHUNK_ROWS - 1 (or to the last) into the t,
-    tx, rx, powers and best ``columns``, which a pool worker shares with its caller.
+    """Write samples start .. start + _CHUNK_ROWS - 1 (or to the columns' last) into
+    the t, tx, rx, powers and best ``columns``, whose row 0 is sample ``first`` and
+    which a pool worker shares with its caller.
 
     Each sample's geometry, path gain and scale are Python floats, exactly as
     for one sample alone; only the array responses, gains and noise states are
     computed for the whole chunk.
     """
     traj, ch = scenario.trajectory, scenario.channel
-    t, tx_geo, rx_geo, powers, best = (column[start : start + _CHUNK_ROWS] for column in columns)
+    part = slice(start - first, start - first + _CHUNK_ROWS)
+    t, tx_geo, rx_geo, powers, best = (column[part] for column in columns)
     rows = []  # t, tx lat, tx lon, rx lat, rx lon, sin(theta), power scale
     for i in range(start, start + len(t)):
         time = i * traj.sample_period

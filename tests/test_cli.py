@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import v2vbeam
-from v2vbeam import cli, experiment, parallel
+from v2vbeam import cli, experiment, ingest, parallel, synthchan
 from v2vbeam.cli import main
 from v2vbeam.errors import ConfigError
 from v2vbeam.ingest import write_dataset
@@ -886,6 +886,123 @@ class TestAtomicDatasetWrite:
         assert done.returncode != 0
         assert "disk full" in done.stderr
         assert list((tmp_path / "out").iterdir()) == []
+
+
+# the receiver at the origin faces north; the transmitter crosses the array's axis, east
+# of it, at sample 750 of 1,000, inside the second 512-row chunk
+LATE_SECTOR_EXIT = dict(SCENARIO, trajectory=dict(
+    SCENARIO["trajectory"], duration=100.0, tx_waypoints=[[-80.0, 60.0], [80.0, -20.0]],
+))
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes"], ids=["absent", "existing"])
+def test_late_sector_exit_leaves_nothing_behind(tmp_path, capsys, cpus, old):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(LATE_SECTOR_EXIT))
+    out = tmp_path / "data" / "drive.csv"
+    out.parent.mkdir()
+    if old is not None:
+        out.write_bytes(old)
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: sample 750: transmitter angle -1.5708 rad outside (-pi/2, pi/2)\n"
+    if old is None:
+        assert list(out.parent.iterdir()) == []
+    else:
+        assert out.read_bytes() == old
+        assert list(out.parent.iterdir()) == [out]
+
+
+def test_generate_synthesises_no_more_than_a_chunk_at_a_time(tmp_path, monkeypatch, cpus):
+    # the whole drive used to be synthesised into one set of columns before the write
+    real = ingest._shared_columns
+    asked = []
+
+    def chunk_columns(capacity, codebook_size):
+        if capacity > ingest._CHUNK_ROWS:  # raised in a pool worker too
+            raise AssertionError(f"columns of {capacity} rows")
+        asked.append(capacity)
+        return real(capacity, codebook_size)
+
+    monkeypatch.setattr(synthchan, "_shared_columns", chunk_columns)
+    monkeypatch.setattr(ingest, "_shared_columns", chunk_columns)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(scenario_with("trajectory", duration=300.0)))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+    # the caller's chunks; a worker's are asked for in the worker
+    assert asked == [512, 512, 512, 512, 512, 440][::cpus]
+
+
+# --- output locations, checked before any work ------------------------------------------
+
+
+def never(*args, **kwargs):
+    raise AssertionError("work started before the output location was checked")
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo", "symlink-to-directory", "below-a-file"])
+def test_generate_to_an_unusable_out_exits_2_before_generating(tmp_path, capsys, monkeypatch, kind):
+    # a directory used to fail with an IsADirectoryError traceback once every row was
+    # written, and a FIFO was replaced by a regular file that its reader never saw
+    monkeypatch.setattr(cli, "generate_scenario", never)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(SCENARIO))
+    out = tmp_path / "out.csv"
+    if kind == "directory":
+        out.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(out)
+    elif kind == "symlink-to-directory":
+        (tmp_path / "dir").mkdir()
+        out.symlink_to(tmp_path / "dir")
+    else:
+        (tmp_path / "file").write_bytes(b"a file")
+        out = tmp_path / "file" / "out.csv"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output ") and str(out) in err
+    assert kind != "fifo" or not out.is_file()
+
+
+def test_generate_writes_through_a_symlinked_out(tmp_path):
+    # the link used to be replaced by a regular file, leaving its target as it was
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(SCENARIO))
+    target = tmp_path / "data" / "drive.csv"
+    target.parent.mkdir()
+    target.write_bytes(b"old bytes")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["generate", "--config", str(cfg), "--out", str(link)]) == 0
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "direct.csv")]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    assert list(target.parent.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("command", ["train", "baseline", "report", "eval"])
+def test_out_dir_that_is_a_file_exits_2_before_the_dataset_is_read(
+    tmp_path, capsys, monkeypatch, checkpoint_doc, command
+):
+    # used to fail with a FileExistsError traceback once the work was done: report's
+    # after every repeat was trained
+    monkeypatch.setattr(cli, "resolve_dataset", never)
+    monkeypatch.setattr(cli, "parse_dataset", never)
+    out = tmp_path / "out"
+    out.write_bytes(b"a file")
+    if command == "eval":
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(checkpoint_doc))
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"never read")
+        argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(out)]
+    else:
+        cfg = tmp_path / "experiment.json"
+        cfg.write_text(json.dumps(experiment_doc(out)))
+        argv = [command, "--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: output {out} exists and is not a directory\n"
+    assert out.read_bytes() == b"a file"
 
 
 def test_import_does_not_load_multiprocessing():

@@ -151,7 +151,7 @@ class TestParseWrite:
         )
         ds = generate_scenario(
             ScenarioConfig(traj, ArrayConfig(), SyntheticChannelConfig(noise_power=1e-4, seed=8))
-        )
+        ).rows(slice(None))
         path = write_dataset(ds, tmp_path / "scenario.csv")
         assert parse_dataset(path) == ds
 
@@ -396,7 +396,7 @@ def scenario_dataset(n_seconds=1.2):
     )
     return generate_scenario(
         ScenarioConfig(traj, ArrayConfig(), SyntheticChannelConfig(noise_power=1e-4, seed=8))
-    )
+    ).rows(slice(None))
 
 
 class TestBlockWrite:

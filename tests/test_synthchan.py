@@ -138,7 +138,7 @@ class TestInvariants:
             rx_heading=math.pi / 2,
         )
         ch = SyntheticChannelConfig(noise_power=0.001, seed=5)
-        ds = generate_scenario(ScenarioConfig(traj, ARR, ch))
+        ds = generate_scenario(ScenarioConfig(traj, ARR, ch)).rows(slice(None))
         pm = ds.powers
         assert np.all(np.isfinite(pm)) and np.all(pm >= 0)
 
@@ -157,34 +157,38 @@ class TestGenerateScenario:
         return TrajectoryConfig(**defaults)
 
     def test_sample_count(self):
-        ds = generate_scenario(ScenarioConfig(self._traj(), ARR, SyntheticChannelConfig()))
+        scenario = ScenarioConfig(self._traj(), ARR, SyntheticChannelConfig())
+        ds = generate_scenario(scenario).rows(slice(None))
         assert len(ds) == 10
         assert ds.t.tolist() == [i * 0.1 for i in range(10)]
 
     def test_stationary_broadside_always_beam_32(self):
         quiet = SyntheticChannelConfig(noise_power=0.0)
-        ds = generate_scenario(ScenarioConfig(self._traj(), ARR, quiet))
+        ds = generate_scenario(ScenarioConfig(self._traj(), ARR, quiet)).rows(slice(None))
         assert ds.best.tolist() == [32] * 10
 
     def test_deterministic_under_seed(self):
         traj = self._traj(tx_waypoints=((-10.0, 30.0), (10.0, 30.0)))
         ch = SyntheticChannelConfig(noise_power=0.01, seed=9)
-        a = generate_scenario(ScenarioConfig(traj, ARR, ch))
-        b = generate_scenario(ScenarioConfig(traj, ARR, ch))
+        a = generate_scenario(ScenarioConfig(traj, ARR, ch)).rows(slice(None))
+        b = generate_scenario(ScenarioConfig(traj, ARR, ch)).rows(slice(None))
         assert a == b
 
     def test_noise_mean_matches_noise_power(self):
         noisy = SyntheticChannelConfig(n_subcarriers=1, tx_power=0.0, noise_power=0.5, seed=3)
-        ds = generate_scenario(ScenarioConfig(self._traj(duration=20.0), ARR, noisy))
+        scenario = ScenarioConfig(self._traj(duration=20.0), ARR, noisy)
+        ds = generate_scenario(scenario).rows(slice(None))
         assert ds.powers.mean() == pytest.approx(0.5, rel=0.05)
 
     def test_out_of_sector_rejected(self):
         traj = self._traj(tx_waypoints=((0.0, -30.0),))  # behind the array
+        drive = generate_scenario(ScenarioConfig(traj, ARR, SyntheticChannelConfig()))
         with pytest.raises(GeometryOutOfSectorError):
-            generate_scenario(ScenarioConfig(traj, ARR, SyntheticChannelConfig()))
+            drive.rows(slice(None))
 
     def test_positions_anchor_to_origin(self):
-        ds = generate_scenario(ScenarioConfig(self._traj(), ARR, SyntheticChannelConfig()))
+        scenario = ScenarioConfig(self._traj(), ARR, SyntheticChannelConfig())
+        ds = generate_scenario(scenario).rows(slice(None))
         assert ds.rx[0].tolist() == [33.42, -111.93]
         assert ds.tx[0, 0] > 33.42 and ds.tx[0, 1] == pytest.approx(-111.93)
 
@@ -215,7 +219,7 @@ class TestScenarioJson:
         assert scenario.array.n_elements == 16
         assert scenario.channel.seed == 7
         assert scenario.trajectory.tx_waypoints == ((-10.0, 30.0), (10.0, 30.0))
-        ds = generate_scenario(scenario)
+        ds = generate_scenario(scenario).rows(slice(None))
         assert len(ds) == 10
 
     def test_missing_duration_names_field(self):
@@ -340,7 +344,7 @@ class TestChunkedSynthesis:
     def test_columns_equal_the_per_sample_loop(self, n, seed, cpus):
         arr = ArrayConfig(8, 0.4)
         ch = dataclasses.replace(self.CH, seed=seed)
-        ds = generate_scenario(ScenarioConfig(weaving_drive(n), arr, ch, 32))
+        ds = generate_scenario(ScenarioConfig(weaving_drive(n), arr, ch, 32)).rows(slice(None))
         assert len(ds) == n
         oracle = per_sample_oracle(weaving_drive(n), arr, ch, 32)
         for got, want in zip((ds.t, ds.tx, ds.rx, ds.powers), oracle):
@@ -353,7 +357,7 @@ class TestChunkedSynthesis:
         traj = weaving_drive(ingest._CHUNK_ROWS + 77)
         arr = ArrayConfig(8, 0.4)
         ch = dataclasses.replace(self.CH, noise_power=0.0)
-        ds = generate_scenario(ScenarioConfig(traj, arr, ch, 32))
+        ds = generate_scenario(ScenarioConfig(traj, arr, ch, 32)).rows(slice(None))
         cb = dft_codebook(arr, 32)
         for i, powers in enumerate(ds.powers):
             fraction = i * traj.sample_period / traj.duration
@@ -371,7 +375,8 @@ class TestChunkedSynthesis:
         columns = []
         for k in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cpus", lambda k=k: k)
-            columns.append(column_bytes(generate_scenario(ScenarioConfig(traj, ARR, ch))))
+            drive = generate_scenario(ScenarioConfig(traj, ARR, ch))
+            columns.append(column_bytes(drive.rows(slice(None))))
         assert columns[0] == columns[1] == columns[2]
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -379,7 +384,8 @@ class TestChunkedSynthesis:
         # the last chunk is a partial one
         traj = weaving_drive(ingest._CHUNK_ROWS * 3 + 77)
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
-        serial = column_bytes(generate_scenario(ScenarioConfig(traj, ARR, self.CH)))
+        drive = generate_scenario(ScenarioConfig(traj, ARR, self.CH))
+        serial = column_bytes(drive.rows(slice(None)))
         yielded = []
 
         def recording_map(fn, items):
@@ -389,7 +395,7 @@ class TestChunkedSynthesis:
 
         monkeypatch.setattr(synthchan, "ordered_map", recording_map)
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: k)
-        assert column_bytes(generate_scenario(ScenarioConfig(traj, ARR, self.CH))) == serial
+        assert column_bytes(drive.rows(slice(None))) == serial
         assert yielded == [None] * 4
 
     def test_noise_rows_come_from_spawned_substreams(self, cpus):
@@ -397,7 +403,7 @@ class TestChunkedSynthesis:
         noisy, clean = (
             generate_scenario(
                 ScenarioConfig(weaving_drive(n), ARR, SyntheticChannelConfig(noise_power=p, seed=21))
-            )
+            ).rows(slice(None))
             for p in (0.5, 0.0)
         )
         sigma = 0.5 * math.sqrt(math.pi / 2.0)
@@ -417,22 +423,55 @@ class TestChunkedSynthesis:
         first_bad = int(str(oracle.value).split()[1][:-1])  # "sample 700: ..."
         assert ingest._CHUNK_ROWS < first_bad < 2 * ingest._CHUNK_ROWS
         with pytest.raises(GeometryOutOfSectorError) as exc:
-            generate_scenario(ScenarioConfig(traj, ARR, self.CH))
+            generate_scenario(ScenarioConfig(traj, ARR, self.CH)).rows(slice(None))
         assert str(exc.value) == str(oracle.value)
 
     def test_heap_peak_near_the_columns(self):
         traj = weaving_drive(30_000, tx_waypoints=((-400.0, 30.0), (400.0, 45.0)))
         ch = SyntheticChannelConfig(noise_power=1e-4, seed=7)
-        generate_scenario(ScenarioConfig(weaving_drive(2), ARR, ch))  # warm-up: imports and caches
+        # warm-up: imports and caches
+        generate_scenario(ScenarioConfig(weaving_drive(2), ARR, ch)).rows(slice(None))
         tracemalloc.start()
         try:
-            ds = generate_scenario(ScenarioConfig(traj, ARR, ch))
+            ds = generate_scenario(ScenarioConfig(traj, ARR, ch)).rows(slice(None))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         columns = sum(c.nbytes for c in (ds.t, ds.tx, ds.rx, ds.powers, ds.best))
         # the per-sample loop held every spawned SeedSequence: 1.7x the columns
         assert peak < 1.3 * columns
+
+
+CHUNK = ingest._CHUNK_ROWS
+
+
+class TestStreamedDrive:
+    CH = SyntheticChannelConfig(noise_power=1e-4, seed=3)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_streamed_write_equals_the_write_of_the_whole_rows(self, tmp_path, monkeypatch, n, k):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: k)
+        scenario = ScenarioConfig(weaving_drive(n), ARR, self.CH)
+        streamed = ingest.write_dataset(generate_scenario(scenario), tmp_path / "streamed.csv")
+        whole = generate_scenario(scenario).rows(slice(None))
+        assert len(whole) == n
+        written = ingest.write_dataset(whole, tmp_path / "whole.csv")
+        assert streamed.read_bytes() == written.read_bytes()
+
+    @pytest.mark.parametrize(
+        "sel",
+        [slice(0, 5), slice(CHUNK - 3, CHUNK + 3), slice(300, 2 * CHUNK + 40), slice(-7, None)],
+    )
+    def test_rows_of_a_slice_are_those_rows_of_the_whole_drive(self, sel, cpus):
+        drive = generate_scenario(ScenarioConfig(weaving_drive(2 * CHUNK + 77), ARR, self.CH))
+        assert drive.rows(sel) == drive.rows(slice(None)).rows(sel)
+
+    def test_rows_take_a_slice_of_step_1(self):
+        drive = generate_scenario(ScenarioConfig(weaving_drive(10), ARR, self.CH))
+        assert (len(drive), drive.codebook_size) == (10, 64)
+        with pytest.raises(ValueError, match="step 1"):
+            drive.rows(slice(0, 10, 2))
 
 
 class TestSubstreamStates:

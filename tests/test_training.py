@@ -43,7 +43,8 @@ def synthetic_split():
         rx_waypoints=((0.0, 0.0),),
         rx_heading=math.pi / 2,
     )
-    ds = generate_scenario(ScenarioConfig(traj, ArrayConfig(), SyntheticChannelConfig(seed=3)))
+    scenario = ScenarioConfig(traj, ArrayConfig(), SyntheticChannelConfig(seed=3))
+    ds = generate_scenario(scenario).rows(slice(None))
     train_ds, val_ds, test_ds = (ds.rows(rows) for rows in split(len(ds), SplitSpec(seed=0)))
     norm = fit_normalization(train_ds.tx)
     return train_ds, val_ds, test_ds, norm
@@ -178,7 +179,7 @@ class TestTrain:
         )
         ds = generate_scenario(
             ScenarioConfig(traj, ArrayConfig(), SyntheticChannelConfig(noise_power=0.0, seed=1))
-        )
+        ).rows(slice(None))
         assert len(ds) >= 1000
         train_ds, val_ds, _ = (ds.rows(rows) for rows in split(len(ds), SplitSpec(seed=0)))
         norm = fit_normalization(train_ds.tx)

@@ -71,6 +71,18 @@ JSON
   # a seed of three uint32 words (2**70) takes the noise states' multi-word path
   run 0 generate_seed70 generate --config scenario.json --seed 1180591620717411303424 \
     --out data_seed70.csv
+  # 400 rows: one chunk, synthesised and formatted in the calling process alone
+  sed 's/"duration": 300.0/"duration": 40.0/' scenario.json >one_chunk.json
+  grep -q '"duration": 40.0' one_chunk.json
+  run 0 generate_one_chunk generate --config one_chunk.json --out data_one_chunk.csv
+  # the transmitter leaves the receiver's front half-plane at sample 750, in the second
+  # chunk, after the first chunk is written: exit 4, and no file is left behind
+  cat >late_exit.json <<'JSON'
+{"trajectory": {"duration": 100.0, "rx_heading": 1.5707963267948966,
+                "tx_waypoints": [[-80.0, 60.0], [80.0, -20.0]], "rx_waypoints": [[0.0, 0.0]]},
+ "channel": {"noise_power": 1e-4, "seed": 5}}
+JSON
+  run 4 generate_late_exit generate --config late_exit.json --out data_late_exit.csv
   # the CR before each LF is dropped, so the CRLF copy is parsed in the same spans;
   # a quote sends the whole quoted copy to the csv.reader row loop instead
   sed 's/$/\r/' data.csv >crlf.csv
