@@ -120,16 +120,33 @@ def _check_out(path: Path, directory: bool = False) -> Path:
     return path
 
 
+def _check_outputs(config: ExperimentConfig, names) -> None:
+    """``_check_out`` of ``config.out_dir`` and of each file ``names`` that a
+    subcommand writes there, before any data is read."""
+    _check_out(config.out_dir, directory=True)
+    for name in names:
+        _check_out(config.out_dir / name)
+
+
 def _out_dir(config: ExperimentConfig) -> Path:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     return config.out_dir
 
 
+def _model_names(suffix: str) -> tuple[str, str]:
+    return f"checkpoint{suffix}.json", f"history{suffix}.csv"
+
+
 def _save_model(config, suffix, model, history):
     """Write ``checkpoint<suffix>.json`` and ``history<suffix>.csv``; return both paths."""
     out_dir = _out_dir(config)
-    ckpt = save_checkpoint(out_dir / f"checkpoint{suffix}.json", model)
-    return ckpt, write_history(history, out_dir / f"history{suffix}.csv")
+    ckpt_name, history_name = _model_names(suffix)
+    ckpt = save_checkpoint(out_dir / ckpt_name, model)
+    return ckpt, write_history(history, out_dir / history_name)
+
+
+def _report_names(config: ExperimentConfig) -> tuple[str, ...]:
+    return ("report.csv", "report.json") + (("report.svg",) if config.emit_svg else ())
 
 
 def _write_report(rows, config: ExperimentConfig, meta: dict, headline: str) -> int:
@@ -152,7 +169,7 @@ def _write_report(rows, config: ExperimentConfig, meta: dict, headline: str) -> 
 
 def cmd_train(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    _check_out(config.out_dir, directory=True)
+    _check_outputs(config, _model_names(""))
     dataset = resolve_dataset(config)
     train_rows, val_rows, _ = split_stage(dataset, config, config.seed, scored=False)
     fit = fit_stage(dataset, train_rows, val_rows, config, config.seed)
@@ -165,7 +182,7 @@ def cmd_train(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    _check_out(config.out_dir, directory=True)
+    _check_outputs(config, ["fingerprint_db.json"])
     dataset = resolve_dataset(config)
     train_rows, val_rows, _ = split_stage(dataset, config, config.seed, scored=False)
     norm = fit_split_normalization(dataset, train_rows, config.model.input_mode)
@@ -187,7 +204,7 @@ def cmd_eval(args) -> int:
     # the layer spec, normalization and input mode all come from the checkpoint
     model = load_checkpoint(ckpt_path)
     config = _apply_overrides(ExperimentConfig(seed=model.seed, dataset_csv=data_path), args)
-    _check_out(config.out_dir, directory=True)
+    _check_outputs(config, _report_names(config))
     dataset = parse_dataset(data_path)
     check_codebook_compatible(model.spec, dataset)
     train_rows, val_rows, test_rows = split_stage(dataset, config, config.seed)
@@ -208,7 +225,10 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    _check_out(config.out_dir, directory=True)
+    names = [*_report_names(config), *(["dataset.csv"] if config.synthetic is not None else [])]
+    for r in range(config.repeats):
+        names += [*_model_names(f"_r{r}"), f"fingerprint_db_r{r}.json"]
+    _check_outputs(config, names)
     dataset = resolve_dataset(config)
     result = run_experiment(dataset, config)
     out_dir = _out_dir(config)

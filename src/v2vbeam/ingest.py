@@ -205,7 +205,9 @@ def _shared_columns(capacity: int, codebook_size: int) -> tuple[np.ndarray, ...]
     shapes = (
         (capacity,), (capacity, 2), (capacity, 2), (capacity, codebook_size), (capacity,)
     )
-    buffer = mmap.mmap(-1, 8 * sum(map(math.prod, shapes)))
+    size = 8 * sum(map(math.prod, shapes))
+    # an anonymous mapping of 0 bytes is refused (EINVAL); empty columns need none
+    buffer = mmap.mmap(-1, size) if size else bytearray()
     columns, offset = [], 0
     for shape, dtype in zip(shapes, (np.float64,) * 4 + (np.int64,)):
         count = math.prod(shape)

@@ -6,7 +6,8 @@ functions consume the cache and the upstream gradient and return input and
 parameter gradients. Everything is float64.
 
 A conv layer contracts only the kernel taps that meet its input; the taps
-that would read padding alone keep their weights, with a zero gradient.
+that would read padding alone keep their weights, with a zero gradient. On a
+length-1 input that leaves one tap, and the layer is one matrix product.
 Max-pool backward passes the gradient through when every window holds one
 element.
 """
@@ -56,38 +57,57 @@ def conv1d_forward(
         raise ShapeMismatchError(
             f"conv1d: kernel {kernel} longer than padded length {length + 2 * padding}"
         )
-    x_pad = np.zeros((batch, c_in, length + 2 * padding))
-    x_pad[:, :, padding : padding + length] = x
-    lo, hi = _data_taps(length, kernel, padding)
-    cols = np.stack(
-        [x_pad[:, :, k : k + l_out] for k in range(lo, hi)], axis=2
-    )  # (B, C_in, taps, L_out)
-    # (O, C*taps) x (B, C*taps, L_out) -> (O, B, L_out)
-    out = np.tensordot(
-        weights[:, :, lo:hi].reshape(c_out, -1),
-        cols.reshape(cols.shape[0], -1, l_out),
-        axes=([1], [1]),
-    )
+    if length == 1 and l_out == 1:
+        # only the middle tap meets the input: tensordot's one product, on the
+        # same operand layouts, without the padding and the stacked copy
+        cols = np.ascontiguousarray(x).reshape(batch, c_in, 1, 1)
+        out = np.dot(weights[:, :, padding], cols[:, :, 0, 0].T).reshape(c_out, batch, 1)
+    else:
+        x_pad = np.zeros((batch, c_in, length + 2 * padding))
+        x_pad[:, :, padding : padding + length] = x
+        lo, hi = _data_taps(length, kernel, padding)
+        cols = np.stack(
+            [x_pad[:, :, k : k + l_out] for k in range(lo, hi)], axis=2
+        )  # (B, C_in, taps, L_out)
+        # (O, C*taps) x (B, C*taps, L_out) -> (O, B, L_out)
+        out = np.tensordot(
+            weights[:, :, lo:hi].reshape(c_out, -1),
+            cols.reshape(cols.shape[0], -1, l_out),
+            axes=([1], [1]),
+        )
     out = out.transpose(1, 0, 2) + bias[None, :, None]
     return out, cols
 
 
 def conv1d_backward(
-    d_out: np.ndarray, cols: np.ndarray, weights: np.ndarray, padding: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    d_out: np.ndarray, cols: np.ndarray, weights: np.ndarray, padding: int,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients w.r.t. conv input, weights, and bias.
 
     ``cols`` is the column cache from the forward pass. The taps it leaves
-    out see only padding, so their weights get a zero gradient.
+    out see only padding, so their weights get a zero gradient. The input
+    gradient is None when ``input_grad`` is false (a first layer's is never read).
     """
     batch, c_in, _, l_out = cols.shape
     kernel = weights.shape[2]
     padded_len = l_out + kernel - 1
-    lo, hi = _data_taps(padded_len - 2 * padding, kernel, padding)
-    # d_w[o,c,k] = sum_{b,l} d_out[b,o,l] * cols[b,c,k,l]
+    length = padded_len - 2 * padding
+    lo, hi = _data_taps(length, kernel, padding)
     d_w = np.zeros(weights.shape)
-    d_w[:, :, lo:hi] = np.tensordot(d_out, cols, axes=([0, 2], [0, 3]))
     d_b = d_out.sum(axis=(0, 2))
+    if length == 1 and l_out == 1:
+        # the one-tap products of the general path below, on the same operand layouts
+        d_w[:, :, lo] = np.dot(d_out[:, :, 0].T, cols[:, :, 0, 0])
+        if not input_grad:
+            return None, d_w, d_b
+        # + 0.0 as the zero-filled padded gradient adds it: no -0.0 passes
+        d_x = np.dot(d_out[:, :, 0], weights[:, :, lo]) + 0.0
+        return d_x.reshape(batch, c_in, 1), d_w, d_b
+    # d_w[o,c,k] = sum_{b,l} d_out[b,o,l] * cols[b,c,k,l]
+    d_w[:, :, lo:hi] = np.tensordot(d_out, cols, axes=([0, 2], [0, 3]))
+    if not input_grad:
+        return None, d_w, d_b
     # d_cols[b,c,k,l] = sum_o d_out[b,o,l] * weights[o,c,k]
     d_cols = np.tensordot(d_out, weights[:, :, lo:hi], axes=([1], [0]))  # (B, L, C, taps)
     d_cols = d_cols.transpose(0, 2, 3, 1)
@@ -155,9 +175,12 @@ def dense_forward(
 
 
 def dense_backward(
-    d_out: np.ndarray, x: np.ndarray, weights: np.ndarray
+    d_out: np.ndarray, x: np.ndarray, weights: np.ndarray,
+    d_weights: np.ndarray | None = None, d_bias: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return d_out @ weights, d_out.T @ x, d_out.sum(axis=0)
+    """Gradients w.r.t. input, weights and bias; the last two are written into
+    ``d_weights`` and ``d_bias`` when given (such as a gradient buffer's views)."""
+    return d_out @ weights, np.matmul(d_out.T, x, out=d_weights), d_out.sum(axis=0, out=d_bias)
 
 
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

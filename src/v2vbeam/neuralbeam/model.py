@@ -9,16 +9,19 @@ A ``ModelParams`` is laid out from its spec alone: :func:`tensor_shapes`
 names, shapes and orders the tensors, and each is a view into one float64
 vector, ``flat``. :func:`init_params` and :func:`load_checkpoint` concatenate
 their tensors into a fresh ``flat``, and :func:`backward` writes into the views
-of the gradient buffer that training reuses every step, so the gradients share
-the parameters' layout and the optimizer updates all parameters with a few
-whole-vector operations. A ``TrainedModel`` (parameters, normalization, input
-mode and run seed) is what training makes, a checkpoint holds and scoring takes.
+of the gradient buffer that training reuses every step (the dense layers'
+products straight into them), so the gradients share the parameters' layout and
+the optimizer updates all parameters with a few whole-vector operations. The
+first conv block's input gradient, which nothing reads, is not computed. A
+``TrainedModel`` (parameters, normalization, input mode and run seed) is what
+training makes, a checkpoint holds and scoring takes.
 
 Prediction works on whole batches: :func:`predict_top_m_batch` ranks the
 rows into an (n, M) integer array of beam indices, best first, the candidate
-array that ``evalmetrics`` scores. :func:`score_chunks` scores 512 rows at a
-time and reduces each chunk (to its ranking, or to its argmax for validation)
-as it is scored, so validation and test scoring stay small in memory.
+array that ``evalmetrics`` scores. :func:`score_chunks` scores 128 rows, one
+training batch, at a time and reduces each chunk (to its ranking, or to its
+argmax for validation) as it is scored, so validation and test scoring hold no
+more activations than a training step.
 """
 
 from __future__ import annotations
@@ -197,10 +200,10 @@ def _check_input(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-# rows per scoring pass: a multiple of the 128-row training batch (on OpenBLAS
-# such chunks give every row the bits of one pass over all rows), and few
-# enough that scoring a 4,000-row part never sets the process's peak memory
-_SCORE_ROWS = 4 * 128
+# rows per scoring pass: the 128-row training batch (on OpenBLAS, chunks of a
+# multiple of 128 rows give every row the bits of one pass over all rows), so
+# scoring a part never holds more activations than a training step
+_SCORE_ROWS = 128
 
 
 def forward_batch(
@@ -247,7 +250,8 @@ def backward(
     Uses the softmax/cross-entropy identity d_logits = probs - one_hot, exact
     wherever the loss's 1e-12 probability floor is inactive. The gradients
     overwrite every tensor of ``grads`` when it is given (a training loop
-    passes one buffer to every step), else of a new ``ModelParams``.
+    passes one buffer to every step), else of a new ``ModelParams``. The input
+    gradient of the first conv block is not computed.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != np.shape(x)[0] or labels.shape[0] == 0:
@@ -268,8 +272,8 @@ def backward(
         x_in, mask = caches.pop()
         if mask is not None:
             d_h = layers.relu_backward(d_h, mask)
-        d_h, grads.dense_weights[i][...], grads.dense_biases[i][...] = layers.dense_backward(
-            d_h, x_in, params.dense_weights[i]
+        d_h, _, _ = layers.dense_backward(
+            d_h, x_in, params.dense_weights[i], grads.dense_weights[i], grads.dense_biases[i]
         )
     d_h = d_h.reshape(caches[-1][2].shape)  # the last pooled output's shape
     for i in reversed(range(len(spec.conv_blocks))):
@@ -277,7 +281,7 @@ def backward(
         d_h = layers.maxpool1d_backward(d_h, argmax, pre_pool_len)
         d_h = layers.relu_backward(d_h, mask)
         d_h, grads.conv_weights[i][...], grads.conv_biases[i][...] = layers.conv1d_backward(
-            d_h, cols, params.conv_weights[i], spec.conv_blocks[i].padding
+            d_h, cols, params.conv_weights[i], spec.conv_blocks[i].padding, input_grad=i > 0
         )
     return loss, grads
 

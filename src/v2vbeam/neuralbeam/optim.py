@@ -1,8 +1,8 @@
 """Adam (Kingma & Ba 2015) with bias correction and coupled L2 weight decay.
 
 The update works on the flat vectors of ``ModelParams`` and ``AdamState``
-in place: a step allocates nothing, and the parameters it is given are the
-parameters it returns.
+in place, with the gradient vector as its second scratch vector: a step
+allocates nothing, and the parameters it is given are the parameters it returns.
 """
 
 from __future__ import annotations
@@ -44,18 +44,19 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """Flat first/second moment estimates, the step counter and two scratch
-    vectors, each laid out like ``ModelParams.flat``."""
+    """Flat first/second moment estimates, the step counter and one scratch
+    vector, each laid out like ``ModelParams.flat``. The step's other scratch
+    vector is the gradient vector it is given."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray]
+    scratch: np.ndarray
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
         n = params.flat.size
-        return cls(0, np.zeros(n), np.zeros(n), scratch=(np.empty(n), np.empty(n)))
+        return cls(0, np.zeros(n), np.zeros(n), scratch=np.empty(n))
 
 
 def adam_step(
@@ -66,8 +67,9 @@ def adam_step(
 ) -> tuple[ModelParams, AdamState]:
     """One update of ``params`` and ``state`` in place; returns them both.
 
-    Weight decay enters the gradient before the moment updates. Each line
-    below is one operation of
+    ``gradients.flat`` is overwritten: it holds ``g`` and then the step that
+    was subtracted from the parameters. Weight decay enters the gradient before
+    the moment updates. Each line below is one operation of
 
         g = grad + wd * p
         m = b1 * m + (1 - b1) * g
@@ -80,10 +82,9 @@ def adam_step(
     state.step += 1
     bc1 = 1.0 - config.beta1**state.step
     bc2 = 1.0 - config.beta2**state.step
-    p, m, v = params.flat, state.m, state.v
-    g, s = state.scratch
-    np.multiply(config.weight_decay, p, out=g)
-    np.add(gradients.flat, g, out=g)
+    p, m, v, g, s = params.flat, state.m, state.v, gradients.flat, state.scratch
+    np.multiply(config.weight_decay, p, out=s)
+    np.add(g, s, out=g)
     np.multiply(config.beta1, m, out=m)
     np.multiply(1.0 - config.beta1, g, out=s)
     np.add(m, s, out=m)

@@ -333,7 +333,7 @@ class SyntheticDrive:
         start, stop, step = sel.indices(len(self))
         if step != 1:
             raise ValueError(f"a drive's rows are a slice of step 1, got {sel!r}")
-        columns = _shared_columns(stop - start, self.codebook_size)
+        columns = _shared_columns(len(range(start, stop)), self.codebook_size)
         synthesize = functools.partial(_synthesize, self.scenario, self.codebook, columns, start)
         list(ordered_map(synthesize, range(start, stop, _CHUNK_ROWS)))
         return Dataset(*columns)

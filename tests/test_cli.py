@@ -1005,6 +1005,49 @@ def test_out_dir_that_is_a_file_exits_2_before_the_dataset_is_read(
     assert out.read_bytes() == b"a file"
 
 
+@pytest.mark.parametrize("command, name", [
+    ("train", "checkpoint.json"),
+    ("train", "history.csv"),
+    ("baseline", "fingerprint_db.json"),
+    ("eval", "report.json"),
+    ("eval", "report.svg"),
+    ("report", "report.csv"),
+    ("report", "dataset.csv"),
+    ("report", "checkpoint_r1.json"),
+    ("report", "history_r0.csv"),
+    ("report", "fingerprint_db_r1.json"),
+])
+def test_output_file_that_is_a_directory_exits_2_before_the_dataset_is_read(
+    tmp_path, capsys, monkeypatch, checkpoint_doc, command, name
+):
+    # report with report.csv a directory used to train every repeat and write the
+    # dataset, checkpoints and databases, then fail with an IsADirectoryError traceback
+    monkeypatch.setattr(cli, "resolve_dataset", never)
+    monkeypatch.setattr(cli, "parse_dataset", never)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    if command == "eval":
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(checkpoint_doc))
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"never read")
+        argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(out)]
+    else:
+        cfg = tmp_path / "experiment.json"
+        cfg.write_text(json.dumps(experiment_doc(out, repeats=2)))
+        argv = [command, "--config", str(cfg)]
+    assert main([*argv, *(["--emit-svg"] if name == "report.svg" else [])]) == 2
+    path = out / name
+    assert capsys.readouterr().err == f"config error: output {path} exists and is not a regular file\n"
+    assert list(out.iterdir()) == [path]
+
+
+def test_report_svg_is_checked_only_when_written(experiment_config, tmp_path, capsys):
+    (tmp_path / "out" / "report.svg").mkdir(parents=True)
+    assert main(["report", "--config", str(experiment_config)]) == 0
+    assert (tmp_path / "out" / "report.csv").is_file()
+
+
 def test_import_does_not_load_multiprocessing():
     # the pool is imported only when repeats run in parallel
     code = (

@@ -26,28 +26,36 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-def full_tap_conv1d_forward(x, weights, bias, padding):
-    """Reference: every kernel tap unrolled, the ones over padding included."""
+def full_tap_conv1d_forward(x, weights, bias, padding, taps=None):
+    """Reference: every kernel tap unrolled, the ones over padding included, or
+    only the tap ``range`` given, as the layer's stacked-column path unrolls them."""
     c_out, _, kernel = weights.shape
+    taps = range(kernel) if taps is None else taps
     x_pad = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
     l_out = x_pad.shape[2] - kernel + 1
-    cols = np.stack([x_pad[:, :, k : k + l_out] for k in range(kernel)], axis=2)
+    cols = np.stack([x_pad[:, :, k : k + l_out] for k in taps], axis=2)
     out = np.tensordot(
-        weights.reshape(c_out, -1), cols.reshape(cols.shape[0], -1, l_out), axes=([1], [1])
+        weights[:, :, taps.start : taps.stop].reshape(c_out, -1),
+        cols.reshape(cols.shape[0], -1, l_out),
+        axes=([1], [1]),
     )
     return out.transpose(1, 0, 2) + bias[None, :, None], cols
 
 
-def full_tap_conv1d_backward(d_out, cols, weights, padding):
+def full_tap_conv1d_backward(d_out, cols, weights, padding, taps=None):
     l_out = d_out.shape[2]
     kernel = weights.shape[2]
-    d_w = np.tensordot(d_out, cols, axes=([0, 2], [0, 3]))
+    taps = range(kernel) if taps is None else taps
+    d_w = np.zeros(weights.shape)
+    d_w[:, :, taps.start : taps.stop] = np.tensordot(d_out, cols, axes=([0, 2], [0, 3]))
     d_b = d_out.sum(axis=(0, 2))
-    d_cols = np.tensordot(d_out, weights, axes=([1], [0])).transpose(0, 2, 3, 1)
+    d_cols = np.tensordot(
+        d_out, weights[:, :, taps.start : taps.stop], axes=([1], [0])
+    ).transpose(0, 2, 3, 1)
     padded_len = l_out + kernel - 1
     d_xpad = np.zeros((cols.shape[0], cols.shape[1], padded_len))
-    for k in range(kernel):
-        d_xpad[:, :, k : k + l_out] += d_cols[:, :, k, :]
+    for k in taps:
+        d_xpad[:, :, k : k + l_out] += d_cols[:, :, k - taps.start, :]
     d_x = d_xpad[:, :, padding : padded_len - padding] if padding else d_xpad
     return d_x, d_w, d_b
 
@@ -131,6 +139,18 @@ class TestDataTaps:
         assert not d_w[:, :, [0, 2]].any()
         assert not np.signbit(d_w[:, :, [0, 2]]).any()
 
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_skipped_input_gradient_leaves_the_parameter_gradients(self, length):
+        rng = np.random.default_rng(40 + length)
+        x = rng.normal(size=(7, 3, length))
+        w = rng.normal(size=(5, 3, 3))
+        out, cols = conv1d_forward(x, w, np.zeros(5), 1)
+        d_out = rng.normal(size=out.shape)
+        d_x, d_w, d_b = conv1d_backward(d_out, cols, w, 1)
+        skipped = conv1d_backward(d_out, cols, w, 1, input_grad=False)
+        assert d_x is not None and skipped[0] is None
+        assert same_bits(skipped[1], d_w) and same_bits(skipped[2], d_b)
+
     def test_random_shapes_within_four_ulps_of_the_term_sum(self):
         # leaving out zero products can only regroup the BLAS sums: the drift
         # stays within 4 * eps * sum(|terms|); on OpenBLAS 0.3.31, 7 of these 300
@@ -159,6 +179,35 @@ class TestDataTaps:
             for g, r, scale in zip(got, want, scales):
                 assert g.shape == r.shape
                 assert np.all(np.abs(g - r) <= 4 * eps * scale)
+
+
+class TestOneTap:
+    """A length-1 input meets the middle tap alone, and the layer is one product."""
+
+    @pytest.mark.parametrize("c_in, c_out", [(32, 64), (64, 128)])  # default spec blocks 2, 3
+    @pytest.mark.parametrize("batch", [1, 2, 7, 18, 96, 100, 127, 128, 129, 512])
+    def test_matches_the_stacked_column_path_bit_for_bit(self, c_in, c_out, batch):
+        rng = np.random.default_rng(batch * c_in)
+        x, _ = relu_forward(rng.normal(size=(batch, c_in, 1)))
+        w = rng.uniform(-0.3, 0.3, (c_out, c_in, 3))
+        b = rng.uniform(-0.1, 0.1, c_out)
+        out, cols = conv1d_forward(x, w, b, 1)
+        ref_out, ref_cols = full_tap_conv1d_forward(x, w, b, 1, taps=range(1, 2))
+        # the next layers see the same memory layout, not only the same values
+        assert same_bits(out, ref_out) and out.strides == ref_out.strides
+        d_out, _ = relu_forward(rng.normal(size=out.shape))
+        d_out[:, ::2] *= -1.0
+        # the upstream gradient in C order and in the conv output's own layout
+        for d in (d_out, np.ascontiguousarray(d_out.transpose(1, 0, 2)).transpose(1, 0, 2)):
+            got = conv1d_backward(d, cols, w, 1)
+            want = full_tap_conv1d_backward(d, ref_cols, w, 1, taps=range(1, 2))
+            for g, r in zip(got, want):
+                assert same_bits(g, r)
+
+    def test_caches_the_input_without_a_copy(self):
+        x = np.random.default_rng(4).normal(size=(5, 2, 1))
+        _, cols = conv1d_forward(x, np.ones((3, 2, 3)), np.zeros(3), 1)
+        assert cols.shape == (5, 2, 1, 1) and np.shares_memory(cols, x)
 
 
 class TestMaxPool1d:

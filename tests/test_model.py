@@ -117,6 +117,30 @@ class TestModelParams:
         named = [(name, a.shape) for name, a in params.named_arrays()]
         assert named == model.tensor_shapes(SMALL)
 
+    @pytest.mark.parametrize("in_length", [2, 4])
+    def test_backward_writes_every_view_and_skips_the_first_input_gradient(
+        self, monkeypatch, in_length
+    ):
+        # the default spec: blocks 2 and 3 (tx) or block 3 (both) see length 1
+        spec = LayerSpec(in_length=in_length)
+        params = init_params(spec, np.random.default_rng(35))
+        rng = np.random.default_rng(36)
+        x, y = rng.normal(size=(9, 1, in_length)), rng.integers(0, 64, 9)
+        real, calls = model.layers.conv1d_backward, []
+
+        def conv1d_backward(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((kwargs.get("input_grad", True), result[0] is None))
+            return result
+
+        monkeypatch.setattr(model.layers, "conv1d_backward", conv1d_backward)
+        buffer = ModelParams(spec, np.full(params.flat.size, np.nan))
+        _, grads = backward(params, spec, x, y, buffer)
+        assert calls == [(True, False), (True, False), (False, True)]  # last block first
+        assert not np.isnan(grads.flat).any()
+        monkeypatch.undo()
+        assert grads.flat.tobytes() == backward(params, spec, x, y)[1].flat.tobytes()
+
     def test_pickle_keeps_one_vector(self):
         params = init_params(SMALL, np.random.default_rng(34))
         data = pickle.dumps(params)
@@ -215,15 +239,22 @@ class TestChunkedScoring:
             np.mean(np.argmax(one_pass, axis=1) == labels)
         )
 
-    @pytest.mark.parametrize("n", [1, 511, 512, 513, 4000])
-    def test_chunked_ranking_is_the_one_pass_ranking(self, monkeypatch, n):
-        spec = LayerSpec(in_length=4)
+    @pytest.mark.parametrize("in_length", [2, 4])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 146, 511, 512, 513, 4000, 4007])
+    def test_chunked_ranking_is_the_one_pass_ranking(self, monkeypatch, in_length, n):
+        spec = LayerSpec(in_length=in_length)
         params = init_params(spec, np.random.default_rng(22))
-        x = np.random.default_rng(23).uniform(size=(n, 1, 4))
+        x = np.random.default_rng(23).uniform(size=(n, 1, in_length))
         ranked = predict_top_m_batch(params, spec, x, 13)
-        one_pass = np.argsort(-forward_batch(params, spec, x), axis=1, kind="stable")[:, :13]
+        probs = forward_batch(params, spec, x)
+        one_pass = np.argsort(-probs, axis=1, kind="stable")[:, :13]
         assert (ranked.dtype, ranked.shape) == (one_pass.dtype, one_pass.shape) == (np.intp, (n, 13))
         assert ranked.tobytes() == one_pass.tobytes()
+        labels = np.argmax(probs, axis=1)
+        labels[::3] = 0
+        top1 = top1_accuracy(params, spec, x, labels)
+        monkeypatch.setattr(model, "_SCORE_ROWS", 512)  # the chunk size before 128
+        assert top1_accuracy(params, spec, x, labels) == top1
         monkeypatch.setattr(model, "_SCORE_ROWS", n)
         assert predict_top_m_batch(params, spec, x, 13).tobytes() == ranked.tobytes()
 

@@ -142,12 +142,38 @@ class TestInPlaceAdam:
         params = init_params(LayerSpec(), np.random.default_rng(0))
         grads = ModelParams(LayerSpec(), np.full_like(params.flat, 0.5))
         state = AdamState.zeros(params)
-        buffers = [params.flat, state.m, state.v, *state.scratch]
+        # one scratch vector: the gradient vector is the other
+        assert isinstance(state.scratch, np.ndarray)
+        assert state.scratch.shape == params.flat.shape
+        buffers = [params.flat, state.m, state.v, state.scratch, grads.flat]
         stepped, new_state = adam_step(params, grads, state, TrainingConfig())
         assert stepped is params and new_state is state
-        after = [stepped.flat, new_state.m, new_state.v, *new_state.scratch]
+        after = [stepped.flat, new_state.m, new_state.v, new_state.scratch, grads.flat]
         assert all(a is b for a, b in zip(after, buffers))
         assert np.shares_memory(stepped.conv_weights[0], stepped.flat)
+
+    def test_matches_list_form_while_overwriting_the_gradient_buffer(self):
+        # as train does: one gradient buffer, refilled before every step
+        rng = np.random.default_rng(2)
+        params = init_params(LayerSpec(), rng)
+        state = AdamState.zeros(params)
+        cfg = TrainingConfig()
+        buffer = ModelParams(LayerSpec())
+        ref = [a.copy() for a in params.arrays()]
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        for t in range(1, 6):
+            grads = [rng.normal(0.0, 0.1, a.shape) for a in ref]
+            buffer.flat[:] = np.concatenate([g.ravel() for g in grads])
+            before = params.flat.copy()
+            params, state = adam_step(params, buffer, state, cfg)
+            ref, ref_m, ref_v = list_form_adam_step(ref, grads, ref_m, ref_v, t, cfg)
+            assert params.flat.tobytes() == b"".join(a.tobytes() for a in ref)
+            assert state.m.tobytes() == b"".join(a.tobytes() for a in ref_m)
+            assert state.v.tobytes() == b"".join(a.tobytes() for a in ref_v)
+            # the buffer now holds the step that was subtracted, not the gradients
+            assert not np.array_equal(buffer.flat, np.concatenate([g.ravel() for g in grads]))
+            assert np.subtract(before, buffer.flat).tobytes() == params.flat.tobytes()
 
     @pytest.mark.parametrize(
         "learning_rate, weight_decay", [(0.01, 1e-4), (0.01, 0.0), (0.0, 1e-4)]

@@ -467,6 +467,15 @@ class TestStreamedDrive:
         drive = generate_scenario(ScenarioConfig(weaving_drive(2 * CHUNK + 77), ARR, self.CH))
         assert drive.rows(sel) == drive.rows(slice(None)).rows(sel)
 
+    @pytest.mark.parametrize("sel", [slice(100, 100), slice(0, 0), slice(60, 40)])
+    def test_an_empty_slice_gives_an_empty_dataset(self, sel):
+        # slice(100, 100) used to fail with OSError [Errno 22]: a mapping of 0 bytes
+        drive = generate_scenario(ScenarioConfig(weaving_drive(100), ARR, self.CH))
+        whole = drive.rows(slice(None))
+        for rows in (drive.rows(sel), whole.rows(sel)):
+            assert len(rows) == 0 and rows.powers.shape == (0, 64)
+        assert drive.rows(sel) == whole.rows(sel)
+
     def test_rows_take_a_slice_of_step_1(self):
         drive = generate_scenario(ScenarioConfig(weaving_drive(10), ARR, self.CH))
         assert (len(drive), drive.codebook_size) == (10, 64)

@@ -99,6 +99,16 @@ JSON
   grep -q '"input_mode": "both"' train_both.json
   run 0 train_both train --config train_both.json --out model_both
   run 0 eval_both eval --checkpoint model_both/checkpoint.json --dataset data.csv --out eval_both
+  # the default spec in "both" mode: its third block sees length 1, so the one-tap
+  # conv path runs after a length-2 block; the 1,800 training rows end in a partial
+  # batch and the 600 validation rows in a partial 128-row scoring chunk
+  cat >train_both_default.json <<'JSON'
+{"seed": 1, "dataset": {"csv": "data.csv"}, "model": {"input_mode": "both"},
+ "training": {"epochs": 2}, "baseline": {"bins_per_axis": 16}, "m_values": [1, 5]}
+JSON
+  run 0 train_both_default train --config train_both_default.json --out model_both_default
+  run 0 eval_both_default eval --checkpoint model_both_default/checkpoint.json \
+    --dataset data.csv --out eval_both_default
   sed 's/"input_mode": "tx"/"input_mode": "both"/' model/checkpoint.json >relabelled.json
   grep -q '"input_mode": "both"' relabelled.json
   run 2 eval_relabelled eval --checkpoint relabelled.json --dataset data.csv --out eval_relabelled
