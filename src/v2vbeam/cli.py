@@ -5,6 +5,15 @@ files; a handful of flags override them. Exit codes: 0 success, 2 config
 error, 3 missing input, 4 runtime numeric failure. BEAM_LOG sets the log
 level (DEBUG, INFO, WARNING, ...). Every subcommand runs numpy's OpenBLAS at
 one thread, so its outputs are the same bytes for any number of CPUs.
+
+Files written: generate, its --out CSV; the others, in out_dir (--out): train,
+checkpoint.json and history.csv; baseline, fingerprint_db.json; eval,
+report.csv, report.json and, with --emit-svg, report.svg; report, the same
+report files, dataset.csv when the dataset is synthetic, and for each repeat N
+checkpoint_rN.json, history_rN.csv and fingerprint_db_rN.json. Every one of
+them, and out_dir, is checked before any data is read. Once written, report
+deletes the per-repeat files of any other N, which an earlier report with more
+repeats left; directories and files of other names stay.
 """
 
 from __future__ import annotations
@@ -120,40 +129,26 @@ def _check_out(path: Path, directory: bool = False) -> Path:
     return path
 
 
-def _check_outputs(config: ExperimentConfig, names) -> None:
-    """``_check_out`` of ``config.out_dir`` and of each file ``names`` that a
-    subcommand writes there, before any data is read."""
+def _outputs(config: ExperimentConfig, *groups) -> list[list[Path]]:
+    """The paths in ``config.out_dir`` of each group of file names that a subcommand
+    writes, each checked by ``_check_out`` after the directory, before any data is read."""
     _check_out(config.out_dir, directory=True)
-    for name in names:
-        _check_out(config.out_dir / name)
-
-
-def _out_dir(config: ExperimentConfig) -> Path:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    return config.out_dir
-
-
-def _model_names(suffix: str) -> tuple[str, str]:
-    return f"checkpoint{suffix}.json", f"history{suffix}.csv"
-
-
-def _save_model(config, suffix, model, history):
-    """Write ``checkpoint<suffix>.json`` and ``history<suffix>.csv``; return both paths."""
-    out_dir = _out_dir(config)
-    ckpt_name, history_name = _model_names(suffix)
-    ckpt = save_checkpoint(out_dir / ckpt_name, model)
-    return ckpt, write_history(history, out_dir / history_name)
+    return [[_check_out(config.out_dir / name) for name in group] for group in groups]
 
 
 def _report_names(config: ExperimentConfig) -> tuple[str, ...]:
     return ("report.csv", "report.json") + (("report.svg",) if config.emit_svg else ())
 
 
-def _write_report(rows, config: ExperimentConfig, meta: dict, headline: str) -> int:
-    """Write report.csv, report.json (and report.svg) and print the rows."""
-    out_dir = _out_dir(config)
-    csv_path = write_report_csv(rows, out_dir / "report.csv")
-    json_path = write_report_json(rows, out_dir / "report.json", meta)
+# the files of each ``report`` repeat, with its index for {}, in the order they are written
+_REPEAT_FILES = ("checkpoint_r{}.json", "history_r{}.csv", "fingerprint_db_r{}.json")
+
+
+def _write_report(rows, paths: list[Path], meta: dict, headline: str) -> int:
+    """Write the report's CSV, JSON (and SVG, given a third path) at ``paths``; print the rows."""
+    csv_path, json_path, *svg_path = paths
+    write_report_csv(rows, csv_path)
+    write_report_json(rows, json_path, meta)
     print(headline)
     for row in rows:
         print(
@@ -162,35 +157,38 @@ def _write_report(rows, config: ExperimentConfig, meta: dict, headline: str) -> 
         )
     print(f"report: {csv_path}")
     print(f"report: {json_path}")
-    if config.emit_svg:
-        print(f"report: {write_report_svg(rows, out_dir / 'report.svg')}")
+    for path in svg_path:
+        print(f"report: {write_report_svg(rows, path)}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    _check_outputs(config, _model_names(""))
+    [[ckpt_path, history_path]] = _outputs(config, ["checkpoint.json", "history.csv"])
     dataset = resolve_dataset(config)
     train_rows, val_rows, _ = split_stage(dataset, config, config.seed, scored=False)
-    fit = fit_stage(dataset, train_rows, val_rows, config, config.seed)
-    ckpt, hist = _save_model(config, "", *fit)
+    model, history = fit_stage(dataset, train_rows, val_rows, config, config.seed)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(ckpt_path, model)
+    write_history(history, history_path)
     print(f"trained on {len(dataset.t[train_rows])} samples for {config.training.epochs} epochs")
-    print(f"checkpoint: {ckpt}")
-    print(f"history: {hist}")
+    print(f"checkpoint: {ckpt_path}")
+    print(f"history: {history_path}")
     return EXIT_OK
 
 
 def cmd_baseline(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    _check_outputs(config, ["fingerprint_db.json"])
+    [[db_path]] = _outputs(config, ["fingerprint_db.json"])
     dataset = resolve_dataset(config)
     train_rows, val_rows, _ = split_stage(dataset, config, config.seed, scored=False)
     norm = fit_split_normalization(dataset, train_rows, config.model.input_mode)
     db = baseline_stage(dataset, train_rows, val_rows, norm, config)
-    path = save_database(db, _out_dir(config) / "fingerprint_db.json")
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    save_database(db, db_path)
     n_rows = sum(stats.count for stats in db.bins.values())
     print(f"built {len(db)} bins from {n_rows} samples")
-    print(f"database: {path}")
+    print(f"database: {db_path}")
     return EXIT_OK
 
 
@@ -204,7 +202,7 @@ def cmd_eval(args) -> int:
     # the layer spec, normalization and input mode all come from the checkpoint
     model = load_checkpoint(ckpt_path)
     config = _apply_overrides(ExperimentConfig(seed=model.seed, dataset_csv=data_path), args)
-    _check_outputs(config, _report_names(config))
+    [report_paths] = _outputs(config, _report_names(config))
     dataset = parse_dataset(data_path)
     check_codebook_compatible(model.spec, dataset)
     train_rows, val_rows, test_rows = split_stage(dataset, config, config.seed)
@@ -220,26 +218,27 @@ def cmd_eval(args) -> int:
         "dataset": str(data_path),
     }
     headline = f"evaluated {n_test} test samples at M in {list(config.m_values)}"
-    return _write_report(rows, config, meta_out, headline)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    return _write_report(rows, report_paths, meta_out, headline)
 
 
 def cmd_report(args) -> int:
     config = _apply_overrides(load_experiment_config(Path(args.config)), args)
-    names = [*_report_names(config), *(["dataset.csv"] if config.synthetic is not None else [])]
-    for r in range(config.repeats):
-        names += [*_model_names(f"_r{r}"), f"fingerprint_db_r{r}.json"]
-    _check_outputs(config, names)
+    report_paths, dataset_paths, *repeat_paths = _outputs(
+        config,
+        _report_names(config),
+        ["dataset.csv"] if config.synthetic is not None else [],
+        *([name.format(r) for name in _REPEAT_FILES] for r in range(config.repeats)),
+    )
     dataset = resolve_dataset(config)
     result = run_experiment(dataset, config)
-    out_dir = _out_dir(config)
-    if config.synthetic is not None:
-        write_dataset(dataset, out_dir / "dataset.csv")
-    written = set()
-    for run in result.runs:
-        tag = f"_r{run.model.seed - config.seed}"
-        paths = _save_model(config, tag, run.model, run.history)
-        paths += (save_database(run.database, out_dir / f"fingerprint_db{tag}.json"),)
-        written.update(paths)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    for path in dataset_paths:
+        write_dataset(dataset, path)
+    for run, (ckpt_path, history_path, db_path) in zip(result.runs, repeat_paths, strict=True):
+        save_checkpoint(ckpt_path, run.model)
+        write_history(run.history, history_path)
+        save_database(run.database, db_path)
     meta = {
         "seed": config.seed,
         "repeats": config.repeats,
@@ -251,12 +250,12 @@ def cmd_report(args) -> int:
         f"experiment: {result.dataset_size} samples, {config.repeats} repeat(s), "
         f"M in {list(config.m_values)}"
     )
-    status = _write_report(result.rows, config, meta, headline)
+    status = _write_report(result.rows, report_paths, meta, headline)
     # an earlier report with more repeats must not leave its per-repeat files beside this
-    # one; train and baseline write other names
-    stale = re.compile(r"(checkpoint|fingerprint_db)_r[0-9]+\.json|history_r[0-9]+\.csv")
-    for path in set(out_dir.iterdir()) - written:
-        if stale.fullmatch(path.name):
+    # one; train and baseline write other names, and a directory is never swept
+    stale = re.compile("|".join(re.escape(n).replace(r"\{\}", "[0-9]+") for n in _REPEAT_FILES))
+    for path in set(config.out_dir.iterdir()) - {p for paths in repeat_paths for p in paths}:
+        if stale.fullmatch(path.name) and not path.is_dir():
             path.unlink()
     return status
 

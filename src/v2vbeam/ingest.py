@@ -125,6 +125,8 @@ class SplitSpec:
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if any(f < 0 for f in fracs):
             raise ValueError("split fractions must be >= 0")
+        if not all(math.isfinite(f) for f in fracs):
+            raise ValueError(f"split fractions must be finite, got {list(fracs)}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
 

@@ -382,8 +382,9 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     """The model a checkpoint holds.
 
     A version other than CHECKPOINT_VERSION is a ValueError; a malformed field,
-    an input mode that is unknown or does not fit the spec's input length, or a
-    tensor whose name or shape the spec does not give, a ConfigError.
+    an input mode that is unknown or does not fit the spec's input length, a
+    tensor whose name or shape the spec does not give, or a tensor value that is
+    not finite, a ConfigError.
     """
     doc = read_object(load_json(path), "")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -397,6 +398,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             arr = np.array(tensors.pop(name))
             if arr.shape != shape or arr.dtype.kind not in "if":
                 raise ValueError(f"expected {shape} numbers, got {arr.shape} {arr.dtype}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"expected finite numbers, got {arr[~np.isfinite(arr)][0]}")
         arrays.append(arr)
     if tensors:
         raise ConfigError(f"tensors.{next(iter(tensors))}", "no such tensor")

@@ -441,11 +441,15 @@ class TestReport:
         others = ["checkpoint_r1.csv", "history_r1.json", "notes_r1.json", "checkpoint_rx.json"]
         for name in others:
             (out / name).write_text("kept")
+        # and so do directories: unlinking this one used to end the run in an
+        # IsADirectoryError traceback, after every output was written
+        (out / "fingerprint_db_r3.json").mkdir()
         assert main(["report", "--config", str(cfg), "--repeats", "1"]) == 0
         names = {p.name for p in out.iterdir()}
         assert not names & {"checkpoint_r1.json", "history_r1.csv", "fingerprint_db_r1.json"}
         assert {"checkpoint_r0.json", "history_r0.csv", "fingerprint_db_r0.json"} <= names
         assert set(others) <= names
+        assert (out / "fingerprint_db_r3.json").is_dir()
         assert json.loads((out / "report.json").read_text())["meta"]["repeats"] == 1
 
     def test_train_baseline_and_report_share_an_output_directory(self, experiment_config, tmp_path):
@@ -556,6 +560,8 @@ class TestReport:
         ({"split": {"test_fraction": 0.5}}, "split.test_fraction"),
         ({"dataset": {"synthetic": TYPO_SCENARIO}}, "chanel"),
         *(({"dataset": {"synthetic": bad}}, field) for bad, field in BAD_SCENARIOS.values()),
+        # json reads the literal NaN; it used to fail, naming no field, once the drive was made
+        ({"split": {"train_frac": math.nan}}, "split"),
     ],
 )
 def test_bad_config_exit_2_before_any_data(tmp_path, capsys, monkeypatch, overrides, field):
@@ -616,6 +622,10 @@ DELETED = object()
         (("tensors", "dense2.bias"), [0.0], "tensors.dense2.bias"),
         (("tensors", "conv0.bias"), ["0.5"] * 8, "tensors.conv0.bias"),
         (("tensors", "conv0.bias"), [[0.5]] * 7 + [0.5], "tensors.conv0.bias"),
+        # non-finite weights used to load, and eval exited 0 with the model's scores
+        (("tensors", "dense1.bias"), [math.nan] * 64, "tensors.dense1.bias"),
+        (("tensors", "conv0.bias"), [0.5] * 7 + [math.inf], "tensors.conv0.bias"),
+        (("tensors", "dense0.bias"), [-math.inf] * 32, "tensors.dense0.bias"),
         # both used to fail only after the dataset was parsed
         (("input_mode",), "both", "input_mode"),
         (("input_mode",), "laser", "input_mode"),
@@ -623,7 +633,8 @@ DELETED = object()
     ids=[
         "string-kernel", "null-lat-min", "list-root", "unknown-spec-key", "float-in-length",
         "string-seed", "short-bias", "missing-tensor", "unknown-tensor", "string-tensor",
-        "ragged-tensor", "input-mode-of-another-length", "unknown-input-mode",
+        "ragged-tensor", "nan-tensor", "infinite-tensor", "negative-infinite-tensor",
+        "input-mode-of-another-length", "unknown-input-mode",
     ],
 )
 def test_malformed_checkpoint_exit_2_before_the_dataset_is_read(
@@ -1040,6 +1051,37 @@ def test_output_file_that_is_a_directory_exits_2_before_the_dataset_is_read(
     path = out / name
     assert capsys.readouterr().err == f"config error: output {path} exists and is not a regular file\n"
     assert list(out.iterdir()) == [path]
+
+
+def test_every_file_a_subcommand_writes_is_checked_first(tmp_path, monkeypatch):
+    checked, check_out = [], cli._check_out
+
+    def recording(path, directory=False):
+        checked.append(path)
+        return check_out(path, directory)
+
+    monkeypatch.setattr(cli, "_check_out", recording)
+
+    def run(out, *argv):
+        """``argv`` exits 0, leaving in ``out`` exactly the files it checked."""
+        checked.clear()
+        assert main(list(argv)) == 0
+        assert sorted(out.iterdir()) == sorted(p for p in checked if p != out)
+
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    scenario = configs / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    run(tmp_path / "generate", "generate", "--config", str(scenario),
+        "--out", str(tmp_path / "generate" / "data.csv"))
+    for command, repeats in (("train", 1), ("baseline", 1), ("report", 2)):
+        cfg = configs / f"{command}.json"
+        cfg.write_text(json.dumps(experiment_doc(tmp_path / command, repeats=repeats)))
+        run(tmp_path / command, command, "--config", str(cfg),
+            *(["--emit-svg"] if command == "report" else []))
+    run(tmp_path / "eval", "eval", "--checkpoint", str(tmp_path / "train" / "checkpoint.json"),
+        "--dataset", str(tmp_path / "generate" / "data.csv"), "--out", str(tmp_path / "eval"),
+        "--emit-svg")
 
 
 def test_report_svg_is_checked_only_when_written(experiment_config, tmp_path, capsys):

@@ -198,8 +198,11 @@ class TestSplit:
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
             SplitSpec(0.5, 0.2, 0.2, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 0"):
             SplitSpec(-0.1, 0.6, 0.5, seed=0)
+        # NaN compares false both ways, so it used to pass both checks above
+        with pytest.raises(ValueError, match=r"must be finite, got \[nan, 0.2, 0.2\]"):
+            SplitSpec(math.nan, 0.2, 0.2, seed=0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown split mode"):

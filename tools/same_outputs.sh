@@ -114,6 +114,9 @@ JSON
   run 2 eval_relabelled eval --checkpoint relabelled.json --dataset data.csv --out eval_relabelled
   # on all CPUs the second repeat trains in a pool worker, on one CPU in the caller
   run 0 report report --config report.json --out report
+  # a one-repeat rerun on a copy of those outputs sweeps the second repeat's files
+  cp -r report report_rerun
+  run 0 report_rerun report --config report.json --repeats 1 --out report_rerun
   run 3 eval_missing eval --checkpoint model/checkpoint.json --dataset missing.csv --out eval_missing
   run 2 unknown_key report --config unknown_key.json --out unknown_key
 }
