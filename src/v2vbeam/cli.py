@@ -2,18 +2,21 @@
 
 Subcommands: generate | train | baseline | eval | report. Configs are JSON
 files; a handful of flags override them. Exit codes: 0 success, 2 config
-error, 3 missing input, 4 runtime numeric failure. BEAM_LOG sets the log
-level (DEBUG, INFO, WARNING, ...). Every subcommand runs numpy's OpenBLAS at
-one thread, so its outputs are the same bytes for any number of CPUs.
+error, 3 missing input, 4 runtime numeric failure, such as a training run
+whose epoch loss exceeds 2 ln(classes) or is not finite (it writes no
+output). BEAM_LOG sets the log level (DEBUG, INFO, WARNING, ...). Every
+subcommand runs numpy's OpenBLAS at one thread, so its outputs are the same
+bytes for any number of CPUs.
 
 Files written: generate, its --out CSV; the others, in out_dir (--out): train,
 checkpoint.json and history.csv; baseline, fingerprint_db.json; eval,
 report.csv, report.json and, with --emit-svg, report.svg; report, the same
 report files, dataset.csv when the dataset is synthetic, and for each repeat N
 checkpoint_rN.json, history_rN.csv and fingerprint_db_rN.json. Every one of
-them, and out_dir, is checked before any data is read. Once written, report
-deletes the per-repeat files of any other N, which an earlier report with more
-repeats left; directories and files of other names stay.
+them, and out_dir, is checked before any data is read. Once written, eval
+and report delete a report.svg that they did not write, and report deletes
+the per-repeat files of any other N, which an earlier report with more repeats
+left; directories and files of other names stay.
 """
 
 from __future__ import annotations
@@ -136,12 +139,26 @@ def _outputs(config: ExperimentConfig, *groups) -> list[list[Path]]:
     return [[_check_out(config.out_dir / name) for name in group] for group in groups]
 
 
+# the report's files, the SVG last as only --emit-svg writes it
+_REPORT_FILES = ("report.csv", "report.json", "report.svg")
+
+
 def _report_names(config: ExperimentConfig) -> tuple[str, ...]:
-    return ("report.csv", "report.json") + (("report.svg",) if config.emit_svg else ())
+    return _REPORT_FILES if config.emit_svg else _REPORT_FILES[:2]
 
 
 # the files of each ``report`` repeat, with its index for {}, in the order they are written
 _REPEAT_FILES = ("checkpoint_r{}.json", "history_r{}.csv", "fingerprint_db_r{}.json")
+
+
+def _sweep(out_dir: Path, written: list[Path], names: tuple[str, ...]) -> None:
+    """Delete each file in ``out_dir`` named as one of ``names`` ({} stands for any
+    repeat index) but not ``written``: an earlier run left it, and it would not
+    match this run's outputs. Directories are never swept."""
+    stale = re.compile("|".join(re.escape(n).replace(r"\{\}", "[0-9]+") for n in names))
+    for path in set(out_dir.iterdir()) - set(written):
+        if stale.fullmatch(path.name) and not path.is_dir():
+            path.unlink()
 
 
 def _write_report(rows, paths: list[Path], meta: dict, headline: str) -> int:
@@ -219,7 +236,9 @@ def cmd_eval(args) -> int:
     }
     headline = f"evaluated {n_test} test samples at M in {list(config.m_values)}"
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    return _write_report(rows, report_paths, meta_out, headline)
+    status = _write_report(rows, report_paths, meta_out, headline)
+    _sweep(config.out_dir, report_paths, _REPORT_FILES)
+    return status
 
 
 def cmd_report(args) -> int:
@@ -251,12 +270,9 @@ def cmd_report(args) -> int:
         f"M in {list(config.m_values)}"
     )
     status = _write_report(result.rows, report_paths, meta, headline)
-    # an earlier report with more repeats must not leave its per-repeat files beside this
-    # one; train and baseline write other names, and a directory is never swept
-    stale = re.compile("|".join(re.escape(n).replace(r"\{\}", "[0-9]+") for n in _REPEAT_FILES))
-    for path in set(config.out_dir.iterdir()) - {p for paths in repeat_paths for p in paths}:
-        if stale.fullmatch(path.name) and not path.is_dir():
-            path.unlink()
+    # train and baseline write other names, so their files stay
+    written = [*report_paths, *(p for paths in repeat_paths for p in paths)]
+    _sweep(config.out_dir, written, _REPORT_FILES + _REPEAT_FILES)
     return status
 
 

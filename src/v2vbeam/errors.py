@@ -77,6 +77,11 @@ class EmptyDatasetError(V2VBeamError):
     """An operation that needs at least one sample got an empty dataset."""
 
 
+class TrainingDivergedError(V2VBeamError):
+    """An epoch's training loss is above 2 ln(classes), twice that of a uniform
+    guess, or it or a parameter is not finite."""
+
+
 class ShapeMismatchError(V2VBeamError):
     """Tensor shapes are inconsistent with the layer specification."""
 

@@ -5,9 +5,9 @@ are (batch, features). Forward functions return (output, cache); backward
 functions consume the cache and the upstream gradient and return input and
 parameter gradients. Everything is float64.
 
-A conv layer contracts only the kernel taps that meet its input; the taps
-that would read padding alone keep their weights, with a zero gradient. On a
-length-1 input that leaves one tap, and the layer is one matrix product.
+A conv layer contracts every kernel tap of its padded input, except where a
+length-1 input gives a length-1 output: there only tap ``padding`` meets the
+input, the layer is one matrix product, and the other taps get a zero gradient.
 Max-pool backward passes the gradient through when every window holds one
 element.
 """
@@ -21,17 +21,6 @@ from ..errors import ShapeMismatchError
 PROB_FLOOR = 1e-12
 
 
-def _data_taps(length: int, kernel: int, padding: int) -> tuple[int, int]:
-    """Kernel taps [lo, hi) that meet the input at some output position.
-
-    Tap k reads padded positions k .. k + l_out - 1 and the data sits at
-    padding .. padding + length - 1; every other tap multiplies only padding
-    zeros (with kernel 3 and padding 1, a length-1 input leaves tap 1 alone).
-    """
-    l_out = length + 2 * padding - kernel + 1
-    return max(0, padding - (l_out - 1)), min(kernel, length + padding)
-
-
 def conv1d_forward(
     x: np.ndarray, weights: np.ndarray, bias: np.ndarray, padding: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -40,9 +29,7 @@ def conv1d_forward(
     x (B, C_in, L), weights (C_out, C_in, K), bias (C_out,). Output length is
     L + 2*padding - K + 1. Returns (out, stacked input columns) for the
     backward pass. The kernel axis is unrolled into columns so the whole
-    convolution is one BLAS contraction. Only the taps that meet the input
-    are unrolled: the others would add products with padding zeros, which
-    change no sum, though the BLAS may group the remaining terms otherwise.
+    convolution is one BLAS contraction.
     """
     if x.ndim != 3 or weights.ndim != 3 or x.shape[1] != weights.shape[1]:
         raise ShapeMismatchError(
@@ -58,22 +45,19 @@ def conv1d_forward(
             f"conv1d: kernel {kernel} longer than padded length {length + 2 * padding}"
         )
     if length == 1 and l_out == 1:
-        # only the middle tap meets the input: tensordot's one product, on the
+        # only tap ``padding`` meets the input: tensordot's one product, on the
         # same operand layouts, without the padding and the stacked copy
         cols = np.ascontiguousarray(x).reshape(batch, c_in, 1, 1)
         out = np.dot(weights[:, :, padding], cols[:, :, 0, 0].T).reshape(c_out, batch, 1)
     else:
         x_pad = np.zeros((batch, c_in, length + 2 * padding))
         x_pad[:, :, padding : padding + length] = x
-        lo, hi = _data_taps(length, kernel, padding)
         cols = np.stack(
-            [x_pad[:, :, k : k + l_out] for k in range(lo, hi)], axis=2
-        )  # (B, C_in, taps, L_out)
-        # (O, C*taps) x (B, C*taps, L_out) -> (O, B, L_out)
+            [x_pad[:, :, k : k + l_out] for k in range(kernel)], axis=2
+        )  # (B, C_in, K, L_out)
+        # (O, C*K) x (B, C*K, L_out) -> (O, B, L_out)
         out = np.tensordot(
-            weights[:, :, lo:hi].reshape(c_out, -1),
-            cols.reshape(cols.shape[0], -1, l_out),
-            axes=([1], [1]),
+            weights.reshape(c_out, -1), cols.reshape(batch, -1, l_out), axes=([1], [1])
         )
     out = out.transpose(1, 0, 2) + bias[None, :, None]
     return out, cols
@@ -85,37 +69,34 @@ def conv1d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients w.r.t. conv input, weights, and bias.
 
-    ``cols`` is the column cache from the forward pass. The taps it leaves
-    out see only padding, so their weights get a zero gradient. The input
+    ``cols`` is the column cache from the forward pass. Where it holds the one
+    tap ``padding``, the other taps' weights get a zero gradient. The input
     gradient is None when ``input_grad`` is false (a first layer's is never read).
     """
     batch, c_in, _, l_out = cols.shape
     kernel = weights.shape[2]
     padded_len = l_out + kernel - 1
     length = padded_len - 2 * padding
-    lo, hi = _data_taps(length, kernel, padding)
-    d_w = np.zeros(weights.shape)
     d_b = d_out.sum(axis=(0, 2))
     if length == 1 and l_out == 1:
         # the one-tap products of the general path below, on the same operand layouts
-        d_w[:, :, lo] = np.dot(d_out[:, :, 0].T, cols[:, :, 0, 0])
+        d_w = np.zeros(weights.shape)
+        d_w[:, :, padding] = np.dot(d_out[:, :, 0].T, cols[:, :, 0, 0])
         if not input_grad:
             return None, d_w, d_b
         # + 0.0 as the zero-filled padded gradient adds it: no -0.0 passes
-        d_x = np.dot(d_out[:, :, 0], weights[:, :, lo]) + 0.0
+        d_x = np.dot(d_out[:, :, 0], weights[:, :, padding]) + 0.0
         return d_x.reshape(batch, c_in, 1), d_w, d_b
     # d_w[o,c,k] = sum_{b,l} d_out[b,o,l] * cols[b,c,k,l]
-    d_w[:, :, lo:hi] = np.tensordot(d_out, cols, axes=([0, 2], [0, 3]))
+    d_w = np.tensordot(d_out, cols, axes=([0, 2], [0, 3]))
     if not input_grad:
         return None, d_w, d_b
     # d_cols[b,c,k,l] = sum_o d_out[b,o,l] * weights[o,c,k]
-    d_cols = np.tensordot(d_out, weights[:, :, lo:hi], axes=([1], [0]))  # (B, L, C, taps)
-    d_cols = d_cols.transpose(0, 2, 3, 1)
+    d_cols = np.tensordot(d_out, weights, axes=([1], [0])).transpose(0, 2, 3, 1)
     d_xpad = np.zeros((batch, c_in, padded_len))
-    for k in range(lo, hi):
-        d_xpad[:, :, k : k + l_out] += d_cols[:, :, k - lo, :]
-    d_x = d_xpad[:, :, padding : padded_len - padding] if padding else d_xpad
-    return d_x, d_w, d_b
+    for k in range(kernel):
+        d_xpad[:, :, k : k + l_out] += d_cols[:, :, k, :]
+    return d_xpad[:, :, padding : padded_len - padding], d_w, d_b
 
 
 def maxpool1d_forward(

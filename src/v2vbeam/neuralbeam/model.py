@@ -226,10 +226,6 @@ def forward_batch(
             caches.append((cols, mask, argmax, act.shape[2]))
         del cols, act, mask, argmax
     h = h.reshape(h.shape[0], -1)
-    if h.shape[1] != spec.flatten_size():
-        raise ShapeMismatchError(
-            f"flattened width {h.shape[1]} != spec {spec.flatten_size()}"
-        )
     for i, (w, b) in enumerate(zip(params.dense_weights, params.dense_biases)):
         h, x_in = layers.dense_forward(h, w, b)
         mask = None

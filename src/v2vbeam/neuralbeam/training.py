@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import EmptyDatasetError
+from ..errors import EmptyDatasetError, TrainingDivergedError
 from ..geodata import NormalizationParams, normalize_points
 from ..ingest import Dataset, Rows
 from .model import (
@@ -64,7 +65,9 @@ def train(
     Weight init and the per-epoch shuffles all come from one generator seeded
     with ``seed``, the run seed, so a rerun reproduces the history bit for bit. No
     early stopping: validation accuracy is recorded but never used for
-    selection. Every step's gradients are written into one buffer.
+    selection. Every step's gradients are written into one buffer. Raises
+    TrainingDivergedError after an epoch whose loss exceeds 2 ln(classes),
+    twice a uniform guess's, or which leaves a loss or parameter not finite.
     """
     if len(y_train) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -73,6 +76,7 @@ def train(
     state = AdamState.zeros(params)
     grads = ModelParams(spec, np.empty(params.flat.size))
     n = len(y_train)
+    loss_bound = 2 * math.log(spec.classes)
     history: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -94,6 +98,12 @@ def train(
             record.train_loss,
             record.val_top1,
         )
+        finite = bool(np.isfinite(params.flat).all())
+        if not (finite and record.train_loss <= loss_bound):  # false for a NaN loss too
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch}: loss {record.train_loss!r} "
+                f"(bound 2 ln({spec.classes}) = {loss_bound:.4f}), parameters finite: {finite}"
+            )
     return params, history
 
 

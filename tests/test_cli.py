@@ -1090,6 +1090,27 @@ def test_report_svg_is_checked_only_when_written(experiment_config, tmp_path, ca
     assert (tmp_path / "out" / "report.csv").is_file()
 
 
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_run_without_emit_svg_deletes_an_earlier_report_svg(experiment_config, tmp_path, command):
+    # an earlier run's chart would sit beside a report whose rows it does not show
+    out = tmp_path / "out"
+    argv = ["report", "--config", str(experiment_config)]
+    if command == "eval":
+        assert main(argv) == 0
+        out = tmp_path / "eval_out"
+        argv = ["eval", "--checkpoint", str(tmp_path / "out" / "checkpoint_r0.json"),
+                "--dataset", str(tmp_path / "out" / "dataset.csv"), "--out", str(out)]
+    assert main([*argv, "--emit-svg"]) == 0
+    assert (out / "report.svg").is_file()
+    assert main([*argv, "--seed", "6"]) == 0
+    assert {p.name for p in out.iterdir()} >= {"report.csv", "report.json"}
+    assert not (out / "report.svg").exists()
+    # a directory of that name stays, as a repeat file's name does
+    (out / "report.svg").mkdir()
+    assert main(argv) == 0
+    assert (out / "report.svg").is_dir()
+
+
 def test_import_does_not_load_multiprocessing():
     # the pool is imported only when repeats run in parallel
     code = (

@@ -15,6 +15,7 @@ INSTANCES = [
     errors.InvalidGeometryError("distance 0.5 m below reference"),
     errors.GeometryOutOfSectorError("tx behind the array"),
     errors.EmptyDatasetError("no samples"),
+    errors.TrainingDivergedError("training diverged at epoch 1: loss 24.16"),
     errors.ShapeMismatchError("expected (128, 1, 2)"),
     errors.LengthMismatchError("3 predictions, 4 truths"),
     errors.ZeroGroundTruthPowerError("row 2"),

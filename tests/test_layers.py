@@ -106,7 +106,7 @@ class TestConv1d:
 
 
 class TestDataTaps:
-    """Only the kernel taps that meet the input are contracted."""
+    """The layer against a contraction of every kernel tap."""
 
     @pytest.mark.parametrize(
         "c_in, c_out, length",
@@ -152,15 +152,16 @@ class TestDataTaps:
         assert same_bits(skipped[1], d_w) and same_bits(skipped[2], d_b)
 
     def test_random_shapes_within_four_ulps_of_the_term_sum(self):
-        # leaving out zero products can only regroup the BLAS sums: the drift
-        # stays within 4 * eps * sum(|terms|); on OpenBLAS 0.3.31, 7 of these 300
-        # cases drifted, by at most 1.23 * eps * sum(|terms|) (3.6e-15)
+        # the general path contracts every tap, as the reference does, and gives
+        # its bits; the one-tap product leaves out zero products, which can only
+        # regroup the BLAS sums: its drift stays within 4 * eps * sum(|terms|)
         eps = np.finfo(float).eps
         rng = np.random.default_rng(300)
         cases = 0
         while cases < 300:
             kernel, padding, length = (int(v) for v in rng.integers(1, [6, 4, 7]))
-            if length + 2 * padding - kernel + 1 < 1:
+            l_out = length + 2 * padding - kernel + 1
+            if l_out < 1:
                 continue
             cases += 1
             batch, c_in, c_out = (int(v) for v in rng.integers(1, 9, 3))
@@ -177,8 +178,11 @@ class TestDataTaps:
             abs_out, abs_cols = full_tap_conv1d_forward(x, w, b, padding)
             scales = (abs_out, *full_tap_conv1d_backward(d_out, abs_cols, w, padding))
             for g, r, scale in zip(got, want, scales):
-                assert g.shape == r.shape
-                assert np.all(np.abs(g - r) <= 4 * eps * scale)
+                if length == 1 and l_out == 1:
+                    assert g.shape == r.shape
+                    assert np.all(np.abs(g - r) <= 4 * eps * scale)
+                else:
+                    assert same_bits(g, r)
 
 
 class TestOneTap:

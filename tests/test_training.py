@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import make_dataset
 
-from v2vbeam.errors import EmptyDatasetError
+from v2vbeam.errors import EmptyDatasetError, TrainingDivergedError
 from v2vbeam.geodata import GeoPosition, fit_normalization
 from v2vbeam.ingest import SplitSpec, split
 from v2vbeam.neuralbeam import (
@@ -114,6 +114,30 @@ class TestTrain:
             assert np.array_equal(a, b)
         losses = [h.train_loss for h in history]
         assert losses[0] == pytest.approx(losses[-1], rel=1e-12)
+
+    def test_diverged_loss_raises_after_its_epoch(self, synthetic_split, caplog):
+        # a loss far above a uniform guess's used to train on, through every epoch
+        train_ds, val_ds, _, norm = synthetic_split
+        cfg = TrainingConfig(learning_rate=1e6, epochs=4)
+        with caplog.at_level("INFO"), pytest.raises(TrainingDivergedError, match="epoch 2: loss 25"):
+            fit(train_ds, val_ds, SMALL_SPEC, cfg, norm, 1)
+        # epoch 1 stayed below 2 ln 64 = 8.32, and no epoch ran after the second
+        epochs = [r.message.split(":")[0] for r in caplog.records if r.name.endswith("training")]
+        assert epochs == ["epoch 1", "epoch 2"]
+
+    def test_non_finite_parameter_raises(self, synthetic_split, monkeypatch):
+        from v2vbeam.neuralbeam import training
+
+        train_ds, val_ds, _, norm = synthetic_split
+        real_adam_step = training.adam_step
+
+        def adam_step(params, *args):
+            params.flat[0] = np.nan
+            return real_adam_step(params, *args)
+
+        monkeypatch.setattr(training, "adam_step", adam_step)
+        with pytest.raises(TrainingDivergedError, match="parameters finite: False"):
+            fit(train_ds, val_ds, SMALL_SPEC, TrainingConfig(epochs=1), norm, 1)
 
     def test_one_backward_and_one_adam_step_per_batch(self, synthetic_split, monkeypatch):
         # a tracer wraps these two module globals and reads the batch size as
